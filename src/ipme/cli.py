@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -66,6 +67,17 @@ DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
 BOUNDARY_KINDS = ("zero", "constant", "exact")
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loader that also reads the YAML 1.2 floats YAML 1.1 takes
+    for strings: an exponent without a dot or a sign, like 1e-3 or 1.0e3."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
     for key, val in cfg.items():
         here = f"{path}{key}"
@@ -87,7 +99,7 @@ def load_config(path: Optional[str]) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_Loader)
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     except yaml.YAMLError as e:
@@ -124,7 +136,7 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
             raise ConfigError(f"override {key!r} addresses a list; flags "
                               f"only override scalar leaves")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as e:
             raise ConfigError(f"cannot parse override value {raw!r}: {e}")
         if isinstance(value, (dict, list)):
@@ -173,22 +185,19 @@ def _build_schedule(cfg: dict) -> Optional[RegularizationSchedule]:
         n_list=tuple(int(v) for v in s.get("n_list", ())))
 
 
-def _exact_companion(cfg: dict, params: Params):
-    """(spec, t_offset) of the data preset's exact solution, if it has one."""
-    data = _require(cfg, "data")
+def _exact_companion(data: dict, m: float) -> tuple:
+    """(spec, t_offset) of the data preset's exact solution, if it has one.
+
+    The preset is read as an `exact` section; `radius` of the ball preset
+    is the ball radius R."""
     kind = data.get("kind")
-    if kind == "barenblatt":
-        return (exact.barenblatt(params.m, R=float(data.get("R", 1.0))),
-                float(data.get("t_offset", 1.0)))
-    if kind == "traveling-wave":
-        return (exact.traveling_wave(params.m,
-                                     c=float(data.get("speed", 1.0)),
-                                     a=float(data.get("offset", 0.0))), 0.0)
-    if kind == "separable-ball":
-        return (exact.separable_ball(params.m,
-                                     R=float(data.get("radius", 1.0))),
-                float(data.get("t_offset", 1.0)))
-    return None, 0.0
+    if kind not in ("barenblatt", "traveling-wave", "separable-ball"):
+        return None, 0.0
+    t_off = 0.0 if kind == "traveling-wave" else float(data.get("t_offset", 1.0))
+    return _build_exact_spec({
+        "family": kind, "m": m,
+        "R": data.get("radius" if kind == "separable-ball" else "R", 1.0),
+        "speed": data.get("speed", 1.0), "offset": data.get("offset", 0.0)}), t_off
 
 
 def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
@@ -199,7 +208,7 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     if kind not in DATA_KINDS:
         raise ConfigError(f"unknown data kind {kind!r}; "
                           f"known: {', '.join(DATA_KINDS)}")
-    spec, t_off = _exact_companion(cfg, params)
+    spec, t_off = _exact_companion(data, params.m)
 
     if kind == "constant":
         value = float(data.get("value", 1.0))
@@ -269,32 +278,31 @@ def _write_run(outdir: str, report, cfg: dict) -> None:
 
 def cmd_solve(cfg: dict) -> int:
     problem_kind = cfg.get("problem", "dirichlet")
+    if problem_kind not in ("dirichlet", "maximal", "cauchy"):
+        raise ConfigError(f"unknown problem kind {problem_kind!r}")
     grid = _build_grid(cfg)
     params = _build_params(cfg)
     schedule = _build_schedule(cfg)
     t_end = float(_require(cfg, "t_end"))
     snaps = tuple(float(t) for t in cfg.get("snapshot_times", (t_end,)))
+    cc = cfg.get("cauchy") or {}
+    if problem_kind == "cauchy" and ("M" not in cc or "r" not in cc):
+        raise ConfigError("cauchy.M and cauchy.r are required")
+    bdata, spec, t_off = _build_data(cfg, grid, params)
 
     if problem_kind == "cauchy":
-        cc = cfg.get("cauchy") or {}
-        if "M" not in cc or "r" not in cc:
-            raise ConfigError("cauchy.M and cauchy.r are required")
-        bdata, spec, t_off = _build_data(cfg, grid, params)
         prob = CauchyProblem(grid, params, bdata.initial,
                              M=float(cc["M"]), r=float(cc["r"]),
                              t_end=t_end, snapshot_times=snaps)
         report = solve_cauchy(prob, schedule)
     else:
-        bdata, spec, t_off = _build_data(cfg, grid, params)
         prob = DirichletProblem(grid, params, bdata, t_end=t_end,
                                 snapshot_times=snaps,
                                 domain_mask=_domain_mask(cfg, grid))
         if problem_kind == "maximal":
             report = solve_maximal(prob, schedule=schedule)
-        elif problem_kind == "dirichlet":
-            report = solve_dirichlet(prob, schedule)
         else:
-            raise ConfigError(f"unknown problem kind {problem_kind!r}")
+            report = solve_dirichlet(prob, schedule)
 
         if spec is not None:
             U = exact.evaluate_u(spec, grid.points(),
@@ -306,7 +314,7 @@ def cmd_solve(cfg: dict) -> int:
             thr = cfg.get("regression_threshold")
             if thr is not None:
                 report.manifest.data["regression_threshold"] = float(thr)
-                if rel > float(thr):
+                if not rel <= float(thr):
                     _write_run(_require(cfg, "output"), report, cfg)
                     raise NumericError(
                         f"regression error statistic {rel:.6f} exceeds "

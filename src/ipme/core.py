@@ -12,6 +12,7 @@ description and field container defined here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -109,11 +110,12 @@ class Params:
     c: float = 0.0
 
     def __post_init__(self):
-        if not (self.m > 1.0):
-            raise DomainError(f"m must exceed 1, got {self.m}")
+        if not (self.m > 1.0 and math.isfinite(self.m)):
+            raise DomainError(f"m must exceed 1 and be finite, got {self.m}")
         for name in ("eps", "delta", "c"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise DomainError(f"{name} must be >= 0 and finite, got {value}")
 
     @property
     def k(self) -> float:

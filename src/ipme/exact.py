@@ -50,11 +50,10 @@ __all__ = [
     "ExactSolutionSpec", "ProfileTable",
     "barenblatt", "traveling_wave", "separable_ball", "separable_annulus",
     "neg_lambda_a_pos", "neg_lambda_a_zero", "neg_lambda_a_neg",
-    "barenblatt_rho", "barenblatt_u", "barenblatt_support_radius",
-    "traveling_wave_u", "traveling_wave_rho", "sep_time_factor",
-    "build_H_profile", "build_I_profile", "build_K_profile", "invert_profile",
+    "barenblatt_rho", "barenblatt_u", "traveling_wave_u", "traveling_wave_rho",
+    "build_H_profile", "build_I_profile", "build_K_profile",
     "separable_ball_u", "separable_ball_rho", "separable_annulus_u",
-    "neg_lambda_u", "evaluate_u", "evaluate_rho", "evaluate_ut",
+    "neg_lambda_u", "evaluate_u", "evaluate_rho",
     "sample_field", "pde_residual", "ode_residual",
     "endpoint_A", "ball_radius_from_a", "ball_a_from_radius", "k_slope",
 ]
@@ -197,12 +196,6 @@ def gamma_m(m: float) -> float:
     return ((m - 1.0) / (2.0 * m * (m + 1.0))) ** (1.0 / (m - 1.0))
 
 
-def barenblatt_support_radius(spec: ExactSolutionSpec, t: float) -> float:
-    if t <= 0.0:
-        raise DomainError(f"Barenblatt solutions need t > 0, got {t}")
-    return spec.R * t ** (1.0 / (spec.params.m + 1.0))
-
-
 def barenblatt_rho(x, t: float, spec: ExactSolutionSpec):
     """Source-type density gamma_m t^(-1/(m-1)) [(R t^(1/(m+1)))^2 - |x|^2]_+^(1/(m-1))."""
     if t <= 0.0:
@@ -231,20 +224,6 @@ def barenblatt_u(x, t: float, spec: ExactSolutionSpec):
     return _ret(vals, scalar)
 
 
-def _barenblatt_ut(x, t: float, spec: ExactSolutionSpec):
-    # d/dt of the pressure form on the positivity set, 0 outside
-    m = spec.params.m
-    X, scalar = _as_points(x)
-    r = _radii(X, spec.x0)
-    b = 1.0 / (m + 1.0)
-    core = (spec.R * t ** b) ** 2 - r * r
-    A = 1.0 / (2.0 * (m + 1.0))
-    vals = np.where(core > 0.0,
-                    -A / (t * t) * core + 2.0 * b * A * spec.R ** 2 * t ** (2 * b - 2.0),
-                    0.0)
-    return _ret(vals, scalar)
-
-
 # ── Traveling waves ──────────────────────────────────────────────────────
 
 def traveling_wave_u(x, t: float, spec: ExactSolutionSpec):
@@ -263,23 +242,6 @@ def traveling_wave_rho(x, t: float, spec: ExactSolutionSpec):
     core = np.maximum(spec.C_const + c * t - X[:, 0], 0.0)
     vals = ((m - 1.0) / m * c * core) ** (1.0 / (m - 1.0))
     return _ret(vals, scalar)
-
-
-def _traveling_wave_ut(x, t: float, spec: ExactSolutionSpec):
-    c = spec.c_speed
-    X, scalar = _as_points(x)
-    vals = np.where(spec.C_const + c * t - X[:, 0] > 0.0, c * c, 0.0)
-    return _ret(vals, scalar)
-
-
-# ── Separation of variables: time factor ─────────────────────────────────
-
-def sep_time_factor(t: float, C: float, lam: float, params: Params) -> float:
-    """T(t) = [C + (m-1) lambda t]^(-1/(m-1))."""
-    base = C + (params.m - 1.0) * lam * t
-    if base <= 0.0:
-        raise DomainError(f"time factor base must be positive, got {base}")
-    return base ** (-1.0 / (params.m - 1.0))
 
 
 # ── Profile primitives ───────────────────────────────────────────────────
@@ -383,17 +345,17 @@ class ProfileTable:
         a, p = self.a, self.p
         s_arr = np.asarray(sigma, dtype=float)
         if self.kind == "H":
-            z = np.maximum(self.z_hi - s_arr * s_arr, 0.0)
-            den2 = np.maximum(a - z ** (p + 1.0), 0.0)
+            # a - (z_hi - s^2)^(p+1) without the cancellation near s = 0
+            q = np.minimum(s_arr * s_arr / self.z_hi, 1.0)
             lim = 2.0 * math.sqrt(self.z_hi / (a * (p + 1.0)))
             with np.errstate(divide="ignore", invalid="ignore"):
+                den2 = -a * np.expm1((p + 1.0) * np.log1p(-q))
                 out = 2.0 * s_arr / np.sqrt(den2)
             small = s_arr < 1e-9 * max(1.0, math.sqrt(self.z_hi))
             return np.where(small, lim, out)
         if self.kind == "I":
             return 1.0 / np.sqrt(a + s_arr ** (p + 1.0))
-        z = self.z_lo + s_arr * s_arr
-        den2 = np.maximum(z ** (p + 1.0) - abs(a), 0.0)
+        den2 = abs(a) * np.expm1((p + 1.0) * np.log1p(s_arr * s_arr / self.z_lo))
         lim = 2.0 / math.sqrt((p + 1.0) * abs(a) / self.z_lo)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = 2.0 * s_arr / np.sqrt(den2)
@@ -574,10 +536,6 @@ def build_K_profile(a: float, p: float, z_max: float,
     return _cached_table("K", a, p, z_max=z_max, tol=tol)
 
 
-def invert_profile(table: ProfileTable, y):
-    return table.invert(y)
-
-
 def _I_table_covering(a: float, p: float, y_need: float) -> ProfileTable:
     """I-profile whose range covers [0, y_need] (J_p arguments)."""
     z_max = 1.0
@@ -736,21 +694,6 @@ def evaluate_rho(spec: ExactSolutionSpec, x, t: float):
         return separable_ball_rho(x, t, spec)
     u = evaluate_u(spec, x, t)
     return ((m - 1.0) / m * np.asarray(u)) ** (1.0 / (m - 1.0))
-
-
-def evaluate_ut(spec: ExactSolutionSpec, x, t: float):
-    """Exact time derivative of the pressure form."""
-    kind = spec.kind
-    if kind in ("barenblatt-u", "barenblatt-rho"):
-        return _barenblatt_ut(x, t, spec)
-    if kind in ("traveling-wave-u", "traveling-wave-rho"):
-        return _traveling_wave_ut(x, t, spec)
-    u = np.asarray(evaluate_u(spec, x, t))
-    if kind in ("separable-ball", "separable-annulus"):
-        out = -u / (t - spec.t0)
-    else:
-        out = u / (spec.t0 - t)
-    return float(out) if out.ndim == 0 else out
 
 
 def sample_field(spec: ExactSolutionSpec, grid: GridSpec, t: float,

@@ -9,10 +9,14 @@ box of radius 2r with the truncated data
 
 and lateral value M.  Continuation drives eps down first (at the largest
 delta), then delta down at the smallest eps, re-solving from the same
-data; the maximal-solution ladder solves with data g + 1/n and positivity
-floor c = 1/(2n), checking the discrete ordering between stages.
+data.  One maximal-solution ladder serves both the maximal and the Cauchy
+problem: it checks that n_list increases from 1 up, solves with data
+g + 1/n and positivity floor c = 1/(2n), checks the discrete ordering
+between rungs, and records the ladder differences and the worst ordering
+excess in the manifest.
 
-The scheme is plain forward Euler under the two-part CFL bound
+The scheme is plain forward Euler, one update shared by the stage loop
+and `step_explicit`, under the two-part CFL bound
 
     dt <= safety * min( h^2/(2(eps d + k max beta_c(u))),
                         h/(2 max|Du| + tiny) ),   safety = 0.4,
@@ -24,7 +28,7 @@ and the advection part bounding the |Du|^2 transport of level sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,10 +67,11 @@ class DirichletProblem:
     domain_mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise DomainError(f"t_end must be positive, got {self.t_end}")
+        if not (self.t_end > 0.0 and math.isfinite(self.t_end)):
+            raise DomainError(
+                f"t_end must be positive and finite, got {self.t_end}")
         self.snapshot_times = tuple(sorted(float(t) for t in self.snapshot_times))
-        if any(t <= 0.0 or t > self.t_end + 1e-12 for t in self.snapshot_times):
+        if not all(0.0 < t <= self.t_end + 1e-12 for t in self.snapshot_times):
             raise DomainError("snapshot times must lie in (0, t_end]")
         if self.domain_mask is not None:
             self.domain_mask = np.asarray(self.domain_mask, dtype=bool)
@@ -158,16 +163,29 @@ def _inactive_nodes(grid: GridSpec, domain_mask: Optional[np.ndarray]) -> np.nda
     return inactive
 
 
-def _apply_lateral(vals: np.ndarray, boundary: BoundaryData, t: float,
-                   inactive: np.ndarray, X_inactive: np.ndarray,
-                   cache: dict) -> None:
-    if not boundary.time_dependent and "lateral" in cache:
-        vals[inactive] = cache["lateral"]
-        return
-    g = np.asarray(boundary.lateral(X_inactive, t), dtype=float)
-    if not boundary.time_dependent:
-        cache["lateral"] = g
-    vals[inactive] = g
+def _lateral_stamp(grid: GridSpec, boundary: BoundaryData,
+                   domain_mask: Optional[np.ndarray]) -> Callable:
+    """stamp(vals, t) writes g(x, t) on the held nodes; data that does not
+    depend on time is evaluated once, here."""
+    inactive = _inactive_nodes(grid, domain_mask)
+    X_in = grid.points()[inactive.ravel()]
+    fixed = None if boundary.time_dependent else \
+        np.asarray(boundary.lateral(X_in, 0.0), dtype=float)
+
+    def stamp(vals: np.ndarray, t: float) -> None:
+        vals[inactive] = boundary.lateral(X_in, t) if fixed is None else fixed
+    return stamp
+
+
+def _euler(vals: np.ndarray, rhs: np.ndarray, dt: float, t_new: float,
+           grid: GridSpec, stamp: Callable, quantity: str) -> np.ndarray:
+    """The forward-Euler update: the interior advances by dt * rhs, the
+    lateral data are stamped at t_new, then finiteness and sign checked."""
+    new = vals.copy()
+    new[grid.interior()] += dt * rhs
+    stamp(new, t_new)
+    _police_values(new, quantity)
+    return new
 
 
 def step_explicit(u: ScalarField, dt: float, params: Params,
@@ -183,24 +201,18 @@ def step_explicit(u: ScalarField, dt: float, params: Params,
     bound = _cfl_from_bounds(grid, params, bmax, g2max, safety=1.0)
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt} exceeds the stability bound {bound}")
-    new = u.values.copy()
-    new[grid.interior()] += dt * rhs
-    t_new = u.t + dt
-    inactive = _inactive_nodes(grid, domain_mask)
-    X_in = grid.points()[inactive.ravel()]
-    _apply_lateral(new, boundary, t_new, inactive, X_in, {})
-    _police_values(new, u.quantity)
-    return ScalarField(grid=grid, values=new, t=t_new, quantity=u.quantity)
+    new = _euler(u.values, rhs, dt, u.t + dt, grid,
+                 _lateral_stamp(grid, boundary, domain_mask), u.quantity)
+    return ScalarField(grid=grid, values=new, t=u.t + dt, quantity=u.quantity)
 
 
 def _police_values(vals: np.ndarray, quantity: str) -> None:
-    top = float(np.max(vals)) if vals.size else 0.0
-    if not np.isfinite(top) or not np.isfinite(float(np.min(vals))):
+    top = float(np.max(vals))
+    low = float(np.min(vals))
+    if not (np.isfinite(top) and np.isfinite(low)):
         raise InstabilityError("non-finite values during time stepping")
     if quantity in ("u", "rho"):
-        scale = max(1.0, abs(top))
-        low = float(np.min(vals))
-        if low < -NEG_TOL * scale:
+        if low < -NEG_TOL * max(1.0, abs(top)):
             raise InstabilityError(
                 f"negative value {low} beyond tolerance during stepping")
         np.clip(vals, 0.0, None, out=vals)
@@ -209,53 +221,46 @@ def _police_values(vals: np.ndarray, quantity: str) -> None:
 def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
                t_end: float, snapshot_times: Sequence[float],
                domain_mask: Optional[np.ndarray],
-               monitor: Callable | None = None) -> dict:
-    """Advance one (eps, delta) stage from t = 0, landing on snapshots."""
-    targets = sorted(set(float(t) for t in snapshot_times) | {float(t_end)})
-    X = grid.points()
-    inactive = _inactive_nodes(grid, domain_mask)
-    X_in = X[inactive.ravel()]
-    cache: dict = {}
+               monitor: Callable | None = None) -> SolveReport:
+    """Advance one (eps, delta) stage from t = 0, landing on snapshots.
 
-    vals = np.asarray(boundary.initial(X), dtype=float).reshape(grid.shape).copy()
-    _apply_lateral(vals, boundary, 0.0, inactive, X_in, cache)
+    The loop carries a plain array; fields are built only for the
+    monitor, the snapshots and the final state."""
+    targets = sorted(set(float(t) for t in snapshot_times) | {float(t_end)})
+    interior = grid.interior()
+    vals = np.asarray(boundary.initial(grid.points()),
+                      dtype=float).reshape(grid.shape).copy()
+    stamp = _lateral_stamp(grid, boundary, domain_mask)
+    stamp(vals, 0.0)
     _police_values(vals, "u")
-    u = ScalarField(grid=grid, values=vals, t=0.0, quantity="u")
 
     dts: list = []
     snaps: list = []
-    maxs: list = []
-    mins: list = []
-    global_min = float(np.min(u.values[grid.interior()]))
+    global_min = float(np.min(vals[interior]))
     t = 0.0
     for target in targets:
         while t < target - 1e-13 * max(1.0, target):
-            rhs, bmax, g2max = rhs_core(u.values, grid, params)
+            rhs, bmax, g2max = rhs_core(vals, grid, params)
             dt = min(_cfl_from_bounds(grid, params, bmax, g2max), target - t)
             if not np.isfinite(dt):
                 dt = target - t
-            new = u.values.copy()
-            new[grid.interior()] += dt * rhs
             t += dt
-            _apply_lateral(new, boundary, t, inactive, X_in, cache)
-            _police_values(new, "u")
-            u = ScalarField(grid=grid, values=new, t=t, quantity="u")
+            vals = _euler(vals, rhs, dt, t, grid, stamp, "u")
             dts.append(dt)
-            global_min = min(global_min,
-                             float(np.min(new[grid.interior()])))
+            global_min = min(global_min, float(np.min(vals[interior])))
             if monitor is not None and len(dts) % 128 == 0:
-                monitor(u)
+                monitor(ScalarField(grid=grid, values=vals, t=t, quantity="u"))
         t = target
-        u.t = target
-        snaps.append(u.copy())
-        maxs.append(float(np.max(u.values)))
-        mins.append(float(np.min(u.values)))
+        snaps.append(ScalarField(grid=grid, values=vals.copy(), t=t,
+                                 quantity="u"))
         if monitor is not None:
-            monitor(u)
-    return {"final": u, "snapshots": snaps,
-            "times": np.asarray(targets), "dts": np.asarray(dts),
-            "maxs": np.asarray(maxs), "mins": np.asarray(mins),
-            "global_min": global_min}
+            monitor(snaps[-1])
+    return SolveReport(
+        final=ScalarField(grid=grid, values=vals, t=t, quantity="u"),
+        snapshots=snaps, times=np.asarray(targets), dt_history=np.asarray(dts),
+        max_trace=np.asarray([float(np.max(s.values)) for s in snaps]),
+        min_trace=np.asarray([float(np.min(s.values)) for s in snaps]),
+        global_min=global_min, n_steps=len(dts))
 
 
 def solve_dirichlet(problem: DirichletProblem,
@@ -281,7 +286,7 @@ def solve_dirichlet(problem: DirichletProblem,
         stage = _run_stage(problem.grid, params_s, problem.boundary,
                            problem.t_end, problem.snapshot_times,
                            problem.domain_mask, monitor)
-        finals.append(stage["final"].values)
+        finals.append(stage.final.values)
     diffs = tuple(float(np.max(np.abs(b - a)))
                   for a, b in zip(finals, finals[1:]))
     for a, b in zip(diffs, diffs[1:]):
@@ -300,12 +305,10 @@ def solve_dirichlet(problem: DirichletProblem,
         stage_diffs=list(diffs),
         warnings=list(warnings),
         **(_extra_manifest or {}))
-    return SolveReport(
-        final=stage["final"], snapshots=stage["snapshots"],
-        times=stage["times"], dt_history=stage["dts"],
-        max_trace=stage["maxs"], min_trace=stage["mins"],
-        global_min=stage["global_min"], n_steps=int(len(stage["dts"])),
-        stage_diffs=diffs, warnings=warnings, manifest=manifest)
+    stage.stage_diffs = diffs
+    stage.warnings = warnings
+    stage.manifest = manifest
+    return stage
 
 
 MONO_TOL = 1e-8 + 1e-3  # exact-comparison slack + scheme-error allowance
@@ -319,15 +322,16 @@ def _shifted_boundary(boundary: BoundaryData, shift: float) -> BoundaryData:
         time_dependent=boundary.time_dependent)
 
 
-def solve_maximal(problem: DirichletProblem,
-                  n_list: Sequence[int] | None = None,
-                  schedule: RegularizationSchedule | None = None,
-                  monitor: Callable | None = None) -> SolveReport:
-    """Maximal-solution ladder: data g + 1/n, floor c = 1/(2n), n ascending.
+def _ladder(problem: DirichletProblem, kind: str,
+            n_list: Sequence[int] | None,
+            schedule: RegularizationSchedule | None,
+            rung_monitor: Callable, **manifest_extra) -> SolveReport:
+    """Solve with data g + 1/n and floor c = 1/(2n) for n ascending.
 
     Later rungs must stay below earlier ones up to MONO_TOL at every
     snapshot (ordering violation raises); the last rung is returned with
-    the ladder differences and floor recorded.
+    the ladder differences, floor and worst ordering excess recorded.
+    `rung_monitor(floor)` gives each rung's monitor.
     """
     if n_list is None:
         n_list = schedule.n_list if schedule is not None and schedule.n_list \
@@ -339,15 +343,9 @@ def solve_maximal(problem: DirichletProblem,
     reports: list = []
     worst: dict = {}
     for n in n_list:
-        floor = 1.0 / n
-        prob_n = DirichletProblem(
-            grid=problem.grid,
-            params=problem.params.with_(c=0.5 / n),
-            boundary=_shifted_boundary(problem.boundary, floor),
-            t_end=problem.t_end,
-            snapshot_times=problem.snapshot_times,
-            domain_mask=problem.domain_mask)
-        rep = solve_dirichlet(prob_n, schedule, monitor,
+        prob_n = replace(problem, params=problem.params.with_(c=0.5 / n),
+                         boundary=_shifted_boundary(problem.boundary, 1.0 / n))
+        rep = solve_dirichlet(prob_n, schedule, rung_monitor(1.0 / n),
                               _extra_manifest={"ladder_n": n})
         for prev_n, prev in zip(n_list, reports):
             for a, b in zip(prev.snapshots, rep.snapshots):
@@ -359,19 +357,26 @@ def solve_maximal(problem: DirichletProblem,
                         f"ladder rung n={n} exceeds rung n={prev_n} by "
                         f"{excess} (> {MONO_TOL}) at t={b.t}")
         reports.append(rep)
-    ladder_diffs = tuple(
+    last = reports[-1]
+    last.ladder_diffs = tuple(
         float(np.max(np.abs(b.final.values - a.final.values)))
         for a, b in zip(reports, reports[1:]))
-    last = reports[-1]
-    last.ladder_diffs = ladder_diffs
     last.ladder_floor = 1.0 / n_list[-1]
     last.monotonicity = worst
-    last.manifest.data["problem"] = "maximal"
-    last.manifest.data["n_list"] = list(n_list)
-    last.manifest.data["ladder_diffs"] = list(ladder_diffs)
-    last.manifest.data["ladder_floor"] = last.ladder_floor
-    last.manifest.data["monotonicity"] = {k: float(v) for k, v in worst.items()}
+    last.manifest.data.update(
+        problem=kind, n_list=list(n_list), **manifest_extra,
+        ladder_diffs=list(last.ladder_diffs), ladder_floor=last.ladder_floor,
+        monotonicity={k: float(v) for k, v in worst.items()})
     return last
+
+
+def solve_maximal(problem: DirichletProblem,
+                  n_list: Sequence[int] | None = None,
+                  schedule: RegularizationSchedule | None = None,
+                  monitor: Callable | None = None) -> SolveReport:
+    """Maximal-solution ladder: data g + 1/n, floor c = 1/(2n), n ascending
+    (see `_ladder`)."""
+    return _ladder(problem, "maximal", n_list, schedule, lambda floor: monitor)
 
 
 def cauchy_initial(problem: CauchyProblem) -> np.ndarray:
@@ -432,15 +437,15 @@ def solve_cauchy(problem: CauchyProblem,
     radii = grid.radii()
     shell_w = max(grid.h)
 
-    state = {"floor": 0.0}
-
-    def monitor(u: ScalarField) -> None:
-        r_bump = _bump_radius(u.values, radii, shell_w,
-                              state["floor"] + theta, 1.6 * problem.r)
-        if r_bump >= 1.5 * problem.r:
-            raise TruncationError(
-                f"support reached 1.5 r = {1.5 * problem.r} at t={u.t}; "
-                f"enlarge r")
+    def rung_monitor(floor: float) -> Callable:
+        def monitor(u: ScalarField) -> None:
+            r_bump = _bump_radius(u.values, radii, shell_w, floor + theta,
+                                  1.6 * problem.r)
+            if r_bump >= 1.5 * problem.r:
+                raise TruncationError(
+                    f"support reached 1.5 r = {1.5 * problem.r} at t={u.t}; "
+                    f"enlarge r")
+        return monitor
 
     boundary = BoundaryData(
         initial=lambda X: u0_grid.ravel().copy(),
@@ -449,46 +454,8 @@ def solve_cauchy(problem: CauchyProblem,
     dir_prob = DirichletProblem(
         grid=grid, params=problem.params, boundary=boundary,
         t_end=problem.t_end, snapshot_times=problem.snapshot_times)
-
-    if n_list is None:
-        n_list = schedule.n_list if schedule is not None and schedule.n_list \
-            else (1, 2, 4, 8, 16)
-
-    # monitor needs the current rung's floor; wrap solve_maximal's ladder
-    # by tracking it through the shifted boundary's constant offset
-    reports = []
-    worst: dict = {}
-    n_list = tuple(int(n) for n in n_list)
-    for n in n_list:
-        state["floor"] = 1.0 / n
-        prob_n = DirichletProblem(
-            grid=grid, params=problem.params.with_(c=0.5 / n),
-            boundary=_shifted_boundary(boundary, 1.0 / n),
-            t_end=problem.t_end, snapshot_times=problem.snapshot_times)
-        rep = solve_dirichlet(prob_n, schedule, monitor,
-                              _extra_manifest={"ladder_n": n})
-        for prev_n, prev in zip(n_list, reports):
-            for a, b in zip(prev.snapshots, rep.snapshots):
-                excess = float(np.max(b.values - a.values))
-                key = f"u^{n} <= u^{prev_n}"
-                worst[key] = max(worst.get(key, -np.inf), excess)
-                if excess > MONO_TOL:
-                    raise OrderingError(
-                        f"ladder rung n={n} exceeds rung n={prev_n} by "
-                        f"{excess} at t={b.t}")
-        reports.append(rep)
-    last = reports[-1]
-    last.ladder_diffs = tuple(
-        float(np.max(np.abs(b.final.values - a.final.values)))
-        for a, b in zip(reports, reports[1:]))
-    last.ladder_floor = 1.0 / n_list[-1]
-    last.monotonicity = worst
-    last.manifest.data["problem"] = "cauchy"
-    last.manifest.data["n_list"] = list(n_list)
-    last.manifest.data["M"] = problem.M
-    last.manifest.data["truncation_radius"] = problem.r
-    last.manifest.data["ladder_floor"] = last.ladder_floor
-    return last
+    return _ladder(dir_prob, "cauchy", n_list, schedule, rung_monitor,
+                   M=problem.M, truncation_radius=problem.r)
 
 
 # ── Barriers ─────────────────────────────────────────────────────────────

@@ -15,6 +15,9 @@ from ipme import cli, io
 from ipme.core import ConfigError
 
 
+CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
+
+
 def write_cfg(path, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
@@ -102,6 +105,32 @@ class TestApplyOverrides:
             cli.apply_overrides({}, ["eps={a: 1}"])
 
 
+class TestYaml12Floats:
+    """Exponent floats without a dot or a sign (YAML 1.2) are numbers in
+    config files and overrides alike."""
+
+    def test_config_file(self, tmp_path):
+        p = write_cfg(tmp_path / "f.yaml",
+                      "m: 3\neps: 1e-3\ndelta: 2.5E+2\nc: 1.0e3\n"
+                      "output: 1e-3x\n")
+        cfg = cli.load_config(p)
+        assert cfg["eps"] == 1e-3 and isinstance(cfg["eps"], float)
+        assert cfg["delta"] == 250.0 and cfg["c"] == 1000.0
+        assert cfg["m"] == 3 and isinstance(cfg["m"], int)
+        assert cfg["output"] == "1e-3x"
+
+    def test_override(self):
+        cfg = cli.apply_overrides({}, ["eps=1e-3", "data.height=-5e-1"])
+        assert cfg["eps"] == 1e-3 and isinstance(cfg["eps"], float)
+        assert cfg["data"]["height"] == -0.5
+        # a string leaf given a number is still a type error
+        with pytest.raises(ConfigError, match="wrong type"):
+            cli.apply_overrides({}, ["problem=1e3"])
+
+    def test_plain_safe_load_is_untouched(self):
+        assert yaml.safe_load("1e-3") == "1e-3"
+
+
 # ---------------------------------------------------------------------------
 # solve subcommand
 
@@ -149,13 +178,63 @@ output: %s
         assert "m must exceed 1" in capsys.readouterr().err
 
     def test_shipped_regression_config(self, tmp_path):
-        shipped = pathlib.Path(__file__).parent.parent / "configs"
         out = tmp_path / "run"
-        rc = cli.main(["solve", str(shipped / "regression_tw.yaml"),
+        rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
                        "--set", f"output={out}"])
         assert rc == 0
         man = yaml.safe_load((out / "manifest.yaml").read_text())
         assert man["error_stat"]["rel"] <= man["regression_threshold"]
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_every_shipped_config_solves(self, tmp_path, path):
+        out = tmp_path / "run"
+        assert cli.main(["solve", str(path), "--set", f"output={out}"]) == 0
+        thr = cli.load_config(str(path)).get("regression_threshold")
+        if thr is not None:
+            man = yaml.safe_load((out / "manifest.yaml").read_text())
+            assert man["regression_threshold"] == thr
+            assert man["error_stat"]["rel"] <= thr
+
+    @pytest.mark.parametrize("override", [
+        "t_end=.inf", "eps=.nan", "eps=.inf", "delta=.nan", "delta=.inf",
+        "c=.nan", "c=.inf"])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, override):
+        out = tmp_path / "run"
+        rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
+                       "--set", f"output={out}", "--set", override])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E10:") and err.count("IPME-E") == 1
+        assert "finite" in err
+        assert not out.exists()
+
+    def test_nan_threshold_fails_the_gate(self, tmp_path, capsys):
+        rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
+                       "--set", f"output={tmp_path / 'run'}",
+                       "--set", "regression_threshold=.nan"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E13:") and err.count("IPME-E") == 1
+
+    def test_nan_error_statistic_fails_the_gate(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a statistic that is not a number is never within a threshold
+        solve = cli.solve_dirichlet
+
+        def poisoned(*args, **kwargs):
+            report = solve(*args, **kwargs)
+            report.final.values[1, 1] = np.nan
+            return report
+        monkeypatch.setattr(cli, "solve_dirichlet", poisoned)
+        out = tmp_path / "run"
+        rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
+                       "--set", f"output={out}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E13:") and err.count("IPME-E") == 1
+        man = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert str(man["error_stat"]["rel"]) == "nan"
 
     def test_dirichlet_run_writes_snapshots_and_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -186,11 +265,12 @@ output: %s
         out2 = tmp_path / "b"
         cfg = write_cfg(tmp_path / "s.yaml", SOLVE_YAML.format(out=out))
         rc = cli.main(["solve", cfg, "--set", f"output={out2}",
-                       "--set", "m=3.0"])
+                       "--set", "m=3.0", "--set", "eps=1e-3"])
         assert rc == 0
         man = yaml.safe_load((out2 / "manifest.yaml").read_text())
         assert man["params"]["m"] == 3.0
         assert man["params"]["k"] == 2.0
+        assert man["params"]["eps"] == 1e-3
         assert not out.exists()
 
     def test_stalled_continuation_exits_2(self, tmp_path):
@@ -363,6 +443,17 @@ grid: {lo: [-2.0, -2.0], hi: [2.0, 2.0], n: [33, 33]}
         assert cli.main(["exact", cfg]) == 0
         assert (out / "rho_0000.snap").exists()
         assert io.read_snapshot(out / "rho_0000.snap").quantity == "rho"
+
+    def test_separable_ball_at_radius_0_4(self, tmp_path):
+        # this radius once failed the profile-table endpoint check
+        out = tmp_path / "ball"
+        cfg = write_cfg(tmp_path / "e.yaml", """\
+output: %s
+exact: {family: separable-ball, m: 2.0, R: 0.4, times: [1.0]}
+grid: {lo: [-0.5, -0.5], hi: [0.5, 0.5], n: [17, 17]}
+""" % out)
+        assert cli.main(["exact", cfg]) == 0
+        assert float(np.max(io.read_snapshot(out / "u_0000.snap").values)) > 0
 
     def test_unknown_family(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.yaml", """\

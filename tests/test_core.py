@@ -25,6 +25,14 @@ class TestParams:
         with pytest.raises(DomainError, match="must be >= 0"):
             Params(m=2.0, **kw)
 
+    @pytest.mark.parametrize("kw", [{"m": np.inf}, {"eps": np.nan},
+                                    {"eps": np.inf}, {"delta": np.nan},
+                                    {"delta": np.inf}, {"c": np.nan},
+                                    {"c": np.inf}])
+    def test_rejects_non_finite_values(self, kw):
+        with pytest.raises(DomainError, match="finite"):
+            Params(**{"m": 2.0, **kw})
+
     def test_with_replaces_only_named_fields(self):
         p = Params(m=3.0, eps=1e-2, delta=1e-3, c=1e-4)
         q = p.with_(c=0.5)

@@ -131,6 +131,16 @@ class TestProfileTables:
             tab = exact.build_H_profile(a, p)
             assert abs(tab.y_max - exact.endpoint_A(a, p)) < 1e-9
 
+    @pytest.mark.parametrize(
+        "R", [0.3, 0.4, 0.45, 0.5, 0.55, 0.75, 0.8, 0.95, 1.5])
+    def test_ball_tables_meet_the_gamma_endpoint(self, R):
+        # the integrand is formed without cancellation near the singular
+        # end, so the tabulated endpoint agrees to rounding for any radius
+        a = exact.ball_a_from_radius(R, 0.5)
+        tab = exact.build_H_profile(a, 0.5)
+        A = exact.endpoint_A(a, 0.5)
+        assert abs(tab.y_max - A) <= 1e-13 * A
+
     def test_inverse_roundtrips(self):
         for build, args in ((exact.build_H_profile, (1.0, 0.5)),
                             (exact.build_I_profile, (1.0, 0.5, 2.0)),

@@ -94,6 +94,19 @@ class TestStepExplicit:
         assert np.allclose(stepped.values[bmask], 0.7 + 0.1 * dt)
         assert np.all(stepped.values[~bmask] == 0.7)
 
+    def test_matches_one_driver_step_bit_for_bit(self):
+        # step_explicit and the stage loop share one update, so a run of
+        # exactly one CFL step reproduces it to the last bit
+        bd = bump_boundary(base=0.05)
+        X = GRID.points()
+        u = ScalarField(grid=GRID, values=bd.initial(X).reshape(GRID.shape),
+                        t=0.0, quantity="u")
+        dt = cfl_dt(u, PARAMS)
+        rep = solve_dirichlet(DirichletProblem(GRID, PARAMS, bd, t_end=dt))
+        assert rep.n_steps == 1
+        assert np.array_equal(step_explicit(u, dt, PARAMS, bd).values,
+                              rep.final.values)
+
     def test_overlarge_step_raises(self):
         X = GRID.points()
         bump = 0.5 * np.maximum(
@@ -276,15 +289,19 @@ class TestSolveCauchy:
         with pytest.raises(TruncationError, match="enlarge r"):
             solve_cauchy(prob, n_list=(4,))
 
-    def test_roomy_truncation_runs_and_reports(self):
+    @staticmethod
+    def roomy_problem():
         grid = GridSpec.box((-0.62, -0.62), (0.62, 0.62), (49, 49))
         def u0(X):
             r2 = X[:, 0] ** 2 + X[:, 1] ** 2
             return 0.05 * np.maximum(1.0 - (r2 / 0.1 ** 2) ** 2, 0.0)
-        prob = CauchyProblem(grid=grid,
+        return CauchyProblem(grid=grid,
                              params=Params(m=2.0, eps=1e-4, delta=1e-2),
                              u0=u0, M=0.05, r=0.3, t_end=0.05,
                              snapshot_times=(0.025, 0.05))
+
+    def test_roomy_truncation_runs_and_reports(self):
+        prob = self.roomy_problem()
         rep = solve_cauchy(prob, n_list=(128, 256))
         assert rep.ladder_floor == 1.0 / 256.0
         assert len(rep.ladder_diffs) == 1
@@ -295,6 +312,22 @@ class TestSolveCauchy:
         assert rep.manifest.data["M"] == 0.05
         assert rep.manifest.data["truncation_radius"] == 0.3
         assert barrier_check(rep, "cauchy-V", M=prob.M)
+
+    def test_manifest_records_ladder_diffs_and_ordering(self):
+        rep = solve_cauchy(self.roomy_problem(), n_list=(128, 256))
+        data = rep.manifest.data
+        assert data["ladder_diffs"] == list(rep.ladder_diffs)
+        assert len(data["ladder_diffs"]) == 1
+        assert data["monotonicity"] == rep.monotonicity
+        assert list(data["monotonicity"]) == ["u^256 <= u^128"]
+
+    def test_n_list_must_increase(self):
+        # the ladder is checked before any rung runs
+        prob = self.roomy_problem()
+        with pytest.raises(DomainError, match="n_list"):
+            solve_cauchy(prob, n_list=(4, 2))
+        with pytest.raises(DomainError, match="n_list"):
+            solve_cauchy(prob, n_list=(0, 1))
 
 
 @pytest.fixture(scope="module")
