@@ -16,6 +16,7 @@ deterministic: no wall-clock or unseeded randomness is ever recorded.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -158,6 +159,17 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _finite(section: dict, key: str, default=None, where: str = "") -> float:
+    """section[key] as a finite float; `default` when the key is absent
+    (None makes the key required).  Non-finite values are a DomainError,
+    raised before anything is evaluated with them."""
+    value = float(_require(section, key) if default is None
+                  else section.get(key, default))
+    if not math.isfinite(value):
+        raise DomainError(f"{where}{key} must be finite, got {value}")
+    return value
+
+
 def _build_grid(cfg: dict) -> GridSpec:
     g = _require(cfg, "grid")
     for k in ("lo", "hi", "n"):
@@ -193,11 +205,14 @@ def _exact_companion(data: dict, m: float) -> tuple:
     kind = data.get("kind")
     if kind not in ("barenblatt", "traveling-wave", "separable-ball"):
         return None, 0.0
-    t_off = 0.0 if kind == "traveling-wave" else float(data.get("t_offset", 1.0))
+    t_off = 0.0 if kind == "traveling-wave" else \
+        _finite(data, "t_offset", 1.0, "data.")
     return _build_exact_spec({
         "family": kind, "m": m,
-        "R": data.get("radius" if kind == "separable-ball" else "R", 1.0),
-        "speed": data.get("speed", 1.0), "offset": data.get("offset", 0.0)}), t_off
+        "R": _finite(data, "radius" if kind == "separable-ball" else "R",
+                     1.0, "data."),
+        "speed": _finite(data, "speed", 1.0, "data."),
+        "offset": _finite(data, "offset", 0.0, "data.")}), t_off
 
 
 def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
@@ -211,17 +226,17 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     spec, t_off = _exact_companion(data, params.m)
 
     if kind == "constant":
-        value = float(data.get("value", 1.0))
+        value = _finite(data, "value", 1.0, "data.")
         u0_fn = lambda X: np.full(len(X), value)  # noqa: E731
     elif kind == "bump":
-        height = float(data.get("height", 0.5))
-        radius = float(data.get("radius", 0.2))
+        height = _finite(data, "height", 0.5, "data.")
+        radius = _finite(data, "radius", 0.2, "data.")
 
         def u0_fn(X):
             r2 = np.sum(X * X, axis=1)
             return height * np.maximum(1.0 - r2 / radius ** 2, 0.0)
     elif kind == "linear":
-        slope = float(data.get("slope", 1.0))
+        slope = _finite(data, "slope", 1.0, "data.")
         lo0 = grid.origin[0]
         u0_fn = lambda X: slope * (X[:, 0] - lo0)  # noqa: E731
     else:
@@ -236,7 +251,7 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
         g_fn = lambda X, t: np.zeros(len(X))  # noqa: E731
         time_dep = False
     elif bkind == "constant":
-        bval = float(bc.get("value", 0.0))
+        bval = _finite(bc, "value", 0.0, "boundary.")
         g_fn = lambda X, t: np.full(len(X), bval)  # noqa: E731
         time_dep = False
     else:
@@ -260,7 +275,7 @@ def _domain_mask(cfg: dict, grid: GridSpec):
         return None
     if dom.get("kind") != "ball":
         raise ConfigError(f"unknown domain kind {dom.get('kind')!r}")
-    return ball_mask(grid, float(_require(dom, "radius")),
+    return ball_mask(grid, _finite(dom, "radius", where="domain."),
                      dom.get("center"))
 
 
@@ -292,7 +307,8 @@ def cmd_solve(cfg: dict) -> int:
 
     if problem_kind == "cauchy":
         prob = CauchyProblem(grid, params, bdata.initial,
-                             M=float(cc["M"]), r=float(cc["r"]),
+                             M=_finite(cc, "M", where="cauchy."),
+                             r=_finite(cc, "r", where="cauchy."),
                              t_end=t_end, snapshot_times=snaps)
         report = solve_cauchy(prob, schedule)
     else:
@@ -333,35 +349,33 @@ _EXACT_FAMILIES = ("barenblatt", "traveling-wave", "separable-ball",
 
 def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
     family = ex.get("family")
-    m = float(_require(ex, "m"))
+
+    def num(key, default=None):
+        return _finite(ex, key, default, "exact.")
+
+    m = num("m")
     if family == "barenblatt":
-        return exact.barenblatt(m, R=float(ex.get("R", 1.0)),
+        return exact.barenblatt(m, R=num("R", 1.0),
                                 quantity=ex.get("quantity", "u"))
     if family == "traveling-wave":
-        return exact.traveling_wave(m, c=float(ex.get("speed", 1.0)),
-                                    a=float(ex.get("offset", 0.0)),
+        return exact.traveling_wave(m, c=num("speed", 1.0),
+                                    a=num("offset", 0.0),
                                     quantity=ex.get("quantity", "u"))
     if family == "separable-ball":
         if "R" in ex:
-            return exact.separable_ball(m, R=float(ex["R"]),
-                                        t0=float(ex.get("t0", 0.0)))
-        return exact.separable_ball(m, a=float(ex.get("a", 1.0)),
-                                    t0=float(ex.get("t0", 0.0)))
+            return exact.separable_ball(m, R=num("R"), t0=num("t0", 0.0))
+        return exact.separable_ball(m, a=num("a", 1.0), t0=num("t0", 0.0))
     if family == "separable-annulus":
-        return exact.separable_annulus(m, a=float(ex.get("a", 1.0)),
-                                       R1=float(_require(ex, "R1")),
-                                       t0=float(ex.get("t0", 0.0)))
+        return exact.separable_annulus(m, a=num("a", 1.0), R1=num("R1"),
+                                       t0=num("t0", 0.0))
     if family == "neg-lambda-pos":
-        return exact.neg_lambda_a_pos(m, a=float(ex.get("a", 1.0)),
-                                      R=float(_require(ex, "R")),
-                                      t0=float(_require(ex, "t0")))
+        return exact.neg_lambda_a_pos(m, a=num("a", 1.0), R=num("R"),
+                                      t0=num("t0"))
     if family == "neg-lambda-zero":
-        return exact.neg_lambda_a_zero(m, R=float(_require(ex, "R")),
-                                       t0=float(_require(ex, "t0")))
+        return exact.neg_lambda_a_zero(m, R=num("R"), t0=num("t0"))
     if family == "neg-lambda-neg":
-        return exact.neg_lambda_a_neg(m, a=float(ex.get("a", -1.0)),
-                                      C=float(_require(ex, "C")),
-                                      t0=float(_require(ex, "t0")))
+        return exact.neg_lambda_a_neg(m, a=num("a", -1.0), C=num("C"),
+                                      t0=num("t0"))
     raise ConfigError(f"unknown exact family {family!r}; known: "
                       f"{', '.join(_EXACT_FAMILIES)}")
 
@@ -373,7 +387,9 @@ def cmd_exact(cfg: dict) -> int:
     quantity = ex.get("quantity", "u")
     times = ex.get("times")
     if times is None:
-        times = [ex.get("t", 1.0)]
+        times = [_finite(ex, "t", 1.0, "exact.")]
+    elif not all(math.isfinite(float(t)) for t in times):
+        raise DomainError(f"exact.times must be finite, got {times}")
     outdir = _require(cfg, "output")
     os.makedirs(outdir, exist_ok=True)
     names = []

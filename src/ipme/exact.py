@@ -38,10 +38,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
-from scipy.ndimage import minimum_filter
-from scipy.special import gamma as gamma_fn
 
 from .core import (DomainError, GridSpec, NumericError, Params, RangeError,
                    ScalarField)
@@ -254,6 +250,7 @@ def endpoint_A(a: float, p: float) -> float:
     """A_p = a^(1/(p+1) - 1/2) sqrt(pi) Gamma(1 + 1/(p+1)) / Gamma(1/2 + 1/(p+1))."""
     if a <= 0.0:
         raise DomainError(f"endpoint formula needs a > 0, got {a}")
+    from scipy.special import gamma as gamma_fn
     q = 1.0 / (p + 1.0)
     return a ** (q - 0.5) * math.sqrt(math.pi) * gamma_fn(1.0 + q) / gamma_fn(0.5 + q)
 
@@ -265,6 +262,7 @@ def ball_radius_from_a(a: float, p: float) -> float:
 def ball_a_from_radius(R: float, p: float) -> float:
     if R <= 0.0:
         raise DomainError(f"ball radius must be positive, got {R}")
+    from scipy.special import gamma as gamma_fn
     q = 1.0 / (p + 1.0)
     c_gamma = math.sqrt(math.pi) * gamma_fn(1.0 + q) / gamma_fn(0.5 + q)
     # invert A_p(a) = a^(q - 1/2) c_gamma = k_slope * R
@@ -327,6 +325,7 @@ class ProfileTable:
             self.z_hi = float(z_max)
             sigma_end = math.sqrt(self.z_hi - self.z_lo)
 
+        from scipy.interpolate import PchipInterpolator
         self.sigma = np.linspace(0.0, sigma_end, n + 1)
         self._tabulate()
         self._pchip_T = PchipInterpolator(self.sigma, self.T)
@@ -363,6 +362,7 @@ class ProfileTable:
         return np.where(small, lim, out)
 
     def _tabulate(self) -> None:
+        from scipy.integrate import quad
         s = self.sigma
         n = len(s) - 1
         mid = 0.5 * (s[:-1] + s[1:])
@@ -781,6 +781,7 @@ def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
         ratio = np.where(g2 > 0.0, num / np.where(g2 > 0.0, g2, 1.0), 0.0)
     rhs = params.eps * lap + k * np.abs(c0) * ratio + g2
     res = rhs - ut[grid.interior()]
+    from scipy.ndimage import minimum_filter
     inter = grid.interior()
     wet = (minimum_filter(u0, size=3, mode="constant", cval=0.0)[inter] > 0.0)
     wet &= (up[inter] > 0.0) & (um[inter] > 0.0)

@@ -134,7 +134,10 @@ def _emit(obj, indent: int, out: list) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
         for key, val in obj.items():
-            if isinstance(val, dict):
+            if isinstance(val, dict) and not val:
+                # a bare `key:` would read back as null
+                out.append(f"{pad}{key}: {{}}")
+            elif isinstance(val, dict):
                 out.append(f"{pad}{key}:")
                 _emit(val, indent + 1, out)
             elif isinstance(val, (list, tuple)):

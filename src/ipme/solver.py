@@ -15,8 +15,10 @@ g + 1/n and positivity floor c = 1/(2n), checks the discrete ordering
 between rungs, and records the ladder differences and the worst ordering
 excess in the manifest.
 
-The scheme is plain forward Euler, one update shared by the stage loop
-and `step_explicit`, under the two-part CFL bound
+The scheme is plain forward Euler, one in-place update shared by the
+stage loop (which advances its own array and reuses one stencil
+workspace per stage) and `step_explicit` (which updates a copy, so its
+input field never changes), under the two-part CFL bound
 
     dt <= safety * min( h^2/(2(eps d + k max beta_c(u))),
                         h/(2 max|Du| + tiny) ),   safety = 0.4,
@@ -37,7 +39,7 @@ from .core import (BoundaryData, CflError, DomainError, GridSpec,
                    InstabilityError, OrderingError, Params,
                    RegularizationSchedule, RunManifest, ScalarField,
                    TruncationError)
-from .operators import _beta_or_abs, rhs_core
+from .operators import StencilWork, rhs_core
 
 __all__ = [
     "DirichletProblem", "CauchyProblem", "SolveReport",
@@ -178,14 +180,14 @@ def _lateral_stamp(grid: GridSpec, boundary: BoundaryData,
 
 
 def _euler(vals: np.ndarray, rhs: np.ndarray, dt: float, t_new: float,
-           grid: GridSpec, stamp: Callable, quantity: str) -> np.ndarray:
-    """The forward-Euler update: the interior advances by dt * rhs, the
-    lateral data are stamped at t_new, then finiteness and sign checked."""
-    new = vals.copy()
-    new[grid.interior()] += dt * rhs
-    stamp(new, t_new)
-    _police_values(new, quantity)
-    return new
+           grid: GridSpec, stamp: Callable, quantity: str) -> None:
+    """The forward-Euler update, in place: the interior of `vals`
+    advances by dt * rhs (`rhs` is scaled in place), the lateral data are
+    stamped at t_new, then finiteness and sign checked."""
+    rhs *= dt
+    vals[grid.interior()] += rhs
+    stamp(vals, t_new)
+    _police_values(vals, quantity)
 
 
 def step_explicit(u: ScalarField, dt: float, params: Params,
@@ -201,8 +203,9 @@ def step_explicit(u: ScalarField, dt: float, params: Params,
     bound = _cfl_from_bounds(grid, params, bmax, g2max, safety=1.0)
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt} exceeds the stability bound {bound}")
-    new = _euler(u.values, rhs, dt, u.t + dt, grid,
-                 _lateral_stamp(grid, boundary, domain_mask), u.quantity)
+    new = u.values.copy()
+    _euler(new, rhs, dt, u.t + dt, grid,
+           _lateral_stamp(grid, boundary, domain_mask), u.quantity)
     return ScalarField(grid=grid, values=new, t=u.t + dt, quantity=u.quantity)
 
 
@@ -215,7 +218,8 @@ def _police_values(vals: np.ndarray, quantity: str) -> None:
         if low < -NEG_TOL * max(1.0, abs(top)):
             raise InstabilityError(
                 f"negative value {low} beyond tolerance during stepping")
-        np.clip(vals, 0.0, None, out=vals)
+        if not low > 0.0:
+            np.clip(vals, 0.0, None, out=vals)
 
 
 def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
@@ -224,8 +228,10 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
                monitor: Callable | None = None) -> SolveReport:
     """Advance one (eps, delta) stage from t = 0, landing on snapshots.
 
-    The loop carries a plain array; fields are built only for the
-    monitor, the snapshots and the final state."""
+    The loop carries a plain array, updated in place, and one stencil
+    workspace (with its slab helper thread, if any) that lives for the
+    stage; fields are built only for the monitor, the snapshots and the
+    final state."""
     targets = sorted(set(float(t) for t in snapshot_times) | {float(t_end)})
     interior = grid.interior()
     vals = np.asarray(boundary.initial(grid.points()),
@@ -238,23 +244,26 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
     snaps: list = []
     global_min = float(np.min(vals[interior]))
     t = 0.0
-    for target in targets:
-        while t < target - 1e-13 * max(1.0, target):
-            rhs, bmax, g2max = rhs_core(vals, grid, params)
-            dt = min(_cfl_from_bounds(grid, params, bmax, g2max), target - t)
-            if not np.isfinite(dt):
-                dt = target - t
-            t += dt
-            vals = _euler(vals, rhs, dt, t, grid, stamp, "u")
-            dts.append(dt)
-            global_min = min(global_min, float(np.min(vals[interior])))
-            if monitor is not None and len(dts) % 128 == 0:
-                monitor(ScalarField(grid=grid, values=vals, t=t, quantity="u"))
-        t = target
-        snaps.append(ScalarField(grid=grid, values=vals.copy(), t=t,
-                                 quantity="u"))
-        if monitor is not None:
-            monitor(snaps[-1])
+    with StencilWork(grid) as work:
+        for target in targets:
+            while t < target - 1e-13 * max(1.0, target):
+                rhs, bmax, g2max = rhs_core(vals, grid, params, work)
+                dt = min(_cfl_from_bounds(grid, params, bmax, g2max),
+                         target - t)
+                if not np.isfinite(dt):
+                    dt = target - t
+                t += dt
+                _euler(vals, rhs, dt, t, grid, stamp, "u")
+                dts.append(dt)
+                global_min = min(global_min, float(np.min(vals[interior])))
+                if monitor is not None and len(dts) % 128 == 0:
+                    monitor(ScalarField(grid=grid, values=vals.copy(), t=t,
+                                        quantity="u"))
+            t = target
+            snaps.append(ScalarField(grid=grid, values=vals.copy(), t=t,
+                                     quantity="u"))
+            if monitor is not None:
+                monitor(snaps[-1])
     return SolveReport(
         final=ScalarField(grid=grid, values=vals, t=t, quantity="u"),
         snapshots=snaps, times=np.asarray(targets), dt_history=np.asarray(dts),

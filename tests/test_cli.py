@@ -6,6 +6,7 @@ tmp dirs and diagnostics are read back through capsys.
 """
 
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,29 @@ output: %s
         err = capsys.readouterr().err
         assert err.startswith("IPME-E10:") and err.count("IPME-E") == 1
         assert "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    @pytest.mark.parametrize("overrides", [
+        ["data.t_offset={}"], ["data.kind=bump", "data.height={}"],
+        ["domain.kind=ball", "domain.radius={}"],
+        ["problem=cauchy", "cauchy.r=1.0", "cauchy.M={}"]],
+        ids=["t_offset", "height", "domain_radius", "cauchy_M"])
+    def test_non_finite_data_rejected_before_use(self, tmp_path, capsys,
+                                                 overrides, value):
+        out = tmp_path / "run"
+        argv = ["solve", str(CONFIGS / "barenblatt_dirichlet.yaml"),
+                "--set", f"output={out}"]
+        for o in overrides:
+            argv += ["--set", o.format(value)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(argv)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E10:") and err.count("IPME-E") == 1
+        assert "finite" in err and "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_nan_threshold_fails_the_gate(self, tmp_path, capsys):
@@ -454,6 +478,25 @@ grid: {lo: [-0.5, -0.5], hi: [0.5, 0.5], n: [17, 17]}
 """ % out)
         assert cli.main(["exact", cfg]) == 0
         assert float(np.max(io.read_snapshot(out / "u_0000.snap").values)) > 0
+
+    @pytest.mark.parametrize("value", [".inf", ".nan"])
+    def test_non_finite_time_rejected_before_use(self, tmp_path, capsys,
+                                                 value):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", """\
+output: %s
+exact: {family: barenblatt, m: 2.0, R: 1.0}
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
+""" % out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["exact", cfg, "--set", f"exact.t={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E10:") and err.count("IPME-E") == 1
+        assert "exact.t must be finite" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
 
     def test_unknown_family(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.yaml", """\

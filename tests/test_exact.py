@@ -194,3 +194,24 @@ class TestSampling:
         _, cnt = exact.pde_residual(spec, g, 1.0, threshold_frac=0.0)
         wet = int(np.sum(exact.sample_field(spec, g, 1.0).values[g.interior()] > 0))
         assert 0 < cnt < wet
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported where a profile table, a Gamma constant or the
+    # residual's wet mask needs it, not when the CLI or the asymptotics
+    # module loads
+    import os
+    import subprocess
+    import sys
+
+    import ipme
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ipme.__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, ipme.cli, ipme.asymptotics; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

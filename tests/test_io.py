@@ -148,6 +148,19 @@ class TestManifest:
         data = yaml.safe_load(io.manifest_text(man))
         assert data == man.to_dict()
 
+    def test_empty_mapping_survives_reparse(self, tmp_path):
+        # a single-rung ladder records monotonicity as an empty mapping
+        man = self.manifest()
+        man.data.update(monotonicity={}, ladder_diffs=[],
+                        nested={"inner": {}, "x": 1.5})
+        path = tmp_path / "run.yaml"
+        io.write_manifest(str(path), man)
+        text = path.read_text()
+        assert "monotonicity: {}\n" in text
+        back = io.read_manifest(str(path))
+        assert back.to_dict() == man.to_dict()
+        assert io.manifest_text(back) == text
+
     def test_non_mapping_root_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("- just\n- a\n- list\n")

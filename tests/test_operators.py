@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -201,3 +205,238 @@ class TestFaultInjection:
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError, match="unknown fault mode"):
             ops.set_fault_injection("bit-rot")
+
+
+# ── Reference kernel ─────────────────────────────────────────────────────
+# The allocating whole-field kernel as it was written before the
+# workspace, kept verbatim: the workspace kernel must equal it bit for
+# bit, not merely to rounding.
+
+def _ref_shift(vals, axis, off):
+    d = vals.ndim
+    idx = []
+    for a in range(d):
+        if a == axis:
+            idx.append(slice(1 + off, vals.shape[a] - 1 + off or None))
+        else:
+            idx.append(slice(1, -1))
+    return vals[tuple(idx)]
+
+
+def _ref_quad_form_field(vals, grid):
+    d = grid.dim
+    h = grid.h
+    c0 = vals[grid.interior()]
+    grad = []
+    lap = np.zeros_like(c0)
+    num = np.zeros_like(c0)
+    g2 = np.zeros_like(c0)
+    for i in range(d):
+        up, dn = _ref_shift(vals, i, +1), _ref_shift(vals, i, -1)
+        gi = (up - dn) / (2.0 * h[i])
+        hii = (up - 2.0 * c0 + dn) / (h[i] * h[i])
+        grad.append(gi)
+        lap += hii
+        num += hii * gi * gi
+        g2 += gi * gi
+    sgn = ops._cross_sign()
+    for i in range(d):
+        for j in range(i + 1, d):
+            idx_pp = [slice(1, -1)] * d
+            idx_pp[i] = slice(2, None)
+            idx_pp[j] = slice(2, None)
+            idx_pm = [slice(1, -1)] * d
+            idx_pm[i] = slice(2, None)
+            idx_pm[j] = slice(0, -2)
+            idx_mp = [slice(1, -1)] * d
+            idx_mp[i] = slice(0, -2)
+            idx_mp[j] = slice(2, None)
+            idx_mm = [slice(1, -1)] * d
+            idx_mm[i] = slice(0, -2)
+            idx_mm[j] = slice(0, -2)
+            hij = sgn * (vals[tuple(idx_pp)] - vals[tuple(idx_pm)]
+                         - vals[tuple(idx_mp)] + vals[tuple(idx_mm)]) \
+                / (4.0 * h[i] * h[j])
+            num += 2.0 * hij * grad[i] * grad[j]
+    return num, g2, lap
+
+
+def _ref_beta_or_abs(z, c):
+    if c > 0.0:
+        return np.where(np.abs(z) >= c, np.abs(z), 0.5 * c + z * z / (2.0 * c))
+    return np.abs(z)
+
+
+def _ref_rhs_core(vals, grid, params):
+    num, g2, lap = _ref_quad_form_field(vals, grid)
+    delta = params.delta
+    if delta == 0.0:
+        if np.any(g2 == 0.0):
+            raise SingularPointError(
+                "delta == 0 with vanishing interior gradient")
+        ratio = num / g2
+    else:
+        ratio = num / (g2 + delta * delta)
+    b = _ref_beta_or_abs(vals[grid.interior()], params.c)
+    rhs = params.eps * lap + params.k * b * ratio + g2
+    return rhs, float(np.max(b)) if b.size else 0.0, \
+        float(np.max(g2)) if g2.size else 0.0
+
+
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a),
+                                                   np.signbit(b))
+
+
+KERNEL_GRIDS = [
+    GridSpec.box((-1.0,), (1.0,), (41,)),
+    GridSpec(n=(23, 19), h=(0.07, 0.11), origin=(-0.8, -1.0)),
+    GridSpec(n=(9, 8, 11), h=(0.2, 0.15, 0.1), origin=(0.0, 0.0, 0.0)),
+]
+
+
+class TestWorkspaceKernel:
+    @pytest.mark.parametrize("fault", [None, "stencil-sign-flip"])
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS,
+                             ids=lambda g: f"d{g.dim}")
+    def test_equals_reference_bit_for_bit(self, grid, delta, c, fault):
+        rng = np.random.default_rng(grid.dim)
+        vals = rng.random(grid.shape) ** 2
+        params = Params(m=2.5, eps=1e-2, delta=delta, c=c)
+        try:
+            ops.set_fault_injection(fault)
+            want = _ref_rhs_core(vals, grid, params)
+            got = ops.rhs_core(vals, grid, params)
+            ref_terms = _ref_quad_form_field(vals, grid)
+            terms = ops.quad_form_field(vals, grid)
+        finally:
+            ops.set_fault_injection(None)
+        assert _bitwise_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        for a, b in zip(terms, ref_terms):
+            assert _bitwise_equal(a, b)
+
+    def test_zero_terms_keep_the_accumulator_sign(self):
+        # -0.0 stencil terms: the reference sums start from +0.0
+        grid = KERNEL_GRIDS[1]
+        vals = np.full(grid.shape, -0.0)
+        vals[5:9, 3:12] = 0.25
+        for a, b in zip(ops.quad_form_field(vals, grid),
+                        _ref_quad_form_field(vals, grid)):
+            assert _bitwise_equal(a, b)
+
+    def test_vanishing_gradient_without_delta_raises(self):
+        grid = KERNEL_GRIDS[1]
+        vals = np.ones(grid.shape)
+        params = Params(m=2.0, eps=1e-2, delta=0.0)
+        with pytest.raises(SingularPointError):
+            _ref_rhs_core(vals, grid, params)
+        with pytest.raises(SingularPointError):
+            ops.rhs_core(vals, grid, params)
+
+    def test_calls_without_work_do_not_alias(self):
+        grid = KERNEL_GRIDS[1]
+        vals = np.random.default_rng(3).random(grid.shape)
+        params = Params(m=2.0, eps=1e-2, delta=1e-2)
+        a = ops.rhs_core(vals, grid, params)[0]
+        keep = a.copy()
+        b = ops.rhs_core(2.0 * vals, grid, params)[0]
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, keep)
+        q1, q2 = ops.quad_form_field(vals, grid), ops.quad_form_field(vals, grid)
+        assert not any(np.shares_memory(x, y) for x in q1 for y in q2)
+
+    def test_work_returns_its_own_buffer(self):
+        grid = KERNEL_GRIDS[1]
+        vals = np.random.default_rng(4).random(grid.shape)
+        params = Params(m=2.0, eps=1e-2, delta=1e-2)
+        work = ops.StencilWork(grid)
+        rhs, bmax, g2max = ops.rhs_core(vals, grid, params, work)
+        assert rhs is work.rhs
+        assert (rhs, bmax, g2max)[1:] == _ref_rhs_core(vals, grid, params)[1:]
+        with pytest.raises(DomainError, match="another grid"):
+            ops.rhs_core(vals[:-1], GridSpec(n=(22, 19), h=grid.h,
+                                             origin=grid.origin),
+                         params, work)
+
+
+# ── Row slabs ────────────────────────────────────────────────────────────
+
+def _big_grid(rows):
+    cols = ops.SPLIT_NODES // (rows - 2) + 3
+    return GridSpec(n=(rows, cols), h=(0.01, 0.012), origin=(0.0, 0.0))
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    # the split itself does not depend on the core count, so test it on
+    # any machine
+    monkeypatch.setattr(ops, "_cores", lambda: 2)
+
+
+class TestRowSlabs:
+    @pytest.mark.parametrize("rows", [231, 232])
+    def test_split_equals_unsplit(self, rows, two_cores, monkeypatch):
+        grid = _big_grid(rows)
+        assert (rows - 2) * (grid.n[1] - 2) >= ops.SPLIT_NODES
+        vals = np.random.default_rng(rows).random(grid.shape) ** 2
+        params = Params(m=2.0, eps=1e-3, delta=1e-3, c=0.1)
+        with ops.StencilWork(grid) as work:
+            assert len(work.slabs) == 2
+            two = ops.rhs_core(vals, grid, params, work)
+        monkeypatch.setattr(ops, "SPLIT_NODES", grid.size)
+        work = ops.StencilWork(grid)
+        assert len(work.slabs) == 1
+        one = ops.rhs_core(vals, grid, params, work)
+        assert _bitwise_equal(one[0], two[0])
+        assert one[1:] == two[1:]
+        assert _bitwise_equal(one[0], _ref_rhs_core(vals, grid, params)[0])
+
+    def test_split_needs_size_and_two_cores(self, monkeypatch):
+        small = GridSpec.box((0.0, 0.0), (1.0, 1.0), (129, 129))
+        big = _big_grid(232)
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        assert len(ops.StencilWork(small).slabs) == 1
+        assert len(ops.StencilWork(big).slabs) == 2
+        monkeypatch.setattr(ops, "_cores", lambda: 1)
+        assert len(ops.StencilWork(big).slabs) == 1
+
+    def test_helper_slab_error_reaches_caller(self, two_cores):
+        grid = _big_grid(232)
+        rows = grid.n[0]
+        vals = np.random.default_rng(5).random(grid.shape)
+        # flat rows far inside the helper's (second) slab
+        vals[rows - 40:rows - 30] = 0.5
+        params = Params(m=2.0, eps=1e-3, delta=0.0)
+        before = threading.active_count()
+        with ops.StencilWork(grid) as work:
+            with pytest.raises(SingularPointError):
+                ops.rhs_core(vals, grid, params, work)
+            # the workspace stays usable after the error
+            vals[rows - 40:rows - 30] += np.linspace(0.0, 1e-3, grid.n[1])
+            got = ops.rhs_core(vals, grid, params, work)
+            assert _bitwise_equal(got[0], _ref_rhs_core(vals, grid, params)[0])
+        assert threading.active_count() == before
+
+    def test_stress_under_frequent_thread_switches(self, two_cores):
+        grid = _big_grid(232)
+        rng = np.random.default_rng(6)
+        params = Params(m=2.0, eps=1e-3, delta=1e-3, c=0.05)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            calls = 0
+            deadline = time.monotonic() + 2.0
+            with ops.StencilWork(grid) as work:
+                while time.monotonic() < deadline:
+                    vals = rng.random(grid.shape)
+                    want = _ref_rhs_core(vals, grid, params)
+                    got = ops.rhs_core(vals, grid, params, work)
+                    assert _bitwise_equal(got[0], want[0])
+                    assert got[1:] == want[1:]
+                    calls += 1
+        finally:
+            sys.setswitchinterval(old)
+        assert calls >= 2

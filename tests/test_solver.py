@@ -1,13 +1,15 @@
 """Time-stepping battery: CFL policing, lateral-data handling, the
 continuation and ladder drivers, truncation monitoring, and barriers."""
 
+import threading
+
 import numpy as np
 import pytest
 
 from ipme.core import (BoundaryData, CflError, DomainError, GridSpec,
                        InstabilityError, OrderingError, Params,
                        RegularizationSchedule, ScalarField, TruncationError)
-from ipme import solver
+from ipme import operators, solver
 from ipme.solver import (CauchyProblem, DirichletProblem, ball_mask,
                          barrier_check, cauchy_initial, cfl_dt, solve_cauchy,
                          solve_dirichlet, solve_maximal, step_explicit)
@@ -107,6 +109,15 @@ class TestStepExplicit:
         assert np.array_equal(step_explicit(u, dt, PARAMS, bd).values,
                               rep.final.values)
 
+    def test_input_field_is_left_unchanged(self):
+        bd = bump_boundary(base=0.05)
+        u = ScalarField(grid=GRID, values=bd.initial(GRID.points()).reshape(
+            GRID.shape), t=0.0, quantity="u")
+        keep = u.values.copy()
+        stepped = step_explicit(u, cfl_dt(u, PARAMS), PARAMS, bd)
+        assert np.array_equal(u.values, keep)
+        assert not np.shares_memory(stepped.values, u.values)
+
     def test_overlarge_step_raises(self):
         X = GRID.points()
         bump = 0.5 * np.maximum(
@@ -119,6 +130,26 @@ class TestStepExplicit:
 
 
 class TestSolveDirichlet:
+
+    def test_split_kernel_threads_end_with_the_stage(self, monkeypatch):
+        # a grid above the split threshold: the stencil workspace's helper
+        # thread is joined when each stage ends, and the split run equals
+        # step_explicit's steps, which run both slabs on this thread, bit
+        # for bit
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (233, 233))
+        assert (grid.n[0] - 2) ** 2 >= operators.SPLIT_NODES
+        bd = bump_boundary(base=0.05)
+        before = threading.active_count()
+        rep = solve_dirichlet(DirichletProblem(
+            grid, PARAMS, bd, t_end=2e-4, snapshot_times=(1e-4,)))
+        assert threading.active_count() == before
+        assert rep.n_steps >= 2
+        u = ScalarField(grid=grid, values=bd.initial(grid.points()).reshape(
+            grid.shape), t=0.0, quantity="u")
+        for dt in rep.dt_history:
+            u = step_explicit(u, dt, PARAMS, bd)
+        assert np.array_equal(u.values, rep.final.values)
 
     def test_constant_data_preserved_exactly(self):
         prob = DirichletProblem(GRID, PARAMS, BoundaryData.constant(0.7),
