@@ -89,9 +89,9 @@ def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
             if not isinstance(val, dict):
                 raise ConfigError(f"{here!r} must be a mapping")
             _check_keys(val, want, here + ".")
-        elif val is not None and not isinstance(val, want):
-            raise ConfigError(f"{here!r} has the wrong type "
-                              f"({type(val).__name__})")
+        elif not isinstance(val, want):  # a YAML null is no leaf's type
+            got = "null" if val is None else type(val).__name__
+            raise ConfigError(f"{here!r} has the wrong type ({got})")
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -154,7 +154,7 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
 
 
 def _require(cfg: dict, key: str):
-    if key not in cfg or cfg[key] is None:
+    if key not in cfg:
         raise ConfigError(f"config key {key!r} is required")
     return cfg[key]
 
@@ -231,6 +231,8 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     elif kind == "bump":
         height = _finite(data, "height", 0.5, "data.")
         radius = _finite(data, "radius", 0.2, "data.")
+        if radius <= 0.0:
+            raise DomainError(f"data.radius must be positive, got {radius}")
 
         def u0_fn(X):
             r2 = np.sum(X * X, axis=1)

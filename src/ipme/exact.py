@@ -19,6 +19,13 @@ computed from a hypergeometric series: each primitive is tabulated by
 quadrature after the substitution s = endpoint -/+ sigma^2 that removes the
 inverse-square-root endpoint singularity, then inverted by monotone cubic
 interpolation plus Newton polish against locally requadratured values.
+A `ProfileTable` exposes `forward` and `invert` plus two public fields,
+`domain` (the z-interval) and `y_max` (the primitive's largest value);
+tables are built to the quadrature budget TABLE_TOL = 1e-10.
+
+The residual oracle `pde_residual` forms the spatial stencil with the
+solver's own kernel (`operators.quad_form_field`), so a defect in that
+kernel shows up as a residual that no longer converges.
 
 Two displayed constants are corrected here so that every evaluator is an
 actual solution of u_t = k u D_inf(u) + |Du|^2 (direct substitution check,
@@ -35,12 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import (DomainError, GridSpec, NumericError, Params, RangeError,
                    ScalarField)
+from .operators import quad_form_field
 
 __all__ = [
     "ExactSolutionSpec", "ProfileTable",
@@ -262,11 +269,13 @@ def ball_radius_from_a(a: float, p: float) -> float:
 def ball_a_from_radius(R: float, p: float) -> float:
     if R <= 0.0:
         raise DomainError(f"ball radius must be positive, got {R}")
-    from scipy.special import gamma as gamma_fn
     q = 1.0 / (p + 1.0)
-    c_gamma = math.sqrt(math.pi) * gamma_fn(1.0 + q) / gamma_fn(0.5 + q)
-    # invert A_p(a) = a^(q - 1/2) c_gamma = k_slope * R
-    return (k_slope(p) * R / c_gamma) ** (1.0 / (q - 0.5))
+    # invert A_p(a) = a^(q - 1/2) A_p(1) = k_slope * R
+    return (k_slope(p) * R / endpoint_A(1.0, p)) ** (1.0 / (q - 0.5))
+
+
+# quadrature budget of every profile table
+TABLE_TOL = 1e-10
 
 
 class ProfileTable:
@@ -286,13 +295,12 @@ class ProfileTable:
     budget is set by the table construction (~1e-12) rather than by the
     interpolant.
 
-    Public fields: `abscissae` (increasing z), `values` (the primitive at
-    the abscissae), `deriv_values` (closed-form derivative there; +inf at
-    the singular endpoint of H), `domain` (z-interval).
+    Public fields: `domain` (z-interval) and `y_max` (largest value of the
+    primitive, the Gamma-formula endpoint A_p for H).
     """
 
     def __init__(self, kind: str, a: float, p: float, n: int = 4096,
-                 z_max: Optional[float] = None, tol: float = 1e-10):
+                 z_max: float | None = None):
         if kind not in ("H", "I", "K"):
             raise DomainError(f"unknown profile kind {kind!r}")
         if not (0.0 < p < 1.0):
@@ -306,7 +314,6 @@ class ProfileTable:
         self.kind = kind
         self.a = float(a)
         self.p = float(p)
-        self.tol = float(tol)
 
         if kind == "H":
             self.z_lo = 0.0
@@ -330,13 +337,14 @@ class ProfileTable:
         self._tabulate()
         self._pchip_T = PchipInterpolator(self.sigma, self.T)
         self._pchip_sigma = PchipInterpolator(self.T, self.sigma)
-        self._finalize_public_fields()
+        self.domain = (self.z_lo, self.z_hi)
+        self.y_max = float(self.T[-1])
         if kind == "H":
             A_gamma = endpoint_A(self.a, self.p)
-            if abs(self.T[-1] - A_gamma) > max(self.tol, 1e-12) * max(1.0, A_gamma):
+            if abs(self.T[-1] - A_gamma) > TABLE_TOL * max(1.0, A_gamma):
                 raise NumericError(
                     f"H-profile endpoint {self.T[-1]!r} disagrees with the "
-                    f"Gamma-formula value {A_gamma!r} beyond tol={self.tol}")
+                    f"Gamma-formula value {A_gamma!r} beyond tol={TABLE_TOL}")
 
     # integrand dT/dsigma, vectorized, with the removable 0/0 at sigma=0
     # of the H and K kinds replaced by its limit
@@ -383,38 +391,11 @@ class ProfileTable:
                        s[j], s[j + 1], epsabs=1e-14, epsrel=1e-12,
                        limit=200, full_output=1)
             val, err = out[0], out[1]
-            if not np.isfinite(val) or err > 100.0 * max(self.tol, 1e-12):
+            if not np.isfinite(val) or err > 100.0 * TABLE_TOL:
                 raise NumericError(
                     f"quadrature failed on interval {j} of {self.kind}-profile")
             incr[j] = val
         self.T = np.concatenate(([0.0], np.cumsum(incr)))
-
-    def _finalize_public_fields(self) -> None:
-        p = self.p
-        if self.kind == "H":
-            # sigma_max^2 can overshoot z_hi by one ulp; a negative base
-            # under the fractional power would poison deriv_values with nan
-            z = np.maximum(self.z_hi - self.sigma ** 2, 0.0)
-            y = self.T[-1] - self.T
-            order = np.argsort(z)
-            self.abscissae = z[order]
-            self.values = y[order]
-            with np.errstate(divide="ignore"):
-                d = 1.0 / np.sqrt(np.maximum(self.a - self.abscissae ** (p + 1.0), 0.0))
-            self.deriv_values = d
-        elif self.kind == "I":
-            self.abscissae = self.sigma.copy()
-            self.values = self.T.copy()
-            self.deriv_values = 1.0 / np.sqrt(self.a + self.abscissae ** (p + 1.0))
-        else:
-            z = self.z_lo + self.sigma ** 2
-            self.abscissae = z
-            self.values = self.T.copy()
-            with np.errstate(divide="ignore"):
-                self.deriv_values = 1.0 / np.sqrt(
-                    np.maximum(z ** (p + 1.0) - abs(self.a), 0.0))
-        self.domain = (self.z_lo, self.z_hi)
-        self.y_max = float(self.values[-1]) if self.kind != "H" else float(self.T[-1])
 
     # ── coordinate maps ──────────────────────────────────────────────
     def _sigma_of_z(self, z: np.ndarray) -> np.ndarray:
@@ -431,11 +412,10 @@ class ProfileTable:
             return s
         return self.z_lo + s * s
 
-    def _T_of_y(self, y: np.ndarray) -> np.ndarray:
-        return self.T[-1] - y if self.kind == "H" else y
-
-    def _y_of_T(self, T: np.ndarray) -> np.ndarray:
-        return self.T[-1] - T if self.kind == "H" else T
+    def _flip(self, v: np.ndarray) -> np.ndarray:
+        """Cumulative table value <-> primitive value (an involution):
+        H is tabulated from its singular end z_max, I and K from z_lo."""
+        return self.T[-1] - v if self.kind == "H" else v
 
     # ── evaluation ───────────────────────────────────────────────────
     def forward(self, z):
@@ -448,24 +428,9 @@ class ProfileTable:
             raise DomainError(
                 f"{self.kind}-profile argument outside [{self.z_lo}, {self.z_hi}]")
         z_arr = np.clip(z_arr, self.z_lo, self.z_hi)
-        T = self._pchip_T(self._sigma_of_z(z_arr))
-        y = self._y_of_T(T)
+        y = self._flip(self._pchip_T(self._sigma_of_z(z_arr)))
         y = np.clip(y, 0.0, None)
         return float(y[0]) if scalar else y
-
-    def derivative(self, z):
-        """Closed-form derivative of the primitive (inf at singular ends)."""
-        z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-        p = self.p
-        if self.kind == "H":
-            den = np.maximum(self.a - z_arr ** (p + 1.0), 0.0)
-        elif self.kind == "I":
-            den = self.a + z_arr ** (p + 1.0)
-        else:
-            den = np.maximum(z_arr ** (p + 1.0) - abs(self.a), 0.0)
-        with np.errstate(divide="ignore"):
-            d = 1.0 / np.sqrt(den)
-        return float(d[0]) if np.asarray(z).ndim == 0 else d
 
     def _local_T(self, s: np.ndarray) -> np.ndarray:
         """Cumulative value at arbitrary sigma: nearest node + local Gauss."""
@@ -478,7 +443,7 @@ class ProfileTable:
         vals = self._f(pts.ravel()).reshape(len(s), len(_GL5_NODES))
         return self.T[j] + (vals @ _GL5_WEIGHTS) * half
 
-    def invert(self, y, polish: bool = True):
+    def invert(self, y):
         """Inverse of the primitive: G_p, J_p or L_p.
 
         Values must lie in the tabulated range; the polished result
@@ -493,15 +458,14 @@ class ProfileTable:
                 f"inverse argument outside [0, {self.y_max}] for "
                 f"{self.kind}-profile")
         y_arr = np.clip(y_arr, 0.0, self.y_max)
-        T_target = self._T_of_y(y_arr)
+        T_target = self._flip(y_arr)
         s = self._pchip_sigma(T_target)
         s = np.clip(s, self.sigma[0], self.sigma[-1])
-        if polish:
-            for _ in range(2):
-                resid = self._local_T(s) - T_target
-                fs = self._f(s)
-                step = np.where(fs > 0.0, resid / np.where(fs > 0.0, fs, 1.0), 0.0)
-                s = np.clip(s - step, self.sigma[0], self.sigma[-1])
+        for _ in range(2):
+            resid = self._local_T(s) - T_target
+            fs = self._f(s)
+            step = np.where(fs > 0.0, resid / np.where(fs > 0.0, fs, 1.0), 0.0)
+            s = np.clip(s - step, self.sigma[0], self.sigma[-1])
         z = self._z_of_sigma(s)
         z = np.clip(z, self.z_lo, self.z_hi)
         return float(z[0]) if scalar else z
@@ -510,100 +474,84 @@ class ProfileTable:
 _TABLE_CACHE: dict = {}
 
 
-def _cached_table(kind: str, a: float, p: float, z_max: Optional[float] = None,
-                  n: int = 4096, tol: float = 1e-10) -> ProfileTable:
+def _cached_table(kind: str, a: float, p: float, z_max: float | None = None,
+                  n: int = 4096) -> ProfileTable:
     key = (kind, float(a), float(p), None if z_max is None else float(z_max), n)
     tab = _TABLE_CACHE.get(key)
     if tab is None:
-        tab = ProfileTable(kind, a, p, n=n, z_max=z_max, tol=tol)
+        tab = ProfileTable(kind, a, p, n=n, z_max=z_max)
         _TABLE_CACHE[key] = tab
     return tab
 
 
-def build_H_profile(a: float, p: float, tol: float = 1e-10) -> ProfileTable:
+def build_H_profile(a: float, p: float) -> ProfileTable:
     """Tabulated H_p on [0, a^(1/(p+1))]; endpoint checked against the
-    Gamma-function formula to tol."""
-    return _cached_table("H", a, p, tol=tol)
+    Gamma-function formula to TABLE_TOL."""
+    return _cached_table("H", a, p)
 
 
-def build_I_profile(a: float, p: float, z_max: float,
-                    tol: float = 1e-10) -> ProfileTable:
-    return _cached_table("I", a, p, z_max=z_max, tol=tol)
+def build_I_profile(a: float, p: float, z_max: float) -> ProfileTable:
+    return _cached_table("I", a, p, z_max=z_max)
 
 
-def build_K_profile(a: float, p: float, z_max: float,
-                    tol: float = 1e-10) -> ProfileTable:
-    return _cached_table("K", a, p, z_max=z_max, tol=tol)
+def build_K_profile(a: float, p: float, z_max: float) -> ProfileTable:
+    return _cached_table("K", a, p, z_max=z_max)
 
 
-def _I_table_covering(a: float, p: float, y_need: float) -> ProfileTable:
-    """I-profile whose range covers [0, y_need] (J_p arguments)."""
-    z_max = 1.0
-    while True:
-        tab = _cached_table("I", a, p, z_max=z_max)
-        if tab.y_max >= y_need:
-            return tab
-        z_max *= 2.0
-        if z_max > 1e12:
-            raise NumericError("I-profile range could not cover request")
-
-
-def _K_table_covering(a: float, p: float, y_need: float) -> ProfileTable:
-    z_lo = abs(a) ** (1.0 / (p + 1.0))
+def _table_covering(kind: str, a: float, p: float,
+                    y_need: float) -> ProfileTable:
+    """I- or K-profile whose range covers [0, y_need] (J_p or L_p
+    arguments); z_max starts at 2 z_lo + 1 and its distance above z_lo
+    doubles until the range suffices."""
+    z_lo = 0.0 if kind == "I" else abs(a) ** (1.0 / (p + 1.0))
     z_max = 2.0 * z_lo + 1.0
     while True:
-        tab = _cached_table("K", a, p, z_max=z_max)
+        tab = _cached_table(kind, a, p, z_max=z_max)
         if tab.y_max >= y_need:
             return tab
         z_max = z_lo + 2.0 * (z_max - z_lo)
         if z_max > 1e12:
-            raise NumericError("K-profile range could not cover request")
+            raise NumericError(f"{kind}-profile range could not cover request")
 
 
 # ── Separable solutions ──────────────────────────────────────────────────
 
-def _check_ball_spec(spec: ExactSolutionSpec) -> None:
-    ks = k_slope(spec.params.p)
-    A = endpoint_A(spec.a_const, spec.params.p)
+def _ball_profile(x, t: float, spec: ExactSolutionSpec) -> tuple:
+    """(G_p(k_slope (R-|x|)) inside the ball and 0 outside, scalar flag)
+    for a valid ball spec at t > t0."""
+    if t <= spec.t0:
+        raise DomainError(f"ball solution needs t > t0={spec.t0}, got {t}")
+    p = spec.params.p
+    ks = k_slope(p)
+    A = endpoint_A(spec.a_const, p)
     if abs(ks * spec.R - A) > 1e-8 * max(1.0, A):
         raise DomainError(
             f"ball radius {spec.R} inconsistent with a={spec.a_const}: "
             f"k_slope*R must equal the endpoint value {A}")
+    tab = build_H_profile(spec.a_const, p)
+    X, scalar = _as_points(x)
+    r = _radii(X, spec.x0)
+    y = ks * (spec.R - r)
+    inside = y > 0.0
+    g = np.zeros_like(r)
+    if np.any(inside):
+        g[inside] = tab.invert(np.minimum(y[inside], tab.y_max))
+    return g, scalar
 
 
 def separable_ball_u(x, t: float, spec: ExactSolutionSpec):
     """u = m/((m-1)^2 (t-t0)) [G_p(k_slope (R-|x|))]^((m-1)/m) inside the
     ball, 0 outside; k_slope R = A_p ties R to the constant a."""
-    if t <= spec.t0:
-        raise DomainError(f"ball solution needs t > t0={spec.t0}, got {t}")
-    _check_ball_spec(spec)
-    m, p = spec.params.m, spec.params.p
-    tab = build_H_profile(spec.a_const, p)
-    X, scalar = _as_points(x)
-    r = _radii(X, spec.x0)
-    y = k_slope(p) * (spec.R - r)
-    inside = y > 0.0
-    g = np.zeros_like(r)
-    if np.any(inside):
-        g[inside] = tab.invert(np.minimum(y[inside], tab.y_max))
+    g, scalar = _ball_profile(x, t, spec)
+    m = spec.params.m
     vals = m / ((m - 1.0) ** 2 * (t - spec.t0)) * g ** ((m - 1.0) / m)
     return _ret(vals, scalar)
 
 
 def separable_ball_rho(x, t: float, spec: ExactSolutionSpec):
     """rho = [(m-1)(t-t0)]^(-1/(m-1)) [G_p(k_slope (R-|x|))]^(1/m)."""
-    if t <= spec.t0:
-        raise DomainError(f"ball solution needs t > t0={spec.t0}, got {t}")
-    _check_ball_spec(spec)
-    m, p = spec.params.m, spec.params.p
-    tab = build_H_profile(spec.a_const, p)
-    X, scalar = _as_points(x)
-    r = _radii(X, spec.x0)
-    y = k_slope(p) * (spec.R - r)
-    inside = y > 0.0
-    g = np.zeros_like(r)
-    if np.any(inside):
-        g[inside] = tab.invert(np.minimum(y[inside], tab.y_max))
+    g, scalar = _ball_profile(x, t, spec)
+    m = spec.params.m
     vals = ((m - 1.0) * (t - spec.t0)) ** (-1.0 / (m - 1.0)) * g ** (1.0 / m)
     return _ret(vals, scalar)
 
@@ -649,21 +597,19 @@ def neg_lambda_u(x, t: float, spec: ExactSolutionSpec):
         return _ret(vals, scalar)
     ks = k_slope(p)
     if spec.kind == "neg-lambda-a-pos":
-        y = ks * (r - spec.R)
+        kind, y = "I", ks * (r - spec.R)
         if np.any(y < -1e-12):
             raise DomainError("a>0 blow-up branch is defined for |x| >= R")
-        y = np.maximum(y, 0.0)
-        tab = _I_table_covering(spec.a_const, p, float(np.max(y)) if y.size else 1.0)
-        g = tab.invert(y)
     else:
         sgn = 1.0 if spec.sign == "+" else -1.0
-        y = sgn * ks * r + spec.C_const
+        kind, y = "K", sgn * ks * r + spec.C_const
         if np.any(y < -1e-12):
             raise DomainError(
                 "a<0 blow-up branch needs sign*k_slope*|x| + C >= 0")
-        y = np.maximum(y, 0.0)
-        tab = _K_table_covering(spec.a_const, p, float(np.max(y)) if y.size else 1.0)
-        g = tab.invert(y)
+    y = np.maximum(y, 0.0)
+    tab = _table_covering(kind, spec.a_const, p,
+                          float(np.max(y)) if y.size else 1.0)
+    g = tab.invert(y)
     vals = m / ((m - 1.0) ** 2 * dt) * g ** ((m - 1.0) / m)
     return _ret(vals, scalar)
 
@@ -732,7 +678,6 @@ def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
     """
     if params is None:
         params = spec.params
-    k = params.k
     X = grid.points()
     tau = tau_scale * min(grid.h)
     u0 = np.asarray(evaluate_u(spec, X, t)).reshape(grid.shape)
@@ -740,49 +685,14 @@ def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
     um = np.asarray(evaluate_u(spec, X, t - tau)).reshape(grid.shape)
     ut = (up - um) / (2.0 * tau)
 
-    d = grid.dim
-    h = grid.h
-    c0 = u0[grid.interior()]
-    grad = []
-    lap = np.zeros_like(c0)
-    num = np.zeros_like(c0)
-    g2 = np.zeros_like(c0)
-
-    def shift(axis, off):
-        idx = []
-        for a_ in range(d):
-            if a_ == axis:
-                idx.append(slice(1 + off, u0.shape[a_] - 1 + off or None))
-            else:
-                idx.append(slice(1, -1))
-        return u0[tuple(idx)]
-
-    for i in range(d):
-        up_i, dn_i = shift(i, +1), shift(i, -1)
-        gi = (up_i - dn_i) / (2.0 * h[i])
-        hii = (up_i - 2.0 * c0 + dn_i) / (h[i] * h[i])
-        grad.append(gi)
-        lap += hii
-        num += hii * gi * gi
-        g2 += gi * gi
-    for i in range(d):
-        for j in range(i + 1, d):
-            idx = {}
-            for si, sj in ((2, 2), (2, 0), (0, 2), (0, 0)):
-                sl = [slice(1, -1)] * d
-                sl[i] = slice(2, None) if si == 2 else slice(0, -2)
-                sl[j] = slice(2, None) if sj == 2 else slice(0, -2)
-                idx[(si, sj)] = u0[tuple(sl)]
-            hij = (idx[(2, 2)] - idx[(2, 0)] - idx[(0, 2)] + idx[(0, 0)]) \
-                / (4.0 * h[i] * h[j])
-            num += 2.0 * hij * grad[i] * grad[j]
-
+    inter = grid.interior()
+    c0 = u0[inter]
+    num, g2, lap = quad_form_field(u0, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(g2 > 0.0, num / np.where(g2 > 0.0, g2, 1.0), 0.0)
-    rhs = params.eps * lap + k * np.abs(c0) * ratio + g2
-    res = rhs - ut[grid.interior()]
+    rhs = params.eps * lap + params.k * np.abs(c0) * ratio + g2
+    res = rhs - ut[inter]
     from scipy.ndimage import minimum_filter
-    inter = grid.interior()
     wet = (minimum_filter(u0, size=3, mode="constant", cval=0.0)[inter] > 0.0)
     wet &= (up[inter] > 0.0) & (um[inter] > 0.0)
     mask = (c0 > threshold_frac * float(np.max(u0))) & (g2 > 0.0) & wet

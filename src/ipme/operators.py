@@ -45,8 +45,7 @@ from .core import (DomainError, GridSpec, Params, RangeError, ScalarField,
 
 __all__ = [
     "beta_c", "StencilEval", "stencil_eval", "L_eps_delta", "rhs_full",
-    "interpolated_op", "gradient_field", "rhs_field", "rhs_core",
-    "quad_form_field", "inf_lap_field", "grad_norm_sq_field",
+    "interpolated_op", "rhs_core", "quad_form_field", "inf_lap_field",
     "set_fault_injection", "StencilWork",
 ]
 
@@ -400,24 +399,6 @@ def _fresh(vals: np.ndarray, grid: GridSpec) -> StencilWork:
     work = StencilWork(grid)
     work.run(_terms, vals)
     return work
-
-
-def gradient_field(vals: np.ndarray, grid: GridSpec) -> list:
-    """Centered gradient components on the interior, list of d arrays."""
-    return _fresh(vals, grid).grad
-
-
-def grad_norm_sq_field(vals: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _fresh(vals, grid).g2
-
-
-def rhs_field(vals: np.ndarray, grid: GridSpec, params: Params) -> np.ndarray:
-    """rhs_full on the whole interior at once.
-
-    Matches the pointwise rhs_full node for node; delta == 0 requires a
-    nowhere-vanishing interior gradient (SingularPointError otherwise).
-    """
-    return rhs_core(vals, grid, params)[0]
 
 
 def quad_form_field(vals: np.ndarray, grid: GridSpec) -> tuple:

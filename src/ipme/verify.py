@@ -7,6 +7,8 @@ Five suites, each a list of quick self-contained cases:
               its floor.  Sensitive to sign faults in the mixed terms.
   exact       frozen point values and discrete residuals of the explicit
               solution families, plus profile-table endpoint/inverse checks.
+              The residuals run the solver's stencil kernel, so the ball
+              case also fails under a sign fault in the mixed terms.
   comparison  discrete ordering of solves from ordered data and the
               maximal-solution ladder.
   scaling     the two rescaling families reproduce solver output exactly
@@ -28,7 +30,7 @@ from . import exact, io
 from .core import (BoundaryData, ConfigError, GridSpec, Params,
                    RegularizationSchedule, RunManifest, ScalarField,
                    SnapshotFormatError)
-from .operators import (beta_c, rhs_field, rhs_full, set_fault_injection,
+from .operators import (beta_c, rhs_core, rhs_full, set_fault_injection,
                         stencil_eval)
 from .solver import DirichletProblem, solve_dirichlet, solve_maximal
 
@@ -82,7 +84,7 @@ def _case_field_matches_pointwise():
     vals = 1.0 + rng.random(grid.shape)
     u = ScalarField(grid, vals, 0.0)
     par = Params(m=2.5, eps=0.7, delta=0.3, c=0.2)
-    field = rhs_field(vals, grid, par)
+    field = rhs_core(vals, grid, par)[0]
     for node in ((1, 1), (4, 7), (11, 11), (6, 2)):
         want = rhs_full(u, node, par)
         got = field[node[0] - 1, node[1] - 1]

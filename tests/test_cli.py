@@ -6,11 +6,14 @@ tmp dirs and diagnostics are read back through capsys.
 """
 
 import pathlib
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 from ipme import cli, io
 from ipme.core import ConfigError
@@ -518,6 +521,89 @@ grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
 
 
 # ---------------------------------------------------------------------------
+# fuzzed overrides
+
+
+def _scalar_leaves(schema, path=""):
+    for key, want in schema.items():
+        if isinstance(want, dict):
+            yield from _scalar_leaves(want, f"{path}{key}.")
+        elif want is not cli._LIST:
+            yield path + key
+
+
+FUZZ_KEYS = sorted(k for k in _scalar_leaves(cli.SCHEMA) if k != "output"
+                   and not k.startswith(("asym.", "verify.", "exact.")))
+FUZZ_VALUES = ("null", ".nan", ".inf", "-.inf", "-1", "0", "2", "x", "true")
+FUZZ_YAML = """\
+problem: dirichlet
+m: 2.0
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [9, 9]}
+data: {kind: bump, height: 0.5, radius: 0.6}
+boundary: {kind: zero}
+t_end: 0.05
+"""
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                          st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=3))
+# pinned: a null leaf must not reach float(), a zero radius not a division
+@example([("c", "null")])
+@example([("data.radius", "0")])
+def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
+    # every input either runs or ends in exactly one specific IPME-E line:
+    # never the generic IPME-E1 of an unexpected exception, never a
+    # traceback, never a numpy warning on the way
+    run = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    argv = ["solve", write_cfg(run / "c.yaml", FUZZ_YAML),
+            "--set", f"output={run / 'out'}"]
+    for key, value in overrides:
+        argv += ["--set", f"{key}={value}"]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2), (overrides, rc)
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    diagnostics = [line for line in err.splitlines()
+                   if line.startswith("IPME-E")]
+    if rc == 1:
+        assert len(diagnostics) == 1, (overrides, err)
+        assert not diagnostics[0].startswith("IPME-E1:"), (overrides, err)
+
+
+@pytest.mark.parametrize("key", ["eps", "data.height", "boundary.value",
+                                 "seed"])
+def test_null_leaf_is_a_config_error(tmp_path, capsys, key):
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", FUZZ_YAML),
+                   "--set", f"output={tmp_path / 'out'}",
+                   "--set", f"{key}=null"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"IPME-E50: {key!r} has the wrong type (null)\n")
+
+
+@pytest.mark.parametrize("radius", ["0", "-0.5"])
+def test_bump_radius_must_be_positive(tmp_path, capsys, radius):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", FUZZ_YAML),
+                       "--set", f"output={tmp_path / 'out'}",
+                       "--set", f"data.radius={radius}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IPME-E10: data.radius must be positive")
+    assert err.count("IPME-E") == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
 # verify subcommand
 
 
@@ -544,6 +630,17 @@ class TestVerifyCommand:
         assert cap.err.startswith("IPME-E1: failing cases:")
         # the fault must not leak into later runs
         assert cli.main(["verify", "--suite", "operators"]) == 0
+
+    def test_injected_fault_reaches_the_exact_residuals(self, capsys):
+        # pde_residual runs the solver's stencil kernel, so flipping the
+        # mixed terms breaks the ball's residual bound
+        rc = cli.main(["verify", "--suite", "exact",
+                       "--fault", "stencil-sign-flip"])
+        assert rc == 1
+        cap = capsys.readouterr()
+        assert "FAIL  exact/separable-ball-residual" in cap.out
+        assert cap.err.startswith("IPME-E1: failing cases:")
+        assert cli.main(["verify", "--suite", "exact"]) == 0
 
     def test_unknown_suite_flag_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):

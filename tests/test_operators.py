@@ -132,7 +132,7 @@ class TestFieldKernels:
         return ScalarField(GRID2, self.vals, t=0.0)
 
     def test_matches_pointwise_rhs(self):
-        arr = ops.rhs_field(self.vals, GRID2, self.params)
+        arr = ops.rhs_core(self.vals, GRID2, self.params)[0]
         u = self.field()
         for node in [(1, 1), (4, 3), (7, 7), (2, 6)]:
             want = ops.rhs_full(u, node, self.params)
@@ -154,19 +154,25 @@ class TestFieldKernels:
         assert arr[2, 2] == pytest.approx(se.inf_lap_reg(1e-2), rel=1e-12)
 
     def test_grad_norm_sq_consistent(self):
-        g2 = ops.grad_norm_sq_field(self.vals, GRID2)
-        gi = ops.gradient_field(self.vals, GRID2)
-        np.testing.assert_allclose(g2, sum(g * g for g in gi), atol=1e-14)
+        # every interior node of the field's |Du|^2 against the pointwise
+        # centered gradient
+        _, g2, _ = ops.quad_form_field(self.vals, GRID2)
+        u = self.field()
+        want = np.empty_like(g2)
+        for i, j in np.ndindex(*g2.shape):
+            se = ops.stencil_eval(u, (i + 1, j + 1))
+            want[i, j] = se.grad @ se.grad
+        np.testing.assert_allclose(g2, want, rtol=1e-14)
 
     def test_rhs_core_returns_running_maxima(self):
         rhs, max_beta, max_g2 = ops.rhs_core(self.vals, GRID2, self.params)
-        np.testing.assert_allclose(rhs, ops.rhs_field(self.vals, GRID2, self.params),
-                                   atol=1e-14)
+        np.testing.assert_allclose(
+            rhs, ops.rhs_core(self.vals, GRID2, self.params)[0], atol=1e-14)
         interior = self.vals[GRID2.interior()]
         assert max_beta == pytest.approx(
             float(np.max(ops.beta_c(interior, self.params.c))), rel=1e-14)
         assert max_g2 == pytest.approx(
-            float(np.max(ops.grad_norm_sq_field(self.vals, GRID2))), rel=1e-14)
+            float(np.max(ops.quad_form_field(self.vals, GRID2)[1])), rel=1e-14)
 
 
 class TestTravelingWaveIdentity:
@@ -180,7 +186,7 @@ class TestTravelingWaveIdentity:
         X = grid.points()
         vals = c_speed * np.maximum(0.9 - X @ w, 0.0)
         params = Params(m=m, eps=0.0, delta=0.0, c=0.0)
-        rhs = ops.rhs_field(vals.reshape(grid.shape), grid, params)
+        rhs = ops.rhs_core(vals.reshape(grid.shape), grid, params)[0]
         wet = (vals.reshape(grid.shape) > 1e-12)[grid.interior()]
         # one stencil inside the wet region so no difference crosses the kink
         x = grid.axes()[0][1:-1]
