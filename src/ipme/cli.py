@@ -89,7 +89,9 @@ def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
             if not isinstance(val, dict):
                 raise ConfigError(f"{here!r} must be a mapping")
             _check_keys(val, want, here + ".")
-        elif not isinstance(val, want):  # a YAML null is no leaf's type
+        # a YAML null is no leaf's type, and neither is a YAML bool,
+        # although bool is a subclass of int
+        elif isinstance(val, bool) or not isinstance(val, want):
             got = "null" if val is None else type(val).__name__
             raise ConfigError(f"{here!r} has the wrong type ({got})")
 

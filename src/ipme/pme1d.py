@@ -9,10 +9,16 @@ d-dimensional pressure solver along rays, and for the Cauchy asymptotics.
 It deliberately shares nothing with the main scheme: density instead of
 pressure, conservative second difference of rho^m instead of the expanded
 operator, so the two codes cannot share a bug.
+
+There is one update, `_advance`: it steps a plain density array in place
+on preallocated workspaces.  `pme1d_solve` runs it on one array for the
+whole solve and builds `ScalarField`s only for the initial state and the
+snapshots; `pme1d_step` runs it on a copy of its input field.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -79,12 +85,55 @@ class Pme1dResult:
     manifest: dict = field(default_factory=dict)
 
 
-def cfl_dt_1d(rho: np.ndarray, h: float, m: float, safety: float = 0.4) -> float:
-    """Stability bound safety * h^2 / (2 max(m rho^(m-1)))."""
-    diffusivity = m * float(np.max(rho)) ** (m - 1.0)
+def _cfl_bound(rho_max: float, h: float, m: float, safety: float) -> float:
+    diffusivity = m * rho_max ** (m - 1.0)
     if diffusivity <= 0.0:
         return np.inf
     return safety * h * h / (2.0 * diffusivity)
+
+
+def cfl_dt_1d(rho: np.ndarray, h: float, m: float, safety: float = 0.4) -> float:
+    """Stability bound safety * h^2 / (2 max(m rho^(m-1)))."""
+    return _cfl_bound(float(np.max(rho)), h, m, safety)
+
+
+def _advance(rho: np.ndarray, w: np.ndarray, lap: np.ndarray, t_new: float,
+             dt: float, h: float, problem: RadialProblem, rho_max: float,
+             clip_account: Optional[list]) -> float:
+    """The explicit conservative update, in place: `rho` (whose maximum is
+    `rho_max`) advances by dt to t_new, with `w` (size n) and `lap` (size
+    n-2) as workspaces.  Returns the new maximum of rho.
+
+    The edges are set before the checks, so one min and one max cover the
+    finiteness test, the undershoot clip and the next stability bound.
+    """
+    bound = _cfl_bound(rho_max, h, problem.m, 1.0)
+    if dt > bound * (1.0 + 1e-12):
+        raise CflError(f"dt={dt} exceeds the 1-d stability bound {bound}")
+    scale = dt / (h * h)
+    np.power(rho, problem.m, out=w)
+    # (w[2:] - 2 w[1:-1]) + w[:-2], in this order, scaled by dt/h^2
+    np.multiply(w[1:-1], 2.0, out=lap)
+    np.subtract(w[2:], lap, out=lap)
+    np.add(lap, w[:-2], out=lap)
+    np.multiply(lap, scale, out=lap)
+    np.add(rho[1:-1], lap, out=rho[1:-1])
+    if problem.boundary == "symmetry-at-0":
+        rho[0] = rho[0] + scale * (2.0 * w[1] - 2.0 * w[0])
+    else:
+        rho[0] = problem._edge("left", t_new)
+    rho[-1] = problem._edge("right", t_new)
+    low, top = rho.min(), rho.max()
+    if not (math.isfinite(low) and math.isfinite(top)):
+        raise InstabilityError("non-finite density during 1-d stepping")
+    if low < 0.0:
+        negative = rho < 0.0
+        clipped = -float(np.sum(rho[negative])) * h
+        if clip_account is not None:
+            clip_account.append(clipped)
+        rho[negative] = 0.0
+        top = max(top, 0.0)
+    return float(top)
 
 
 def pme1d_step(state: ScalarField, dt: float, problem: RadialProblem,
@@ -93,32 +142,14 @@ def pme1d_step(state: ScalarField, dt: float, problem: RadialProblem,
 
     dt must respect the stability bound; tiny negative undershoots are
     clipped to zero with the clipped mass accumulated in `clip_account`
-    (callers enforce the <= 1e-12 relative budget).
+    (callers enforce the <= 1e-12 relative budget).  The update runs on a
+    copy, so `state` is left unchanged.
     """
-    h = state.grid.h[0]
-    m = problem.m
-    rho = state.values.ravel()
-    bound = cfl_dt_1d(rho, h, m, safety=1.0)
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(f"dt={dt} exceeds the 1-d stability bound {bound}")
-    w = rho ** m
-    new = rho.copy()
-    new[1:-1] += dt / (h * h) * (w[2:] - 2.0 * w[1:-1] + w[:-2])
-    t_new = state.t + dt
-    if problem.boundary == "symmetry-at-0":
-        new[0] = rho[0] + dt / (h * h) * (2.0 * w[1] - 2.0 * w[0])
-    else:
-        new[0] = problem._edge("left", t_new)
-    new[-1] = problem._edge("right", t_new)
-    if not np.isfinite(new).all():
-        raise InstabilityError("non-finite density during 1-d stepping")
-    negative = new < 0.0
-    if np.any(negative):
-        clipped = -float(np.sum(new[negative])) * h
-        if clip_account is not None:
-            clip_account.append(clipped)
-        new[negative] = 0.0
-    return ScalarField(grid=state.grid, values=new, t=t_new, quantity="rho")
+    rho = state.values.ravel().copy()
+    _advance(rho, np.empty_like(rho), np.empty(rho.size - 2), state.t + dt,
+             dt, state.grid.h[0], problem, float(np.max(rho)), clip_account)
+    return ScalarField(grid=state.grid, values=rho, t=state.t + dt,
+                       quantity="rho")
 
 
 def _mass(vals: np.ndarray, h: float) -> float:
@@ -132,38 +163,55 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
                 t_start: float = 0.0, safety: float = 0.4) -> Pme1dResult:
     """Step from t_start to t_end with automatic dt, landing exactly on the
     requested snapshot times; returns profiles plus conservation accounting.
+
+    The times must be finite with t_start < snapshot times <= t_end, and
+    the safety factor must lie in (0, 1]; anything else is a DomainError
+    before the first step.  The loop advances one density array in place
+    (the update of `pme1d_step`, on workspaces made once per solve), so
+    fields are built only for the initial state and the snapshots.
     """
-    if not (t_end > t_start):
-        raise DomainError(f"t_end must exceed t_start, got {t_end}")
-    snaps = sorted(set(float(t) for t in snapshot_times) | {float(t_end)})
-    if any(t <= t_start or t > t_end for t in snaps):
+    if not (math.isfinite(t_start) and math.isfinite(t_end)
+            and t_end > t_start):
+        raise DomainError(
+            f"t_end must be finite and exceed t_start, got {t_end}")
+    snaps = [float(t) for t in snapshot_times]
+    if not all(t_start < t <= t_end for t in snaps):
         raise DomainError("snapshot times must lie in (t_start, t_end]")
-    state = ScalarField(grid=problem.grid, values=problem.initial.copy(),
-                        t=t_start, quantity="rho")
+    snaps = sorted(set(snaps) | {float(t_end)})
+    if not (0.0 < safety <= 1.0):
+        raise DomainError(f"safety must lie in (0, 1], got {safety}")
+    # the field's entry checks vet the initial data (finite, nonnegative)
+    rho = ScalarField(grid=problem.grid, values=problem.initial.copy(),
+                      t=t_start, quantity="rho").values
     # impose the held edge values on the initial slice; otherwise a run
     # from zero data with positive inflow would see zero diffusivity and
     # cross to t_end in one unbounded step
     if problem.boundary == "dirichlet":
-        state.values[0] = problem._edge("left", t_start)
-    state.values[-1] = problem._edge("right", t_start)
+        rho[0] = problem._edge("left", t_start)
+    rho[-1] = problem._edge("right", t_start)
     h = problem.grid.h[0]
-    mass0 = _mass(state.values, h)
+    mass0 = _mass(rho, h)
+    w, lap = np.empty_like(rho), np.empty(rho.size - 2)
+    rho_max = float(np.max(rho))
     clip_account: list = []
     out, out_times = [], []
+    t = t_start
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
     for target in snaps:
-        while state.t < target - 1e-14 * max(1.0, target):
-            dt = min(cfl_dt_1d(state.values.ravel(), h, problem.m, safety),
-                     target - state.t)
-            if not np.isfinite(dt):
-                dt = target - state.t
-            state = pme1d_step(state, dt, problem, clip_account)
+        while t < target - 1e-14 * max(1.0, target):
+            dt = min(_cfl_bound(rho_max, h, problem.m, safety), target - t)
+            if not math.isfinite(dt):
+                dt = target - t
+            rho_max = _advance(rho, w, lap, t + dt, dt, h, problem, rho_max,
+                               clip_account)
+            t += dt
             n_steps += 1
             dt_min = min(dt_min, dt)
             dt_max = max(dt_max, dt)
-        state.t = target
-        out.append(state.copy())
+        t = target
+        out.append(ScalarField(grid=problem.grid, values=rho.copy(), t=t,
+                               quantity="rho"))
         out_times.append(target)
     mass1 = _mass(out[-1].values, h)
     clipped = float(np.sum(clip_account))

@@ -550,9 +550,11 @@ t_end: 0.05
 @given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
                           st.sampled_from(FUZZ_VALUES)),
                 min_size=1, max_size=3))
-# pinned: a null leaf must not reach float(), a zero radius not a division
+# pinned: a null leaf must not reach float(), a zero radius not a division,
+# a bool not pass for a number
 @example([("c", "null")])
 @example([("data.radius", "0")])
+@example([("eps", "true")])
 def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
     # every input either runs or ends in exactly one specific IPME-E line:
     # never the generic IPME-E1 of an unexpected exception, never a
@@ -575,6 +577,9 @@ def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
     if rc == 1:
         assert len(diagnostics) == 1, (overrides, err)
         assert not diagnostics[0].startswith("IPME-E1:"), (overrides, err)
+    if "true" in dict(overrides).values():
+        # a YAML bool is no scalar leaf's type (bool subclasses int)
+        assert rc == 1 and diagnostics[0].startswith("IPME-E50:"), overrides
 
 
 @pytest.mark.parametrize("key", ["eps", "data.height", "boundary.value",
@@ -586,6 +591,18 @@ def test_null_leaf_is_a_config_error(tmp_path, capsys, key):
     assert rc == 1
     assert capsys.readouterr().err == (
         f"IPME-E50: {key!r} has the wrong type (null)\n")
+
+
+@pytest.mark.parametrize("key", ["eps", "data.height", "seed"])
+@pytest.mark.parametrize("value", ["true", "false"])
+def test_bool_leaf_is_a_config_error(tmp_path, capsys, key, value):
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", FUZZ_YAML),
+                   "--set", f"output={tmp_path / 'out'}",
+                   "--set", f"{key}={value}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"IPME-E50: {key!r} has the wrong type (bool)\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("radius", ["0", "-0.5"])
