@@ -37,30 +37,31 @@ __all__ = ["main", "load_config", "apply_overrides"]
 _NUM = (int, float)
 _LIST = (list, tuple)
 
-# allowed keys and leaf types; sections are nested dicts
+# allowed keys and leaf types; sections are nested dicts, and a one-element
+# list [T] is a list leaf whose every entry has type T
 SCHEMA = {
     "problem": str,
     "m": _NUM, "eps": _NUM, "delta": _NUM, "c": _NUM,
-    "grid": {"lo": _LIST, "hi": _LIST, "n": _LIST},
-    "domain": {"kind": str, "radius": _NUM, "center": _LIST},
+    "grid": {"lo": [_NUM], "hi": [_NUM], "n": [int]},
+    "domain": {"kind": str, "radius": _NUM, "center": [_NUM]},
     "data": {"kind": str, "value": _NUM, "height": _NUM, "radius": _NUM,
              "slope": _NUM, "R": _NUM, "t_offset": _NUM, "speed": _NUM,
              "offset": _NUM},
     "boundary": {"kind": str, "value": _NUM},
     "t_end": _NUM,
-    "snapshot_times": _LIST,
-    "schedule": {"eps_list": _LIST, "delta_list": _LIST, "n_list": _LIST},
+    "snapshot_times": [_NUM],
+    "schedule": {"eps_list": [_NUM], "delta_list": [_NUM], "n_list": [int]},
     "cauchy": {"M": _NUM, "r": _NUM},
     "regression_threshold": _NUM,
     "seed": int,
     "output": str,
     "exact": {"family": str, "m": _NUM, "quantity": str, "t": _NUM,
-              "times": _LIST, "R": _NUM, "speed": _NUM, "offset": _NUM,
+              "times": [_NUM], "R": _NUM, "speed": _NUM, "offset": _NUM,
               "a": _NUM, "R1": _NUM, "t0": _NUM, "C": _NUM},
-    "asym": {"snapshots": str, "tasks": _LIST, "threshold": _NUM,
-             "r_max": _NUM, "floor": _NUM, "center": _LIST,
+    "asym": {"snapshots": str, "tasks": [str], "threshold": _NUM,
+             "r_max": _NUM, "floor": _NUM, "center": [_NUM],
              "ball_radius": _NUM, "R_estimate": _NUM, "m": _NUM},
-    "verify": {"suites": _LIST, "fault": str},
+    "verify": {"suites": [str], "fault": str},
 }
 
 DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
@@ -79,7 +80,9 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"))
 
 
-def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
+def _leaves(cfg: dict, schema: dict, path: str = ""):
+    """(path, value, type) of every leaf and list entry, in file order;
+    unknown keys and non-mapping sections are a ConfigError."""
     for key, val in cfg.items():
         here = f"{path}{key}"
         if key not in schema:
@@ -88,12 +91,29 @@ def _check_keys(cfg: dict, schema: dict, path: str = "") -> None:
         if isinstance(want, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"{here!r} must be a mapping")
-            _check_keys(val, want, here + ".")
+            yield from _leaves(val, want, here + ".")
+        elif isinstance(want, list):
+            yield here, val, _LIST
+            if isinstance(val, _LIST):
+                for i, item in enumerate(val):
+                    yield f"{here}[{i}]", item, want[0]
+        else:
+            yield here, val, want
+
+
+def _check_keys(cfg: dict) -> None:
+    """Type-check every leaf (IPME-E50), then check every number is finite
+    (IPME-E10), whether or not the chosen command reads the leaf."""
+    leaves = list(_leaves(cfg, SCHEMA))
+    for here, val, want in leaves:
         # a YAML null is no leaf's type, and neither is a YAML bool,
         # although bool is a subclass of int
-        elif isinstance(val, bool) or not isinstance(val, want):
+        if isinstance(val, bool) or not isinstance(val, want):
             got = "null" if val is None else type(val).__name__
             raise ConfigError(f"{here!r} has the wrong type ({got})")
+    for here, val, _ in leaves:
+        if isinstance(val, float) and not math.isfinite(val):
+            raise DomainError(f"{here} must be finite, got {val}")
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -111,7 +131,7 @@ def load_config(path: Optional[str]) -> dict:
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path!r} must be a mapping at top level")
-    _check_keys(cfg, SCHEMA)
+    _check_keys(cfg)
     return cfg
 
 
@@ -135,7 +155,7 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
             if last and isinstance(schema, dict):
                 raise ConfigError(f"override {key!r} addresses a section, "
                                   f"not a scalar leaf")
-        if schema in (_LIST,) or schema is _LIST:
+        if isinstance(schema, list):
             raise ConfigError(f"override {key!r} addresses a list; flags "
                               f"only override scalar leaves")
         try:
@@ -151,7 +171,7 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
                 raise ConfigError(f"override {key!r} collides with a "
                                   f"non-mapping entry")
         node[parts[-1]] = value
-    _check_keys(cfg, SCHEMA)
+    _check_keys(cfg)
     return cfg
 
 
@@ -161,15 +181,12 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _finite(section: dict, key: str, default=None, where: str = "") -> float:
-    """section[key] as a finite float; `default` when the key is absent
-    (None makes the key required).  Non-finite values are a DomainError,
-    raised before anything is evaluated with them."""
-    value = float(_require(section, key) if default is None
-                  else section.get(key, default))
-    if not math.isfinite(value):
-        raise DomainError(f"{where}{key} must be finite, got {value}")
-    return value
+def _finite(section: dict, key: str, default=None) -> float:
+    """section[key] as a float, finite because `_check_keys` rejected every
+    non-finite number; `default` when the key is absent (None makes the key
+    required)."""
+    return float(_require(section, key) if default is None
+                 else section.get(key, default))
 
 
 def _build_grid(cfg: dict) -> GridSpec:
@@ -207,14 +224,12 @@ def _exact_companion(data: dict, m: float) -> tuple:
     kind = data.get("kind")
     if kind not in ("barenblatt", "traveling-wave", "separable-ball"):
         return None, 0.0
-    t_off = 0.0 if kind == "traveling-wave" else \
-        _finite(data, "t_offset", 1.0, "data.")
+    t_off = 0.0 if kind == "traveling-wave" else _finite(data, "t_offset", 1.0)
     return _build_exact_spec({
         "family": kind, "m": m,
-        "R": _finite(data, "radius" if kind == "separable-ball" else "R",
-                     1.0, "data."),
-        "speed": _finite(data, "speed", 1.0, "data."),
-        "offset": _finite(data, "offset", 0.0, "data.")}), t_off
+        "R": _finite(data, "radius" if kind == "separable-ball" else "R", 1.0),
+        "speed": _finite(data, "speed", 1.0),
+        "offset": _finite(data, "offset", 0.0)}), t_off
 
 
 def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
@@ -228,11 +243,11 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     spec, t_off = _exact_companion(data, params.m)
 
     if kind == "constant":
-        value = _finite(data, "value", 1.0, "data.")
+        value = _finite(data, "value", 1.0)
         u0_fn = lambda X: np.full(len(X), value)  # noqa: E731
     elif kind == "bump":
-        height = _finite(data, "height", 0.5, "data.")
-        radius = _finite(data, "radius", 0.2, "data.")
+        height = _finite(data, "height", 0.5)
+        radius = _finite(data, "radius", 0.2)
         if radius <= 0.0:
             raise DomainError(f"data.radius must be positive, got {radius}")
 
@@ -240,7 +255,7 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
             r2 = np.sum(X * X, axis=1)
             return height * np.maximum(1.0 - r2 / radius ** 2, 0.0)
     elif kind == "linear":
-        slope = _finite(data, "slope", 1.0, "data.")
+        slope = _finite(data, "slope", 1.0)
         lo0 = grid.origin[0]
         u0_fn = lambda X: slope * (X[:, 0] - lo0)  # noqa: E731
     else:
@@ -255,7 +270,7 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
         g_fn = lambda X, t: np.zeros(len(X))  # noqa: E731
         time_dep = False
     elif bkind == "constant":
-        bval = _finite(bc, "value", 0.0, "boundary.")
+        bval = _finite(bc, "value", 0.0)
         g_fn = lambda X, t: np.full(len(X), bval)  # noqa: E731
         time_dep = False
     else:
@@ -279,8 +294,7 @@ def _domain_mask(cfg: dict, grid: GridSpec):
         return None
     if dom.get("kind") != "ball":
         raise ConfigError(f"unknown domain kind {dom.get('kind')!r}")
-    return ball_mask(grid, _finite(dom, "radius", where="domain."),
-                     dom.get("center"))
+    return ball_mask(grid, _finite(dom, "radius"), dom.get("center"))
 
 
 def _write_run(outdir: str, report, cfg: dict) -> None:
@@ -311,8 +325,7 @@ def cmd_solve(cfg: dict) -> int:
 
     if problem_kind == "cauchy":
         prob = CauchyProblem(grid, params, bdata.initial,
-                             M=_finite(cc, "M", where="cauchy."),
-                             r=_finite(cc, "r", where="cauchy."),
+                             M=_finite(cc, "M"), r=_finite(cc, "r"),
                              t_end=t_end, snapshot_times=snaps)
         report = solve_cauchy(prob, schedule)
     else:
@@ -355,7 +368,7 @@ def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
     family = ex.get("family")
 
     def num(key, default=None):
-        return _finite(ex, key, default, "exact.")
+        return _finite(ex, key, default)
 
     m = num("m")
     if family == "barenblatt":
@@ -391,9 +404,7 @@ def cmd_exact(cfg: dict) -> int:
     quantity = ex.get("quantity", "u")
     times = ex.get("times")
     if times is None:
-        times = [_finite(ex, "t", 1.0, "exact.")]
-    elif not all(math.isfinite(float(t)) for t in times):
-        raise DomainError(f"exact.times must be finite, got {times}")
+        times = [_finite(ex, "t", 1.0)]
     outdir = _require(cfg, "output")
     os.makedirs(outdir, exist_ok=True)
     names = []

@@ -162,8 +162,12 @@ class GridSpec:
         lo = tuple(float(v) for v in lo)
         hi = tuple(float(v) for v in hi)
         n = tuple(int(v) for v in n)
+        if not all(map(math.isfinite, lo + hi)):
+            raise DomainError(f"box corners must be finite, got {lo}, {hi}")
         if any(b <= a for a, b in zip(lo, hi)):
             raise DomainError("box needs hi > lo on every axis")
+        if any(v < 3 for v in n):
+            raise DomainError(f"need at least 3 nodes per axis, got {n}")
         h = tuple((b - a) / (k - 1) for a, b, k in zip(lo, hi, n))
         return GridSpec(n=n, h=h, origin=lo)
 

@@ -16,9 +16,13 @@ The ODE profiles are expressed through three elementary primitives
 
 whose inverses G_p, J_p, L_p enter the solution formulas.  They are never
 computed from a hypergeometric series: each primitive is tabulated by
-quadrature after the substitution s = endpoint -/+ sigma^2 that removes the
-inverse-square-root endpoint singularity, then inverted by monotone cubic
-interpolation plus Newton polish against locally requadratured values.
+composite Gauss-Legendre quadrature after the substitution
+s = endpoint -/+ sigma^2 that removes the inverse-square-root endpoint
+singularity (graded toward the one end where the integrand is only C^1).
+Values between nodes come from a local Gauss rule from the nearest node
+below; inverses start from linear interpolation of the table and take two
+Newton steps against those local values.  Only numpy and the standard
+library are used.
 A `ProfileTable` exposes `forward` and `invert` plus two public fields,
 `domain` (the z-interval) and `y_max` (the primitive's largest value);
 tables are built to the quadrature budget TABLE_TOL = 1e-10.
@@ -40,6 +44,7 @@ also enforced by the residual oracle below):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -257,9 +262,8 @@ def endpoint_A(a: float, p: float) -> float:
     """A_p = a^(1/(p+1) - 1/2) sqrt(pi) Gamma(1 + 1/(p+1)) / Gamma(1/2 + 1/(p+1))."""
     if a <= 0.0:
         raise DomainError(f"endpoint formula needs a > 0, got {a}")
-    from scipy.special import gamma as gamma_fn
     q = 1.0 / (p + 1.0)
-    return a ** (q - 0.5) * math.sqrt(math.pi) * gamma_fn(1.0 + q) / gamma_fn(0.5 + q)
+    return a ** (q - 0.5) * math.sqrt(math.pi) * math.gamma(1.0 + q) / math.gamma(0.5 + q)
 
 
 def ball_radius_from_a(a: float, p: float) -> float:
@@ -276,6 +280,8 @@ def ball_a_from_radius(R: float, p: float) -> float:
 
 # quadrature budget of every profile table
 TABLE_TOL = 1e-10
+# halvings of the graded rule on the one C^1 interval of each table
+_GRADE_LEVELS = 40
 
 
 class ProfileTable:
@@ -289,11 +295,13 @@ class ProfileTable:
 
     which turns the inverse-square-root endpoint singularities of H and K
     into smooth positive integrands f(sigma) = dT/dsigma, tabulated
-    cumulatively on a uniform sigma grid.  Values and inverses are served
-    by monotone cubic interpolation in sigma; `invert` additionally does
-    Newton polish against locally requadratured cumulative values, so the
-    budget is set by the table construction (~1e-12) rather than by the
-    interpolant.
+    cumulatively on a uniform sigma grid by 12-point Gauss-Legendre per
+    interval.  The one interval where f is only C^1 (the z = 0 end of H
+    and I) is split into pieces that halve toward that end (`_graded`).
+    `forward` adds to the nearest node below a 5-point Gauss rule up to
+    sigma (`_local_T`); `invert` starts from `np.interp` on the table and
+    takes two Newton steps against the same local values, so the budget is
+    set by the table construction (~1e-12), not by an interpolant.
 
     Public fields: `domain` (z-interval) and `y_max` (largest value of the
     primitive, the Gamma-formula endpoint A_p for H).
@@ -332,11 +340,8 @@ class ProfileTable:
             self.z_hi = float(z_max)
             sigma_end = math.sqrt(self.z_hi - self.z_lo)
 
-        from scipy.interpolate import PchipInterpolator
         self.sigma = np.linspace(0.0, sigma_end, n + 1)
         self._tabulate()
-        self._pchip_T = PchipInterpolator(self.sigma, self.T)
-        self._pchip_sigma = PchipInterpolator(self.T, self.sigma)
         self.domain = (self.z_lo, self.z_hi)
         self.y_max = float(self.T[-1])
         if kind == "H":
@@ -369,8 +374,33 @@ class ProfileTable:
         small = s_arr < 1e-9 * max(1.0, self.z_lo)
         return np.where(small, lim, out)
 
+    def _graded(self, lo: float, hi: float, weak_hi: bool) -> float:
+        """Integral of _f over [lo, hi] when _f is only C^1 at one end.
+
+        Composite Gauss-Legendre on pieces that halve toward the weak end,
+        _GRADE_LEVELS of them plus the remaining sliver, all evaluated in
+        one call.  The sum with half as many levels must agree to
+        100 * TABLE_TOL.
+        """
+        levels = _GRADE_LEVELS
+        # distances from the weak end: piece k spans [d[k+1], d[k]]; the
+        # last two rows are the slivers [0, d[levels // 2]] and [0, d[levels]]
+        d = (hi - lo) * 0.5 ** np.arange(levels + 1)
+        far = np.concatenate((d[:-1], d[[levels // 2, levels]]))
+        near = np.concatenate((d[1:], [0.0, 0.0]))
+        half = 0.5 * (far - near)
+        dist = (0.5 * (far + near))[:, None] + half[:, None] * _GL_NODES[None, :]
+        pts = hi - dist if weak_hi else lo + dist
+        parts = (self._f(pts.ravel()).reshape(dist.shape) @ _GL_WEIGHTS) * half
+        fine = float(np.sum(parts[:levels]) + parts[levels + 1])
+        coarse = float(np.sum(parts[:levels // 2]) + parts[levels])
+        if not math.isfinite(fine) or abs(fine - coarse) > 100.0 * TABLE_TOL:
+            raise NumericError(
+                f"graded quadrature failed on the weak end of the "
+                f"{self.kind}-profile")
+        return fine
+
     def _tabulate(self) -> None:
-        from scipy.integrate import quad
         s = self.sigma
         n = len(s) - 1
         mid = 0.5 * (s[:-1] + s[1:])
@@ -379,22 +409,12 @@ class ProfileTable:
         pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
         vals = self._f(pts.ravel()).reshape(n, len(_GL_NODES))
         incr = (vals @ _GL_WEIGHTS) * half
-        # intervals touching an endpoint where the integrand is only C^1
-        # (the s -> 0 end of the original variable) get adaptive quadrature
-        weak = []
+        # the interval touching the end where the integrand is only C^1
+        # (the s -> 0 end of the original variable) gets graded quadrature
         if self.kind == "H":
-            weak = [n - 1]
+            incr[n - 1] = self._graded(s[n - 1], s[n], weak_hi=True)
         elif self.kind == "I":
-            weak = [0]
-        for j in weak:
-            out = quad(lambda q: float(self._f(np.array([q]))[0]),
-                       s[j], s[j + 1], epsabs=1e-14, epsrel=1e-12,
-                       limit=200, full_output=1)
-            val, err = out[0], out[1]
-            if not np.isfinite(val) or err > 100.0 * TABLE_TOL:
-                raise NumericError(
-                    f"quadrature failed on interval {j} of {self.kind}-profile")
-            incr[j] = val
+            incr[0] = self._graded(s[0], s[1], weak_hi=False)
         self.T = np.concatenate(([0.0], np.cumsum(incr)))
 
     # ── coordinate maps ──────────────────────────────────────────────
@@ -428,7 +448,7 @@ class ProfileTable:
             raise DomainError(
                 f"{self.kind}-profile argument outside [{self.z_lo}, {self.z_hi}]")
         z_arr = np.clip(z_arr, self.z_lo, self.z_hi)
-        y = self._flip(self._pchip_T(self._sigma_of_z(z_arr)))
+        y = self._flip(self._local_T(self._sigma_of_z(z_arr)))
         y = np.clip(y, 0.0, None)
         return float(y[0]) if scalar else y
 
@@ -459,8 +479,7 @@ class ProfileTable:
                 f"{self.kind}-profile")
         y_arr = np.clip(y_arr, 0.0, self.y_max)
         T_target = self._flip(y_arr)
-        s = self._pchip_sigma(T_target)
-        s = np.clip(s, self.sigma[0], self.sigma[-1])
+        s = np.interp(T_target, self.T, self.sigma)
         for _ in range(2):
             resid = self._local_T(s) - T_target
             fs = self._f(s)
@@ -658,6 +677,16 @@ def sample_field(spec: ExactSolutionSpec, grid: GridSpec, t: float,
 
 # ── Residual oracles ─────────────────────────────────────────────────────
 
+def _wet_interior(u: np.ndarray) -> np.ndarray:
+    """Interior nodes whose whole 3^d neighbourhood is positive (an AND of
+    the 3^d shifted interior views; no interior stencil leaves the grid)."""
+    pos = u > 0.0
+    wet = np.ones(tuple(n - 2 for n in u.shape), dtype=bool)
+    for off in itertools.product((0, 1, 2), repeat=u.ndim):
+        wet &= pos[tuple(slice(o, n - 2 + o) for o, n in zip(off, u.shape))]
+    return wet
+
+
 def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
                  threshold_frac: float = 0.05, tau_scale: float = 0.1,
                  params: Params | None = None) -> tuple:
@@ -692,9 +721,7 @@ def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
         ratio = np.where(g2 > 0.0, num / np.where(g2 > 0.0, g2, 1.0), 0.0)
     rhs = params.eps * lap + params.k * np.abs(c0) * ratio + g2
     res = rhs - ut[inter]
-    from scipy.ndimage import minimum_filter
-    wet = (minimum_filter(u0, size=3, mode="constant", cval=0.0)[inter] > 0.0)
-    wet &= (up[inter] > 0.0) & (um[inter] > 0.0)
+    wet = _wet_interior(u0) & (up[inter] > 0.0) & (um[inter] > 0.0)
     mask = (c0 > threshold_frac * float(np.max(u0))) & (g2 > 0.0) & wet
     if not np.any(mask):
         raise DomainError("residual mask is empty on this grid")

@@ -48,7 +48,9 @@ def snapshot_text(field: ScalarField) -> str:
                     h=",".join(_fmt(v) for v in g.h),
                     o=",".join(_fmt(v) for v in g.origin),
                     t=_fmt(field.t), q=field.quantity))
-    body = "\n".join(_fmt(v) for v in field.values.ravel(order="C"))
+    # row by row: each row's floats are alive only while it is formatted
+    rows = field.values.reshape(-1, g.n[-1])
+    body = "\n".join("\n".join(map(repr, row.tolist())) for row in rows)
     return head + "\n" + body + "\n"
 
 
@@ -98,7 +100,23 @@ def parse_snapshot_text(text: str, name: str = "<snapshot>") -> ScalarField:
     except DomainError as exc:
         raise SnapshotFormatError(f"{name}:1: {exc}") from exc
 
-    want = grid.size
+    # fast path for a well-formed body: one value on every line
+    try:
+        vals = np.fromiter(map(float, lines[1:]), dtype=float,
+                           count=len(lines) - 1)
+    except ValueError:
+        vals = None
+    if vals is None or vals.size != grid.size:
+        vals = _parse_values(lines, grid.size, name)
+    try:
+        return ScalarField(grid=grid, values=vals, t=t, quantity=quantity)
+    except DomainError as exc:
+        raise SnapshotFormatError(f"{name}: {exc}") from exc
+
+
+def _parse_values(lines: list, want: int, name: str) -> np.ndarray:
+    """Line-by-line body parse that names the first offending line;
+    blank lines are skipped."""
     vals = np.empty(want)
     count = 0
     for lineno, line in enumerate(lines[1:], start=2):
@@ -117,10 +135,7 @@ def parse_snapshot_text(text: str, name: str = "<snapshot>") -> ScalarField:
     if count != want:
         raise SnapshotFormatError(
             f"{name}:{len(lines)}: got {count} values, expected {want}")
-    try:
-        return ScalarField(grid=grid, values=vals, t=t, quantity=quantity)
-    except DomainError as exc:
-        raise SnapshotFormatError(f"{name}: {exc}") from exc
+    return vals
 
 
 def read_snapshot(path: str) -> ScalarField:

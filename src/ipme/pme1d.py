@@ -63,6 +63,12 @@ class RadialProblem:
             raise DomainError("initial profile size does not match the grid")
         if np.any(self.initial < 0.0):
             raise DomainError("initial density must be nonnegative")
+        # a constant edge is checked here, a callable one on every step
+        for which, value in (("left", self.left), ("right", self.right)):
+            if value is not None and not callable(value) \
+                    and not 0.0 <= float(value) < math.inf:
+                raise DomainError(f"{which} edge value must be finite and "
+                                  f"nonnegative, got {value}")
 
     def _edge(self, which: str, t: float) -> float:
         spec = self.left if which == "left" else self.right

@@ -5,6 +5,7 @@ Everything drives `cli.main(argv)` in-process; outputs land in pytest
 tmp dirs and diagnostics are read back through capsys.
 """
 
+import math
 import pathlib
 import tempfile
 import warnings
@@ -237,12 +238,15 @@ output: %s
         assert not out.exists()
 
     def test_nan_threshold_fails_the_gate(self, tmp_path, capsys):
+        # a non-finite threshold is rejected with the other non-finite
+        # leaves, before the solve, so no run directory is written
         rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
                        "--set", f"output={tmp_path / 'run'}",
                        "--set", "regression_threshold=.nan"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("IPME-E13:") and err.count("IPME-E") == 1
+        assert capsys.readouterr().err == (
+            "IPME-E10: regression_threshold must be finite, got nan\n")
+        assert not (tmp_path / "run").exists()
 
     def test_nan_error_statistic_fails_the_gate(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -528,7 +532,7 @@ def _scalar_leaves(schema, path=""):
     for key, want in schema.items():
         if isinstance(want, dict):
             yield from _scalar_leaves(want, f"{path}{key}.")
-        elif want is not cli._LIST:
+        elif not isinstance(want, list):
             yield path + key
 
 
@@ -555,6 +559,9 @@ t_end: 0.05
 @example([("c", "null")])
 @example([("data.radius", "0")])
 @example([("eps", "true")])
+# leaves a Dirichlet bump never reads are checked all the same
+@example([("data.value", ".nan"), ("cauchy.M", "-1")])
+@example([("data.slope", ".inf")])
 def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
     # every input either runs or ends in exactly one specific IPME-E line:
     # never the generic IPME-E1 of an unexpected exception, never a
@@ -580,6 +587,25 @@ def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
     if "true" in dict(overrides).values():
         # a YAML bool is no scalar leaf's type (bool subclasses int)
         assert rc == 1 and diagnostics[0].startswith("IPME-E50:"), overrides
+    if rc != 1:
+        # the recorded config holds only typed, finite numbers
+        man = yaml.safe_load((run / "out" / "manifest.yaml").read_text())
+        _assert_numbers_typed(man["config"], cli.SCHEMA)
+
+
+def _assert_numbers_typed(node, schema, path=""):
+    for key, val in node.items():
+        want = schema[key]
+        if isinstance(want, dict):
+            _assert_numbers_typed(val, want, f"{path}{key}.")
+            continue
+        elem = want[0] if isinstance(want, list) else want
+        if elem is str:
+            continue
+        for v in val if isinstance(want, list) else [val]:
+            assert type(v) in ((int,) if elem is int else (int, float)), \
+                (path + key, v)
+            assert math.isfinite(v), (path + key, v)
 
 
 @pytest.mark.parametrize("key", ["eps", "data.height", "boundary.value",
@@ -602,6 +628,50 @@ def test_bool_leaf_is_a_config_error(tmp_path, capsys, key, value):
     assert rc == 1
     assert capsys.readouterr().err == (
         f"IPME-E50: {key!r} has the wrong type (bool)\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n,diagnostic", [
+    ("[9, 1]", "IPME-E10: need at least 3 nodes per axis, got (9, 1)"),
+    ("[2, 9]", "IPME-E10: need at least 3 nodes per axis, got (2, 9)"),
+    ("[9, 9.5]", "IPME-E50: 'grid.n[1]' has the wrong type (float)"),
+    ("[9, true]", "IPME-E50: 'grid.n[1]' has the wrong type (bool)"),
+    ("[null, 9]", "IPME-E50: 'grid.n[0]' has the wrong type (null)"),
+    ("[9, '9']", "IPME-E50: 'grid.n[1]' has the wrong type (str)"),
+])
+def test_grid_node_counts_checked_entry_by_entry(tmp_path, capsys, n,
+                                                  diagnostic):
+    cfg = FUZZ_YAML.replace("n: [9, 9]", f"n: {n}")
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", cfg),
+                   "--set", f"output={tmp_path / 'out'}"])
+    assert rc == 1
+    assert capsys.readouterr().err == diagnostic + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("corner,key", [
+    ("lo: [-1.0, .nan]", "grid.lo[1]"), ("lo: [-.inf, -1.0]", "grid.lo[0]"),
+    ("hi: [1.0, .inf]", "grid.hi[1]")])
+def test_grid_corners_must_be_finite(tmp_path, capsys, corner, key):
+    axis = corner[:2]
+    cfg = FUZZ_YAML.replace(
+        "lo: [-1.0, -1.0]" if axis == "lo" else "hi: [1.0, 1.0]", corner)
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", cfg),
+                   "--set", f"output={tmp_path / 'out'}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"IPME-E10: {key} must be finite, got ")
+    assert err.count("IPME-E") == 1
+
+
+def test_unread_leaves_are_checked(tmp_path, capsys):
+    # a Dirichlet bump reads neither data.value nor the cauchy section
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", FUZZ_YAML),
+                   "--set", f"output={tmp_path / 'out'}",
+                   "--set", "data.value=.nan", "--set", "cauchy.M=-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "IPME-E10: data.value must be finite, got nan\n")
     assert not (tmp_path / "out").exists()
 
 

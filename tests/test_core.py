@@ -57,6 +57,18 @@ class TestGridSpec:
         with pytest.raises(DomainError, match="at least 3 nodes"):
             GridSpec.box((0.0,), (1.0,), (2,))
 
+    def test_box_checks_node_counts_before_dividing(self):
+        # one node would make the spacing (hi - lo) / 0
+        with pytest.raises(DomainError, match="at least 3 nodes"):
+            GridSpec.box((0.0, 0.0), (1.0, 1.0), (9, 1))
+
+    @pytest.mark.parametrize("lo,hi", [((np.nan,), (1.0,)),
+                                       ((0.0,), (np.inf,)),
+                                       ((-np.inf,), (1.0,))])
+    def test_box_rejects_non_finite_corners(self, lo, hi):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec.box(lo, hi, (5,))
+
     def test_rejects_dim_four(self):
         with pytest.raises(DomainError, match="dimension must be 1..3"):
             GridSpec.box((0.0,) * 4, (1.0,) * 4, (5,) * 4)

@@ -1,6 +1,9 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from ipme.core import GridSpec, DomainError, density_from_pressure
 from ipme import exact
@@ -69,6 +72,7 @@ class TestSeparableBall:
         np.testing.assert_allclose(2.0 * u2, u1, rtol=1e-12)
 
     def test_radius_from_a_matches_quadrature(self):
+        quad = pytest.importorskip("scipy.integrate").quad
         # independent oracle: in the table variable the first integral is
         # g'(z)^2 = a - g^(p+1), and radius relates to that variable by
         # r = z * sqrt((p+1)/2), so R = sqrt((p+1)/2) * int dg / sqrt(...)
@@ -103,7 +107,7 @@ def test_residual_reproduces_pinned_c01_values():
         (exact.barenblatt(2.0, R=1.0), (-1.5, -1.5), (1.5, 1.5), 193,
          (3.1610903217238473e-07, 12240)),
         (exact.separable_ball(3.0, a=1.0), (-0.5, -0.5), (0.5, 0.5), 33,
-         (0.0001258811271923621, 960)),
+         (0.0001258811270130611, 960)),
     )
     for spec, lo, hi, n, want in cases:
         assert exact.pde_residual(spec, GridSpec.box(lo, hi, (n, n)),
@@ -164,6 +168,33 @@ class TestProfileTables:
             back = tab.invert(tab.forward(z))
             assert np.max(np.abs(back - z)) < 1e-9
 
+    def test_forward_inverts_invert_to_rounding(self):
+        # forward is the same local Gauss rule the Newton polish of invert
+        # converges against, so the round trip closes far below TABLE_TOL
+        for build, args in ((exact.build_H_profile, (1.0, 0.5)),
+                            (exact.build_H_profile, (0.3, 1.0 / 3.0)),
+                            (exact.build_I_profile, (1.0, 0.5, 2.0)),
+                            (exact.build_K_profile, (-1.0, 2.0 / 3.0, 2.0))):
+            tab = build(*args)
+            y = np.linspace(0.0, tab.y_max, 1001)
+            assert np.max(np.abs(tab.forward(tab.invert(y)) - y)) <= 1e-12
+
+    @pytest.mark.parametrize("kind,a,p,z_max", [
+        ("H", 1.0, 0.5, None), ("H", 0.3, 1.0 / 3.0, None),
+        ("I", 1.0, 0.5, 2.0), ("I", 2.0, 2.0 / 3.0, 5.0)])
+    def test_graded_weak_interval_matches_adaptive_quadrature(
+            self, kind, a, p, z_max):
+        # scipy's adaptive quad is an independent oracle for the one C^1
+        # interval of each table
+        quad = pytest.importorskip("scipy.integrate").quad
+        tab = exact.ProfileTable(kind, a, p, z_max=z_max)
+        j = len(tab.sigma) - 2 if kind == "H" else 0
+        lo, hi = tab.sigma[j], tab.sigma[j + 1]
+        want = quad(lambda s: float(tab._f(np.array([s]))[0]), lo, hi,
+                    epsabs=1e-15, epsrel=1e-14, limit=200)[0]
+        assert abs(tab._graded(lo, hi, weak_hi=kind == "H") - want) <= 1e-13
+        assert tab.T[j + 1] - tab.T[j] == pytest.approx(want, abs=1e-15)
+
     def test_ode_residual_vanishes_under_refinement(self):
         for kind, a, zmax in (("H", 1.0, None), ("I", 1.0, 2.0), ("K", -1.0, 2.0)):
             res = [exact.ode_residual(
@@ -206,22 +237,55 @@ class TestSampling:
         assert 0 < cnt < wet
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported where a profile table, a Gamma constant or the
-    # residual's wet mask needs it, not when the CLI or the asymptotics
-    # module loads
-    import os
-    import subprocess
-    import sys
+def test_wet_mask_is_the_positive_3x3_minimum():
+    # the shifted-view AND equals a zero-padded 3^d minimum filter > 0
+    # on interior nodes, in 2-d and 3-d
+    minimum_filter = pytest.importorskip("scipy.ndimage").minimum_filter
+    rng = np.random.default_rng(7)
+    for shape in ((17, 23), (9, 11, 13), (3, 3), (40, 40)):
+        u = rng.uniform(-0.2, 1.0, size=shape)
+        u[rng.uniform(size=shape) < 0.1] = 0.0
+        want = minimum_filter(u, size=3, mode="constant",
+                              cval=0.0)[(slice(1, -1),) * len(shape)] > 0.0
+        np.testing.assert_array_equal(exact._wet_interior(u), want)
 
+
+def _run_python(code: str, block_scipy: bool) -> subprocess.CompletedProcess:
+    """Run `code` in a fresh interpreter, optionally one in which
+    `import scipy` fails."""
     import ipme
     src = os.path.dirname(os.path.dirname(os.path.abspath(ipme.__file__)))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, ipme.cli, ipme.asymptotics; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
+    if block_scipy:
+        code = "import sys; sys.modules['scipy'] = None; " + code
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_unloaded():
+    # no module of the package imports scipy, not even to build a table
+    out = _run_python(
+        "import sys, ipme.cli, ipme.asymptotics, ipme.verify; "
+        "from ipme import exact; exact.build_H_profile(1.0, 0.5); "
+        "print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))", block_scipy=False)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_exact_ball_and_verify_run_without_scipy(tmp_path):
+    cfg = tmp_path / "ball.yaml"
+    cfg.write_text(
+        "output: %s\n"
+        "exact: {family: separable-ball, m: 2.0, R: 0.5, t: 1.0}\n"
+        "grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [33, 33]}\n"
+        % (tmp_path / "out"))
+    out = _run_python(
+        "from ipme import cli; "
+        "sys.exit(cli.main(['exact', %r]) or cli.main(['verify']))" % str(cfg),
+        block_scipy=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert (tmp_path / "out" / "u_0000.snap").exists()
+    assert "19/19 cases passed" in out.stdout

@@ -59,6 +59,18 @@ class TestSnapshotRoundtrip:
         assert lines[1:] == [repr(float(v)) for v in range(9)]
 
 
+    def test_body_bytes_match_per_value_repr(self):
+        # the body is one shortest round-trip repr per value, the same
+        # bytes as formatting each value on its own
+        rng = np.random.default_rng(3)
+        specials = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 0.0, -1.5e300, 2.0 ** 53]
+        for vals in (rng.standard_normal(9) * 10.0 ** rng.integers(-30, 30, 9),
+                     rng.uniform(-1.0, 1.0, 9), specials[:9] + [1.0]):
+            field = field_of(np.asarray(vals, dtype=float)[:9])
+            body = io.snapshot_text(field).splitlines()[1:]
+            assert body == [repr(float(v)) for v in field.values.ravel()]
+
+
 class TestSnapshotParsing:
 
     def header(self):
@@ -111,6 +123,22 @@ class TestSnapshotParsing:
         bad = text.replace("\n0.0", "\n-1.0", 1)
         with pytest.raises(SnapshotFormatError, match="negative"):
             io.parse_snapshot_text(bad)
+
+    @pytest.mark.parametrize("body,message", [
+        ("0.0\n" * 8, "s.snap:9: got 8 values, expected 9"),
+        ("0.0\n" * 8 + "   \n", "s.snap:10: got 8 values, expected 9"),
+        ("", "s.snap:1: got 0 values, expected 9"),
+        ("0.0\n" * 10, "s.snap:11: more than 9 values"),
+        ("0.0\n" * 9 + "\n \n1.0\n", "s.snap:13: more than 9 values"),
+        ("0.0\n" * 4 + "zero\n" + "0.0\n" * 4, "s.snap:6: bad value 'zero'"),
+        ("\n" + "0.0\n" * 4 + " x1 \n" + "0.0\n" * 4,
+         "s.snap:7: bad value 'x1'"),
+        ("0.0 1.0\n" + "0.0\n" * 8, "s.snap:2: bad value '0.0 1.0'"),
+    ])
+    def test_body_errors_name_the_offending_line(self, body, message):
+        with pytest.raises(SnapshotFormatError) as info:
+            io.parse_snapshot_text(self.header() + "\n" + body, name="s.snap")
+        assert str(info.value) == message
 
     def test_blank_lines_ignored(self):
         text = self.header() + "\n\n" + "0.0\n" * 4 + "\n" + "0.0\n" * 5

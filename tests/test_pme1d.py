@@ -35,6 +35,22 @@ class TestValidation:
         with pytest.raises(DomainError, match="boundary kind"):
             RadialProblem(m=2.0, grid=g, initial=np.zeros(17), boundary="robin")
 
+    @pytest.mark.parametrize("edge", ["left", "right"])
+    @pytest.mark.parametrize("value", [-0.1, np.nan, np.inf])
+    def test_rejects_bad_constant_edge_at_construction(self, edge, value):
+        # such an edge was clipped on every step and failed only at the end
+        with pytest.raises(DomainError, match=f"{edge} edge value"):
+            RadialProblem(m=2.0, grid=line_grid(17), initial=np.zeros(17),
+                          boundary="dirichlet", **{edge: value})
+
+    def test_callable_edge_is_checked_per_step(self):
+        # a callable edge is only known step by step, and is vetted there
+        prob = RadialProblem(m=2.0, grid=line_grid(17), initial=np.zeros(17),
+                             boundary="dirichlet",
+                             left=lambda t: np.nan if t > 0.0 else 0.0)
+        with pytest.raises(InstabilityError, match="non-finite"):
+            pme1d_solve(prob, t_end=0.01)
+
     def test_rejects_bad_time_window(self):
         g = line_grid(17)
         prob = RadialProblem(m=2.0, grid=g, initial=np.zeros(17),
