@@ -30,7 +30,7 @@ from .operators import inf_lap_field
 __all__ = [
     "FreeBoundaryTrace", "RateFit", "FriendlyGiantResult",
     "track_support", "fit_rate", "benilan_crandall_check",
-    "rescale_v", "rescale_v_inverse", "friendly_giant",
+    "rescale_v", "friendly_giant",
     "eigen_residual", "aleksandrov_check", "barenblatt_convergence",
     "trace_rows",
 ]
@@ -186,16 +186,6 @@ def rescale_v(u: ScalarField, params: Params) -> ScalarField:
     return ScalarField(grid=u.grid, values=vals, t=tau, quantity="v")
 
 
-def rescale_v_inverse(v: ScalarField, params: Params) -> ScalarField:
-    """Invert rescale_v: recover the pressure snapshot at t = e^{(m-1) tau}."""
-    if v.quantity != "v":
-        raise DomainError(f"expected quantity 'v', got {v.quantity!r}")
-    alpha = (params.m - 1.0) ** 2 / params.m
-    t = math.exp((params.m - 1.0) * v.t)
-    vals = v.values ** (params.m - 1.0) / (alpha * t)
-    return ScalarField(grid=v.grid, values=vals, t=t, quantity="u")
-
-
 @dataclass
 class FriendlyGiantResult:
     """Distance of t*u(t) to its large-time limit.
@@ -343,16 +333,9 @@ def barenblatt_convergence(snapshots: Sequence[ScalarField], R_estimate: float,
     return np.asarray(times), np.asarray(errs)
 
 
-def trace_rows(trace: FreeBoundaryTrace,
-               extra: Optional[dict] = None) -> tuple:
+def trace_rows(trace: FreeBoundaryTrace) -> tuple:
     """CSV header and rows for a support trace (io.write_trace_csv input)."""
     header = ["t", "r_inner", "r_outer", "empty"]
-    keys = sorted(extra) if extra else []
-    header += keys
-    rows = []
-    for i in range(len(trace.times)):
-        row = [trace.times[i], trace.r_inner[i], trace.r_outer[i],
-               int(trace.empty[i])]
-        row += [extra[k][i] for k in keys]
-        rows.append(row)
+    rows = [[t, ri, ro, int(e)] for t, ri, ro, e in
+            zip(trace.times, trace.r_inner, trace.r_outer, trace.empty)]
     return header, rows

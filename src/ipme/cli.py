@@ -27,8 +27,7 @@ import yaml
 
 from . import asymptotics, exact, io, verify
 from .core import (BoundaryData, ConfigError, DomainError, GridSpec,
-                   IpmeError, NumericError, Params, RegularizationSchedule,
-                   ScalarField)
+                   IpmeError, NumericError, Params, RegularizationSchedule)
 from .solver import (CauchyProblem, DirichletProblem, ball_mask,
                      solve_cauchy, solve_dirichlet, solve_maximal)
 
@@ -62,6 +61,24 @@ SCHEMA = {
              "r_max": _NUM, "floor": _NUM, "center": [_NUM],
              "ball_radius": _NUM, "R_estimate": _NUM, "m": _NUM},
     "verify": {"suites": [str], "fault": str},
+}
+
+# the range each leaf's readers (Params, the problem classes, ball_mask,
+# the schedule, the exact families) enforce; `_check_keys` applies it to
+# every leaf present, read or not, and to each entry of a list leaf
+_ABOVE_ONE = ("exceed 1", lambda v: v > 1.0)
+_POSITIVE = ("be positive", lambda v: v > 0.0)
+_NONNEGATIVE = ("be >= 0", lambda v: v >= 0.0)
+RANGES = {
+    "m": _ABOVE_ONE, "eps": _NONNEGATIVE, "delta": _NONNEGATIVE,
+    "c": _NONNEGATIVE, "t_end": _POSITIVE, "domain.radius": _POSITIVE,
+    "data.radius": _POSITIVE, "data.R": _POSITIVE, "data.speed": _POSITIVE,
+    "schedule.eps_list": _POSITIVE, "schedule.delta_list": _POSITIVE,
+    "schedule.n_list": ("be >= 1", lambda v: v >= 1),
+    "cauchy.M": _NONNEGATIVE, "cauchy.r": _POSITIVE,
+    "exact.m": _ABOVE_ONE, "exact.speed": _POSITIVE, "exact.R1": _NONNEGATIVE,
+    "asym.m": _ABOVE_ONE, "asym.ball_radius": _POSITIVE,
+    "asym.R_estimate": _POSITIVE,
 }
 
 DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
@@ -103,7 +120,8 @@ def _leaves(cfg: dict, schema: dict, path: str = ""):
 
 def _check_keys(cfg: dict) -> None:
     """Type-check every leaf (IPME-E50), then check every number is finite
-    (IPME-E10), whether or not the chosen command reads the leaf."""
+    and within its RANGES entry (IPME-E10), whether or not the chosen
+    command reads the leaf."""
     leaves = list(_leaves(cfg, SCHEMA))
     for here, val, want in leaves:
         # a YAML null is no leaf's type, and neither is a YAML bool,
@@ -114,6 +132,10 @@ def _check_keys(cfg: dict) -> None:
     for here, val, _ in leaves:
         if isinstance(val, float) and not math.isfinite(val):
             raise DomainError(f"{here} must be finite, got {val}")
+    for here, val, _ in leaves:
+        rule = RANGES.get(here.partition("[")[0])
+        if rule and isinstance(val, _NUM) and not rule[1](val):
+            raise DomainError(f"{here} must {rule[0]}, got {val}")
 
 
 def load_config(path: Optional[str]) -> dict:
@@ -248,8 +270,6 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     elif kind == "bump":
         height = _finite(data, "height", 0.5)
         radius = _finite(data, "radius", 0.2)
-        if radius <= 0.0:
-            raise DomainError(f"data.radius must be positive, got {radius}")
 
         def u0_fn(X):
             r2 = np.sum(X * X, axis=1)
@@ -466,7 +486,7 @@ def cmd_asym(cfg: dict) -> int:
     tasks = list(acfg.get("tasks") or ["support", "rate"])
     floor = float(acfg.get("floor", 0.0))
     center = acfg.get("center")
-    r_max = acfg.get("r_max")
+    r_max = float(acfg["r_max"]) if "r_max" in acfg else None
     m = acfg.get("m")
     params = Params(m=float(m)) if m is not None else None
     summary: dict = {"format": "ipme-asym v1", "tasks": tasks}
@@ -475,7 +495,7 @@ def cmd_asym(cfg: dict) -> int:
     if "support" in tasks or "rate" in tasks:
         trace = asymptotics.track_support(
             snaps, threshold=acfg.get("threshold"), center=center,
-            r_max=None if r_max is None else float(r_max), floor=floor)
+            r_max=r_max, floor=floor)
         header, rows = asymptotics.trace_rows(trace)
         io.write_trace_csv(os.path.join(outdir, "support_trace.csv"),
                            header, rows)
@@ -516,13 +536,12 @@ def cmd_asym(cfg: dict) -> int:
             if fit is None:
                 tr = asymptotics.track_support(
                     snaps, threshold=acfg.get("threshold"), center=center,
-                    r_max=None if r_max is None else float(r_max),
-                    floor=floor)
+                    r_max=r_max, floor=floor)
                 fit = asymptotics.fit_rate(tr.times, tr.r_outer)
             R_est = fit.amplitude
         ts, errs = asymptotics.barenblatt_convergence(
             snaps, float(R_est), params, floor=floor, center=center,
-            r_max=None if r_max is None else float(r_max))
+            r_max=r_max)
         io.write_trace_csv(os.path.join(outdir, "barenblatt_curve.csv"),
                            ["t", "e"], [[t, e] for t, e in zip(ts, errs)])
         summary["barenblatt"] = {"R_estimate": float(R_est),
@@ -578,9 +597,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-def console() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console()
+    sys.exit(main())

@@ -154,8 +154,11 @@ class GridSpec:
             raise DomainError("n, h, origin must have equal length")
         if any(v < 3 for v in self.n):
             raise DomainError(f"need at least 3 nodes per axis, got {self.n}")
-        if any(v <= 0.0 for v in self.h):
-            raise DomainError(f"spacings must be positive, got {self.h}")
+        if not all(v > 0.0 and math.isfinite(v) for v in self.h):
+            raise DomainError(f"spacings must be positive and finite, "
+                              f"got {self.h}")
+        if not all(map(math.isfinite, self.origin)):
+            raise DomainError(f"origin must be finite, got {self.origin}")
 
     @staticmethod
     def box(lo: Sequence[float], hi: Sequence[float], n: Sequence[int]) -> "GridSpec":
@@ -187,19 +190,16 @@ class GridSpec:
         return [self.origin[i] + self.h[i] * np.arange(self.n[i])
                 for i in range(self.dim)]
 
-    def meshgrid(self) -> list:
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
-
     def points(self) -> np.ndarray:
         """All node coordinates, shape (size, dim), row-major node order."""
-        mesh = self.meshgrid()
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def radii(self, center: Sequence[float] | None = None) -> np.ndarray:
         """Distance of every node from `center` (default: coordinate origin)."""
         if center is None:
             center = (0.0,) * self.dim
-        mesh = self.meshgrid()
+        mesh = np.meshgrid(*self.axes(), indexing="ij")
         r2 = np.zeros(self.shape)
         for i in range(self.dim):
             r2 += (mesh[i] - center[i]) ** 2
@@ -255,12 +255,6 @@ class ScalarField:
         if np.any(~np.isfinite(self.values)):
             raise DomainError("field values must be finite")
 
-    @staticmethod
-    def from_function(grid: GridSpec, fn: Callable, t: float,
-                      quantity: str = "u") -> "ScalarField":
-        vals = fn(grid.points()).reshape(grid.shape)
-        return ScalarField(grid=grid, values=vals, t=t, quantity=quantity)
-
     def copy(self) -> "ScalarField":
         return ScalarField(self.grid, self.values.copy(), self.t, self.quantity)
 
@@ -297,39 +291,6 @@ class BoundaryData:
         return BoundaryData(initial=u0, lateral=g,
                             time_dependent=time_dependent)
 
-    @staticmethod
-    def from_samples(times: Sequence[float], values: Sequence[np.ndarray],
-                     initial: np.ndarray, grid: GridSpec) -> "BoundaryData":
-        """Tabulated lateral data on the box boundary nodes.
-
-        `values[i]` holds g at boundary nodes (row-major boundary order)
-        at `times[i]`; interpolation between table times is linear, and
-        the table is held constant beyond its ends.
-        """
-        times = np.asarray(times, dtype=float)
-        table = np.asarray(values, dtype=float)
-        if times.ndim != 1 or len(times) < 1 or table.shape[0] != len(times):
-            raise DomainError("sampled boundary needs one value row per time")
-        if np.any(np.diff(times) <= 0):
-            raise DomainError("sample times must increase strictly")
-        init = np.asarray(initial, dtype=float).ravel()
-
-        def g(X, t):
-            j = np.searchsorted(times, t)
-            if j == 0:
-                return table[0].copy()
-            if j >= len(times):
-                return table[-1].copy()
-            w = (t - times[j - 1]) / (times[j] - times[j - 1])
-            return (1.0 - w) * table[j - 1] + w * table[j]
-
-        def u0(X):
-            return init.copy()
-
-        return BoundaryData(initial=u0, lateral=g, kind="dirichlet-sampled",
-                            time_dependent=len(times) > 1)
-
-
 # ── Regularization schedule ──────────────────────────────────────────────
 
 @dataclass(frozen=True)
@@ -356,19 +317,6 @@ class RegularizationSchedule:
             raise DomainError("n_list entries must be >= 1")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise DomainError("n_list must increase strictly")
-
-    @staticmethod
-    def default() -> "RegularizationSchedule":
-        return RegularizationSchedule(
-            eps_list=(1e-1, 3e-2, 1e-2, 3e-3, 1e-3),
-            delta_list=(1e-1, 1e-2, 1e-3),
-            n_list=(1, 2, 4, 8, 16),
-        )
-
-    @staticmethod
-    def single(eps: float, delta: float, n: int | None = None) -> "RegularizationSchedule":
-        return RegularizationSchedule((eps,), (delta,),
-                                      () if n is None else (n,))
 
     def pairs(self) -> list:
         """Continuation order: eps descending at the largest delta, then
@@ -435,14 +383,3 @@ def density_from_pressure(u, m: float):
     out = ((m - 1.0) / m * u_arr) ** (1.0 / (m - 1.0))
     return float(out) if np.isscalar(u) or out.ndim == 0 else out
 
-
-def field_pressure_from_density(rho_field: ScalarField, m: float) -> ScalarField:
-    return ScalarField(rho_field.grid,
-                       pressure_from_density(rho_field.values, m),
-                       rho_field.t, quantity="u")
-
-
-def field_density_from_pressure(u_field: ScalarField, m: float) -> ScalarField:
-    return ScalarField(u_field.grid,
-                       density_from_pressure(u_field.values, m),
-                       u_field.t, quantity="rho")

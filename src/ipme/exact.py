@@ -688,12 +688,12 @@ def _wet_interior(u: np.ndarray) -> np.ndarray:
 
 
 def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
-                 threshold_frac: float = 0.05, tau_scale: float = 0.1,
+                 threshold_frac: float = 0.05,
                  params: Params | None = None) -> tuple:
     """Max-norm discrete pressure-equation residual of an exact solution.
 
     Samples u on the grid, forms the centered time difference over
-    tau = tau_scale * min(h), evaluates the discrete spatial operator with
+    tau = 0.1 * min(h), evaluates the discrete spatial operator with
     beta(u) = |u| and no regularization, and returns (max residual, node
     count) over interior nodes that satisfy all of
 
@@ -708,7 +708,7 @@ def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
     if params is None:
         params = spec.params
     X = grid.points()
-    tau = tau_scale * min(grid.h)
+    tau = 0.1 * min(grid.h)
     u0 = np.asarray(evaluate_u(spec, X, t)).reshape(grid.shape)
     up = np.asarray(evaluate_u(spec, X, t + tau)).reshape(grid.shape)
     um = np.asarray(evaluate_u(spec, X, t - tau)).reshape(grid.shape)

@@ -201,21 +201,6 @@ def read_manifest(path: str) -> RunManifest:
     return RunManifest(data)
 
 
-def validate_manifest(path: str) -> RunManifest:
-    """Read a manifest and check every listed output snapshot parses."""
-    man = read_manifest(path)
-    base = os.path.dirname(os.path.abspath(path))
-    listed = man.to_dict()
-    for key in ("outputs", "snapshots"):
-        for rel in listed.get(key, []):
-            p = os.path.join(base, rel)
-            if not os.path.exists(p):
-                raise SnapshotFormatError(
-                    f"{path}: listed output missing: {rel}")
-            read_snapshot(p)
-    return man
-
-
 # ── Traces ───────────────────────────────────────────────────────────────
 
 def write_trace_csv(path: str, header: list, rows: list) -> None:

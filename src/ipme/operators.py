@@ -44,13 +44,9 @@ from .core import (DomainError, GridSpec, Params, RangeError, ScalarField,
                    SingularPointError)
 
 __all__ = [
-    "beta_c", "StencilEval", "stencil_eval", "L_eps_delta", "rhs_full",
-    "interpolated_op", "rhs_core", "quad_form_field", "inf_lap_field",
-    "set_fault_injection", "StencilWork",
+    "beta_c", "StencilEval", "stencil_eval", "rhs_full", "rhs_core",
+    "quad_form_field", "inf_lap_field", "set_fault_injection", "StencilWork",
 ]
-
-# delta used by interpolated_op's regularized infinity-Laplacian
-INTERP_DELTA = 1e-9
 
 # test hook: "stencil-sign-flip" flips the sign of mixed second differences
 _FAULT_MODE = None
@@ -119,14 +115,11 @@ class StencilEval:
     grad: centered gradient, length d.
     hess: centered Hessian (symmetric), shape (d, d).
     lap: trace of hess.
-    eigs: Hessian eigenvalues, ascending (diagnostic only; the scheme
-    itself never uses them).
     """
 
     grad: np.ndarray
     hess: np.ndarray
     lap: float
-    eigs: np.ndarray
 
     def inf_lap_reg(self, delta: float) -> float:
         """<hess grad, grad> / (|grad|^2 + delta^2).
@@ -184,42 +177,16 @@ def stencil_eval(u: ScalarField, node) -> StencilEval:
             val = (at(e[i] + e[j]) - at(e[i] - e[j])
                    - at(-e[i] + e[j]) + at(-e[i] - e[j])) / (4.0 * h[i] * h[j])
             hess[i, j] = hess[j, i] = sgn * val
-    lap = float(np.trace(hess))
-    eigs = np.linalg.eigvalsh(hess)
-    return StencilEval(grad=grad, hess=hess, lap=lap, eigs=eigs)
-
-
-def L_eps_delta(u: ScalarField, node, params: Params) -> float:
-    """Regularized operator at one interior node:
-
-    eps*Lap(u) + k*beta_c(u)*<D2u Du, Du>/(|Du|^2 + delta^2).
-    """
-    st = stencil_eval(u, node)
-    val = float(u.values[tuple(node)])
-    b = _beta_or_abs(val, params.c)
-    return params.eps * st.lap + params.k * b * st.inf_lap_reg(params.delta)
+    return StencilEval(grad=grad, hess=hess, lap=float(np.trace(hess)))
 
 
 def rhs_full(u: ScalarField, node, params: Params) -> float:
-    """Full right-hand side L_eps_delta[u] + |Du|^2 at one interior node."""
+    """Full right-hand side L[u] + |Du|^2 at one interior node."""
     st = stencil_eval(u, node)
     val = float(u.values[tuple(node)])
     b = _beta_or_abs(val, params.c)
     g2 = float(st.grad @ st.grad)
     return params.eps * st.lap + params.k * b * st.inf_lap_reg(params.delta) + g2
-
-
-def interpolated_op(w: ScalarField, node, eps_mix: float,
-                    delta: float = INTERP_DELTA) -> float:
-    """Convex interpolation eps_mix*Lap(w) + (1-eps_mix)*D_inf(w).
-
-    The infinity-Laplacian part uses the delta-regularized ratio with the
-    module-level default delta.
-    """
-    if not (0.0 <= eps_mix <= 1.0):
-        raise DomainError(f"eps_mix must lie in [0, 1], got {eps_mix}")
-    st = stencil_eval(w, node)
-    return eps_mix * st.lap + (1.0 - eps_mix) * st.inf_lap_reg(delta)
 
 
 # ── Whole-field kernels ──────────────────────────────────────────────────

@@ -221,7 +221,8 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
         out_times.append(target)
     mass1 = _mass(out[-1].values, h)
     clipped = float(np.sum(clip_account))
-    if mass0 > 0.0 and clipped > 1e-12 * mass0:
+    # with no positive initial mass there is no budget: any clip fails
+    if clipped > 1e-12 * max(mass0, 0.0):
         raise InstabilityError(
             f"clipped mass {clipped} exceeds 1e-12 of the total {mass0}")
     drift = abs(mass1 - mass0) / mass0 if mass0 > 0.0 else abs(mass1)

@@ -45,7 +45,6 @@ __all__ = [
     "DirichletProblem", "CauchyProblem", "SolveReport",
     "cfl_dt", "step_explicit", "solve_dirichlet", "solve_maximal",
     "solve_cauchy", "barrier_check", "ball_mask", "cauchy_initial",
-    "BARRIER_KINDS",
 ]
 
 SAFETY = 0.4
@@ -274,8 +273,7 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
 
 def solve_dirichlet(problem: DirichletProblem,
                     schedule: RegularizationSchedule | None = None,
-                    monitor: Callable | None = None,
-                    _extra_manifest: dict | None = None) -> SolveReport:
+                    monitor: Callable | None = None) -> SolveReport:
     """Continuation solve: eps descending at the largest delta, then delta
     descending at the smallest eps, each stage re-solved from the data.
 
@@ -312,8 +310,7 @@ def solve_dirichlet(problem: DirichletProblem,
         masked=problem.domain_mask is not None,
         stage_pairs=[list(p) for p in pairs],
         stage_diffs=list(diffs),
-        warnings=list(warnings),
-        **(_extra_manifest or {}))
+        warnings=list(warnings))
     stage.stage_diffs = diffs
     stage.warnings = warnings
     stage.manifest = manifest
@@ -354,8 +351,8 @@ def _ladder(problem: DirichletProblem, kind: str,
     for n in n_list:
         prob_n = replace(problem, params=problem.params.with_(c=0.5 / n),
                          boundary=_shifted_boundary(problem.boundary, 1.0 / n))
-        rep = solve_dirichlet(prob_n, schedule, rung_monitor(1.0 / n),
-                              _extra_manifest={"ladder_n": n})
+        rep = solve_dirichlet(prob_n, schedule, rung_monitor(1.0 / n))
+        rep.manifest.data["ladder_n"] = n
         for prev_n, prev in zip(n_list, reports):
             for a, b in zip(prev.snapshots, rep.snapshots):
                 excess = float(np.max(b.values - a.values))

@@ -11,8 +11,8 @@ Five suites, each a list of quick self-contained cases:
               case also fails under a sign fault in the mixed terms.
   comparison  discrete ordering of solves from ordered data and the
               maximal-solution ladder.
-  scaling     the two rescaling families reproduce solver output exactly
-              (lambda = 2 makes every induced factor a power of two).
+  scaling     the two rescaling families u -> A u(x/L, A t/L^2) reproduce
+              solver output exactly (A and L powers of two).
   io          bit-exact snapshot/manifest/trace round-trips.
 
 Every case returns (ok, detail); run_suites collects rows for the CLI
@@ -21,10 +21,10 @@ table.  Cases must stay cheap: the whole default battery is a few seconds.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
+import yaml
 
 from . import exact, io
 from .core import (BoundaryData, ConfigError, GridSpec, Params,
@@ -173,12 +173,17 @@ def _case_profile_roundtrip():
 
 # ── comparison ───────────────────────────────────────────────────────────
 
-def _mini_problem(u0_fn, g_fn, n=17, t_end=0.02):
-    grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (n, n))
+def _held(fn) -> BoundaryData:
+    """Data fn on the initial slice and, frozen in time, on the boundary."""
+    return BoundaryData.from_functions(u0=fn, g=lambda X, t: fn(X),
+                                       time_dependent=False)
+
+
+def _mini_problem(fn):
+    grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (17, 17))
     par = Params(m=2.0, eps=1e-2, delta=1e-2, c=0.0)
-    bd = BoundaryData.from_functions(u0=u0_fn, g=g_fn, time_dependent=False)
-    return DirichletProblem(grid, par, bd, t_end=t_end,
-                            snapshot_times=(t_end / 2, t_end))
+    return DirichletProblem(grid, par, _held(fn), t_end=0.02,
+                            snapshot_times=(0.01, 0.02))
 
 
 def _case_ordered_pair():
@@ -192,8 +197,8 @@ def _case_ordered_pair():
     def hi_fn(X):
         return lo_fn(X) + 0.1 + 0.2 * (np.cos(coef[2] + X[:, 0]) + 1.0)
 
-    rep_lo = solve_dirichlet(_mini_problem(lo_fn, lambda X, t: lo_fn(X)))
-    rep_hi = solve_dirichlet(_mini_problem(hi_fn, lambda X, t: hi_fn(X)))
+    rep_lo = solve_dirichlet(_mini_problem(lo_fn))
+    rep_hi = solve_dirichlet(_mini_problem(hi_fn))
     worst = max(float(np.max(a.values - b.values))
                 for a, b in zip(rep_lo.snapshots, rep_hi.snapshots))
     if worst > 1e-8 + 1e-3:
@@ -218,70 +223,41 @@ def _case_ladder_monotone():
 
 # ── scaling ──────────────────────────────────────────────────────────────
 
-def _scaling_case(gamma: float):
-    # lambda = 2: u -> lam^(2+gamma) u(x/lam, lam^gamma t) maps solver
-    # runs onto solver runs with eps,delta,c,h scaled by exact powers of
-    # two, so the comparison is bit-for-bit
-    lam = 2.0
-    A = lam ** (2.0 + gamma)
-    m = 2.0
-    base = Params(m=m, eps=1e-2, delta=1e-2, c=1e-2)
+def _scaling_case(A: float, L: float) -> float:
+    """max |v - A u| for solver runs u and v, v from the data A u0(x/L):
+    v = A u(x/L, A t/L^2) scales the box, eps, delta, c and the horizon by
+    L, A, A/L, A and L^2/A, exact for powers of two, so 0.0 is expected."""
+    base = Params(m=2.0, eps=1e-2, delta=1e-2, c=1e-2)
     n = 17
 
     def u0(X):
         return 0.5 + 0.25 * np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1])
 
-    grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (n, n))
-    bd = BoundaryData.from_functions(u0=u0, g=lambda X, t: u0(X),
-                                     time_dependent=False)
-    rep = solve_dirichlet(DirichletProblem(grid, base, bd, t_end=1.0))
-
-    grid_s = GridSpec.box((-lam, -lam), (lam, lam), (n, n))
-    par_s = base.with_(eps=A * base.eps, delta=(A / lam) * base.delta,
-                       c=A * base.c)
-
     def u0_s(X):
-        return A * u0(X / lam)
+        return A * u0(X / L)
 
-    bd_s = BoundaryData.from_functions(u0=u0_s, g=lambda X, t: u0_s(X),
-                                       time_dependent=False)
-    rep_s = solve_dirichlet(DirichletProblem(grid_s, par_s, bd_s,
-                                             t_end=lam ** (-gamma) * 1.0))
-    diff = float(np.max(np.abs(rep_s.final.values - A * rep.final.values)))
-    if diff != 0.0:
-        return False, f"gamma={gamma}: rescaled run differs by {diff:.2e}"
-    return True, f"gamma={gamma}: bit-identical rescaled run"
+    grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (n, n))
+    rep = solve_dirichlet(DirichletProblem(grid, base, _held(u0), t_end=1.0))
+    grid_s = GridSpec.box((-L, -L), (L, L), (n, n))
+    par_s = base.with_(eps=A * base.eps, delta=(A / L) * base.delta,
+                       c=A * base.c)
+    rep_s = solve_dirichlet(DirichletProblem(grid_s, par_s, _held(u0_s),
+                                             t_end=L * L / A))
+    return float(np.max(np.abs(rep_s.final.values - A * rep.final.values)))
 
 
 def _case_scaling_parabolic():
-    return _scaling_case(1.0)
+    # u -> 8 u(x/2, 2t): lambda = 2, gamma = 1 in lam^(2+gamma) u(x/lam,
+    # lam^gamma t)
+    diff = _scaling_case(8.0, 2.0)
+    if diff != 0.0:
+        return False, f"gamma=1.0: rescaled run differs by {diff:.2e}"
+    return True, "gamma=1.0: bit-identical rescaled run"
 
 
 def _case_scaling_time():
-    # the lam*u(x, lam*t) family is the gamma-free version: space fixed
-    lam = 2.0
-    m = 2.0
-    base = Params(m=m, eps=1e-2, delta=1e-2, c=1e-2)
-    n = 17
-
-    def u0(X):
-        return 0.5 + 0.25 * np.sin(2.0 * X[:, 0]) * np.cos(X[:, 1])
-
-    grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (n, n))
-    bd = BoundaryData.from_functions(u0=u0, g=lambda X, t: u0(X),
-                                     time_dependent=False)
-    rep = solve_dirichlet(DirichletProblem(grid, base, bd, t_end=1.0))
-    par_s = base.with_(eps=lam * base.eps, delta=lam * base.delta,
-                       c=lam * base.c)
-
-    def u0_s(X):
-        return lam * u0(X)
-
-    bd_s = BoundaryData.from_functions(u0=u0_s, g=lambda X, t: u0_s(X),
-                                       time_dependent=False)
-    rep_s = solve_dirichlet(DirichletProblem(grid, par_s, bd_s,
-                                             t_end=1.0 / lam))
-    diff = float(np.max(np.abs(rep_s.final.values - lam * rep.final.values)))
+    # u -> 2 u(x, 2t): space fixed
+    diff = _scaling_case(2.0, 1.0)
     if diff != 0.0:
         return False, f"time family differs by {diff:.2e}"
     return True, "time family: bit-identical rescaled run"
@@ -311,20 +287,15 @@ def _case_manifest_roundtrip():
         RegularizationSchedule((1e-2, 1e-3), (1e-2,), (1, 2)),
         note="verify", values=[1, 2.5, "x"])
     text = io.manifest_text(man)
-    back = io.manifest_text(io.RunManifest(yaml_load(text)))
+    back = io.manifest_text(io.RunManifest(yaml.safe_load(text)))
     if back != text:
         return False, "manifest text not stable under reparse"
     return True, "manifest roundtrip stable"
 
 
-def yaml_load(text: str) -> dict:
-    import yaml
-    return yaml.safe_load(text)
-
-
-def _case_trace_roundtrip(tmpdir: str | None = None):
-    import tempfile
+def _case_trace_roundtrip():
     import os
+    import tempfile  # lazily: `ipme` start-up time is import-bound
     header = ["t", "r_inner", "r_outer"]
     rows = [[0.1, 0.0, 0.5], [0.2, 0.1, 0.625]]
     with tempfile.TemporaryDirectory() as d:

@@ -675,6 +675,44 @@ def test_unread_leaves_are_checked(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# (leaf, value, rule) for leaves that a Dirichlet bump on a box never
+# reads, with a value their readers reject
+UNREAD_OUT_OF_RANGE = [
+    ("cauchy.M", "-1", "be >= 0"),
+    ("cauchy.r", "0", "be positive"),
+    ("domain.radius", "-0.5", "be positive"),
+    ("data.speed", "0", "be positive"),
+    ("exact.m", "1", "exceed 1"),
+    ("asym.R_estimate", "-2.0", "be positive"),
+]
+
+
+@pytest.mark.parametrize("key,value,rule", UNREAD_OUT_OF_RANGE,
+                         ids=[c[0] for c in UNREAD_OUT_OF_RANGE])
+def test_unread_leaves_are_range_checked(tmp_path, capsys, key, value, rule):
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", FUZZ_YAML),
+                   "--set", f"output={tmp_path / 'out'}",
+                   "--set", f"{key}={value}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"IPME-E10: {key} must {rule}, got {value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unread_list_entries_are_range_checked(tmp_path, capsys):
+    # `ipme exact` reads no schedule
+    cfg = write_cfg(tmp_path / "c.yaml", """\
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [9, 9]}
+exact: {family: barenblatt, m: 2.0}
+schedule: {n_list: [1, 0]}
+""")
+    rc = cli.main(["exact", cfg, "--set", f"output={tmp_path / 'out'}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "IPME-E10: schedule.n_list[1] must be >= 1, got 0\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("radius", ["0", "-0.5"])
 def test_bump_radius_must_be_positive(tmp_path, capsys, radius):
     with warnings.catch_warnings(record=True) as caught:

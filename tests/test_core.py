@@ -5,8 +5,7 @@ import hypothesis.extra.numpy as hnp
 
 from ipme.core import (DomainError, RangeError, Params, GridSpec, ScalarField,
                        BoundaryData, RegularizationSchedule, RunManifest,
-                       pressure_from_density, density_from_pressure,
-                       field_pressure_from_density, field_density_from_pressure)
+                       pressure_from_density, density_from_pressure)
 
 
 class TestParams:
@@ -68,6 +67,14 @@ class TestGridSpec:
     def test_box_rejects_non_finite_corners(self, lo, hi):
         with pytest.raises(DomainError, match="finite"):
             GridSpec.box(lo, hi, (5,))
+
+    @pytest.mark.parametrize("h,origin", [((np.nan,), (0.0,)),
+                                          ((np.inf,), (0.0,)),
+                                          ((0.25,), (np.nan,)),
+                                          ((0.25,), (-np.inf,))])
+    def test_rejects_non_finite_spacing_and_origin(self, h, origin):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(n=(5,), h=h, origin=origin)
 
     def test_rejects_dim_four(self):
         with pytest.raises(DomainError, match="dimension must be 1..3"):
@@ -138,24 +145,6 @@ class TestBoundaryData:
         with pytest.raises(DomainError):
             BoundaryData.constant(-0.5)
 
-    def test_sampled_interpolates_and_clamps(self):
-        g = GridSpec.box((0.0,), (1.0,), (5,))
-        nb = int(np.sum(g.boundary_mask()))
-        bd = BoundaryData.from_samples(
-            times=[0.0, 1.0], values=[np.zeros(nb), np.ones(nb)],
-            initial=np.zeros(5), grid=g)
-        X = np.zeros((nb, 1))
-        np.testing.assert_allclose(bd.lateral(X, 0.5), 0.5)
-        np.testing.assert_allclose(bd.lateral(X, 7.0), 1.0)
-        np.testing.assert_allclose(bd.lateral(X, -1.0), 0.0)
-
-    def test_sampled_rejects_unsorted_times(self):
-        g = GridSpec.box((0.0,), (1.0,), (5,))
-        with pytest.raises(DomainError, match="increase strictly"):
-            BoundaryData.from_samples(times=[0.0, 0.0],
-                                      values=[np.zeros(2), np.zeros(2)],
-                                      initial=np.zeros(5), grid=g)
-
 
 class TestRegularizationSchedule:
     def test_pairs_order_eps_first_then_delta(self):
@@ -197,20 +186,13 @@ class TestPressureDensityMaps:
         with pytest.raises(DomainError):
             density_from_pressure(np.array([-1.0]), 2.0)
 
-    def test_field_wrappers_set_quantity(self):
-        g = GridSpec.box((0.0,), (1.0,), (4,))
-        rho = ScalarField(g, np.linspace(0.0, 1.0, 4), t=1.0, quantity="rho")
-        u = field_pressure_from_density(rho, 2.0)
-        assert u.quantity == "u" and u.t == 1.0
-        back = field_density_from_pressure(u, 2.0)
-        assert back.quantity == "rho"
-        np.testing.assert_allclose(back.values, rho.values, atol=1e-14)
-
 
 class TestRunManifest:
     def test_build_is_plain_data(self):
         man = RunManifest.build(Params(m=2.0, eps=1e-3), GridSpec.box((0.0,), (1.0,), (5,)),
-                                "dirichlet", schedule=RegularizationSchedule.default(),
+                                "dirichlet",
+                                schedule=RegularizationSchedule(
+                                    (1e-1, 1e-2), (1e-3,), (1, 2, 4, 8, 16)),
                                 t_end=1.0)
         d = man.to_dict()
         assert d["format"] == "ipme-manifest v1"

@@ -116,6 +116,14 @@ class TestSnapshotParsing:
         with pytest.raises(SnapshotFormatError, match="bad value"):
             io.parse_snapshot_text(self.header() + "\n" + body)
 
+    @pytest.mark.parametrize("h,origin", [("nan,0.5", "0.0,0.0"),
+                                          ("0.5,0.5", "inf,0.0")])
+    def test_non_finite_grid_rejected(self, h, origin):
+        head = (f"# ipme v1 d=2 n=3,3 h={h} origin={origin} t=0.5 "
+                f"quantity=v")
+        with pytest.raises(SnapshotFormatError, match="finite"):
+            io.parse_snapshot_text(head + "\n" + "0.0\n" * 9)
+
     def test_field_constraints_still_apply(self):
         # a parsed pressure field goes through the same nonnegativity
         # police as a constructed one
@@ -194,25 +202,6 @@ class TestManifest:
         path.write_text("- just\n- a\n- list\n")
         with pytest.raises(SnapshotFormatError, match="mapping"):
             io.read_manifest(str(path))
-
-    def test_validate_checks_listed_outputs(self, tmp_path):
-        snap = tmp_path / "u.snap"
-        io.write_snapshot(str(snap), field_of(np.zeros(9), quantity="u"))
-        man = RunManifest({"outputs": ["u.snap"]})
-        path = tmp_path / "run.yaml"
-        io.write_manifest(str(path), man)
-        assert io.validate_manifest(str(path)).to_dict() == man.to_dict()
-        man2 = RunManifest({"outputs": ["missing.snap"]})
-        io.write_manifest(str(path), man2)
-        with pytest.raises(SnapshotFormatError, match="missing"):
-            io.validate_manifest(str(path))
-
-    def test_validate_checks_snapshot_listings_too(self, tmp_path):
-        # run manifests list their fields under "snapshots"
-        path = tmp_path / "run.yaml"
-        io.write_manifest(str(path), RunManifest({"snapshots": ["a.snap"]}))
-        with pytest.raises(SnapshotFormatError, match="missing"):
-            io.validate_manifest(str(path))
 
 
 class TestTraceCsv:

@@ -55,7 +55,6 @@ class TestStencilEval:
         np.testing.assert_allclose(se.grad, A @ x + b, atol=1e-12)
         np.testing.assert_allclose(se.hess, A, atol=1e-12)
         assert se.lap == pytest.approx(np.trace(A), abs=1e-12)
-        np.testing.assert_allclose(se.eigs, np.linalg.eigvalsh(A), atol=1e-12)
 
     def test_exact_quotient_on_quadratics(self):
         A = np.array([[1.3, -0.6], [-0.6, 0.8]])
@@ -103,23 +102,8 @@ class TestPointwiseOperators:
         val = float(u.values[node])
         want = params.eps * se.lap \
             + params.k * ops.beta_c(val, params.c) * se.inf_lap_reg(params.delta)
-        assert ops.L_eps_delta(u, node, params) == pytest.approx(want, rel=1e-14)
         g2 = float(se.grad @ se.grad)
         assert ops.rhs_full(u, node, params) == pytest.approx(want + g2, rel=1e-14)
-
-    def test_interpolated_op_endpoints(self):
-        u = quadratic_field(GRID2, np.array([[1.0, 0.3], [0.3, -0.5]]),
-                            np.array([0.6, 0.2]), 0.0)
-        node = (2, 5)
-        se = ops.stencil_eval(u, node)
-        assert ops.interpolated_op(u, node, 1.0) == pytest.approx(se.lap, rel=1e-12)
-        assert ops.interpolated_op(u, node, 0.0) == pytest.approx(
-            se.inf_lap_reg(ops.INTERP_DELTA), rel=1e-12)
-
-    def test_interpolated_op_rejects_bad_mix(self):
-        u = quadratic_field(GRID2, np.eye(2), np.ones(2), 0.0)
-        with pytest.raises(DomainError):
-            ops.interpolated_op(u, (3, 3), 1.5)
 
 
 class TestFieldKernels:

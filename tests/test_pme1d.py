@@ -51,6 +51,14 @@ class TestValidation:
         with pytest.raises(InstabilityError, match="non-finite"):
             pme1d_solve(prob, t_end=0.01)
 
+    def test_clipping_without_initial_mass_fails(self):
+        # zero data and a negative callable edge: every step clips, and
+        # with no positive mass there is no budget to clip from
+        prob = RadialProblem(m=2.0, grid=line_grid(17), initial=np.zeros(17),
+                             boundary="dirichlet", left=lambda t: -0.1)
+        with pytest.raises(InstabilityError, match="clipped mass"):
+            pme1d_solve(prob, t_end=0.01)
+
     def test_rejects_bad_time_window(self):
         g = line_grid(17)
         prob = RadialProblem(m=2.0, grid=g, initial=np.zeros(17),
