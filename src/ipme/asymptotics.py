@@ -2,13 +2,9 @@
 
 Everything here post-processes snapshot lists from the solver (or the 1-d
 radial oracle): free-boundary radii and their growth rate, the
-u_t >= -u/t lower bound, the rescaled variable
-
-    v = [alpha t u]^(1/(m-1)),  alpha = (m-1)^2 / m,  tau = ln(t)/(m-1),
-
-stabilization toward the separable profile on balls, the eigenfunction
-residual Delta_inf(G^m) + G, radial monotonicity via shifted shells, and
-the rate-normalized distance to a matched source-type density.
+u_t >= -u/t lower bound, stabilization of t*u toward the separable
+profile on balls, and the rate-normalized distance to a matched
+source-type density.
 
 Truncated Cauchy runs carry a floor (the ladder's 1/n) and an outer moat
 at the lateral value; pass `floor` and `r_max` so both are ignored.
@@ -25,13 +21,11 @@ import numpy as np
 from . import exact
 from .core import (DomainError, FitError, Params, ScalarField,
                    density_from_pressure)
-from .operators import inf_lap_field
 
 __all__ = [
     "FreeBoundaryTrace", "RateFit", "FriendlyGiantResult",
     "track_support", "fit_rate", "benilan_crandall_check",
-    "rescale_v", "friendly_giant",
-    "eigen_residual", "aleksandrov_check", "barenblatt_convergence",
+    "friendly_giant", "barenblatt_convergence",
     "trace_rows",
 ]
 
@@ -170,22 +164,6 @@ def benilan_crandall_check(snapshots: Sequence[ScalarField],
     return worst
 
 
-def rescale_v(u: ScalarField, params: Params) -> ScalarField:
-    """Map a pressure snapshot to (v, tau) coordinates.
-
-    v = [alpha t u]^(1/(m-1)) with alpha = (m-1)^2/m; the field's time
-    becomes tau = ln(t)/(m-1).  Requires t > 0.
-    """
-    if u.t <= 0.0:
-        raise DomainError(f"rescaling needs t > 0, got {u.t}")
-    if u.quantity != "u":
-        raise DomainError(f"rescale_v expects pressure, got {u.quantity!r}")
-    alpha = (params.m - 1.0) ** 2 / params.m
-    vals = (alpha * u.t * u.values) ** (1.0 / (params.m - 1.0))
-    tau = math.log(u.t) / (params.m - 1.0)
-    return ScalarField(grid=u.grid, values=vals, t=tau, quantity="v")
-
-
 @dataclass
 class FriendlyGiantResult:
     """Distance of t*u(t) to its large-time limit.
@@ -234,67 +212,6 @@ def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
     return FriendlyGiantResult(times=times, errors=errors,
                                stabilization_diffs=diffs, is_ball=True,
                                profile_max=float(np.max(U)))
-
-
-def eigen_residual(G: ScalarField, params: Params,
-                   threshold_frac: float = 0.05) -> float:
-    """Sup of |Delta_inf(G^m) + G| over {G > threshold_frac * max G}.
-
-    The operator is the delta-regularized quotient; an identically zero
-    field returns 0 (the trivial eigenfunction).
-    """
-    top = float(np.max(G.values))
-    if top <= 0.0:
-        return 0.0
-    grid = G.grid
-    W = G.values ** params.m
-    lam = inf_lap_field(W, grid, params.delta)
-    inter = grid.interior()
-    mask = G.values[inter] > threshold_frac * top
-    if not np.any(mask):
-        raise DomainError("thresholded set is empty")
-    res = lam + G.values[inter]
-    return float(np.max(np.abs(res[mask])))
-
-
-def aleksandrov_check(rho: ScalarField, R0: float,
-                      center: Sequence[float] | None = None) -> float:
-    """Minimum of inf_{|x|=r} rho - sup_{|x|=r+2R0} rho over shells r > R0.
-
-    Data supported in the ball of radius R0 around `center` keeps this
-    nonnegative (values cannot exceed, moving 2R0 outward).  Shells are
-    one grid spacing wide; pairs whose outer shell leaves the largest
-    ball inscribed in the box are skipped.  Raises when no shell pair
-    fits.
-    """
-    if R0 <= 0.0:
-        raise DomainError(f"R0 must be positive, got {R0}")
-    grid = rho.grid
-    radii = grid.radii(center)
-    w = max(grid.h)
-    if center is None:
-        center = (0.0,) * grid.dim
-    hi = [o + (n - 1) * h for o, n, h in zip(grid.origin, grid.n, grid.h)]
-    inscribed = min(min(c - o, b - c)
-                    for c, o, b in zip(center, grid.origin, hi))
-    n_shells = int(np.floor(inscribed / w))
-    idx = (radii / w).astype(int)
-    flat_idx = idx.ravel()
-    vals = rho.values.ravel()
-    shell_min = np.full(n_shells + 1, np.inf)
-    shell_max = np.full(n_shells + 1, -np.inf)
-    inside = flat_idx <= n_shells
-    np.minimum.at(shell_min, flat_idx[inside], vals[inside])
-    np.maximum.at(shell_max, flat_idx[inside], vals[inside])
-    gap = int(np.ceil(2.0 * R0 / w))
-    first = int(np.floor(R0 / w)) + 1
-    margins = [shell_min[s] - shell_max[s + gap]
-               for s in range(first, n_shells + 1 - gap)
-               if np.isfinite(shell_min[s]) and np.isfinite(shell_max[s + gap])]
-    if not margins:
-        raise DomainError("no shell pair fits inside the grid; shrink R0 "
-                          "or enlarge the box")
-    return float(min(margins))
 
 
 def barenblatt_convergence(snapshots: Sequence[ScalarField], R_estimate: float,

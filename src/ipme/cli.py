@@ -64,15 +64,19 @@ SCHEMA = {
 }
 
 # the range each leaf's readers (Params, the problem classes, ball_mask,
-# the schedule, the exact families) enforce; `_check_keys` applies it to
-# every leaf present, read or not, and to each entry of a list leaf
+# the schedule, the exact families) enforce, and the nonnegative data and
+# lateral values a pressure solve needs; `_check_keys` applies it to every
+# leaf present, read or not, and to each entry of a list leaf
 _ABOVE_ONE = ("exceed 1", lambda v: v > 1.0)
 _POSITIVE = ("be positive", lambda v: v > 0.0)
 _NONNEGATIVE = ("be >= 0", lambda v: v >= 0.0)
 RANGES = {
     "m": _ABOVE_ONE, "eps": _NONNEGATIVE, "delta": _NONNEGATIVE,
     "c": _NONNEGATIVE, "t_end": _POSITIVE, "domain.radius": _POSITIVE,
-    "data.radius": _POSITIVE, "data.R": _POSITIVE, "data.speed": _POSITIVE,
+    "data.value": _NONNEGATIVE, "data.height": _NONNEGATIVE,
+    "data.slope": _NONNEGATIVE, "data.radius": _POSITIVE,
+    "data.R": _POSITIVE, "data.speed": _POSITIVE,
+    "boundary.value": _NONNEGATIVE,
     "schedule.eps_list": _POSITIVE, "schedule.delta_list": _POSITIVE,
     "schedule.n_list": ("be >= 1", lambda v: v >= 1),
     "cauchy.M": _NONNEGATIVE, "cauchy.r": _POSITIVE,

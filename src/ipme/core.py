@@ -243,6 +243,8 @@ class ScalarField:
     quantity: str = "u"
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise DomainError(f"field time must be finite, got {self.t}")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.size != self.grid.size:
             raise DomainError(

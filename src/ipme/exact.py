@@ -97,7 +97,6 @@ class ExactSolutionSpec:
     x0: tuple = ()
     t0: float = 0.0
     lam: float = 0.0
-    sign: str = "+"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -117,8 +116,6 @@ class ExactSolutionSpec:
             raise DomainError("neg-lambda-a-pos needs a_const > 0")
         if self.kind == "neg-lambda-a-neg" and not (self.a_const < 0.0):
             raise DomainError("neg-lambda-a-neg needs a_const < 0")
-        if self.sign not in ("+", "-"):
-            raise DomainError(f"sign must be '+' or '-', got {self.sign!r}")
 
 
 def barenblatt(m: float, R: float, quantity: str = "u",
@@ -172,11 +169,11 @@ def neg_lambda_a_zero(m: float, R: float, t0: float) -> ExactSolutionSpec:
                              R=float(R), t0=float(t0), lam=-1.0)
 
 
-def neg_lambda_a_neg(m: float, a: float, C: float, t0: float,
-                     sign: str = "+") -> ExactSolutionSpec:
+def neg_lambda_a_neg(m: float, a: float, C: float,
+                     t0: float) -> ExactSolutionSpec:
     return ExactSolutionSpec(kind="neg-lambda-a-neg", params=Params(m=m),
                              a_const=float(a), C_const=float(C),
-                             t0=float(t0), lam=-1.0, sign=sign)
+                             t0=float(t0), lam=-1.0)
 
 
 # ── Point handling ───────────────────────────────────────────────────────
@@ -602,7 +599,7 @@ def neg_lambda_u(x, t: float, spec: ExactSolutionSpec):
 
     a > 0:  u = m/((m-1)^2 (t0-t)) [J_p(k_slope (|x|-R))]^((m-1)/m), |x| >= R.
     a = 0:  u = (|x|-R)^2 / (2(m+1)(t0-t)).
-    a < 0:  u = m/((m-1)^2 (t0-t)) [L_p(sign k_slope |x| + C)]^((m-1)/m).
+    a < 0:  u = m/((m-1)^2 (t0-t)) [L_p(k_slope |x| + C)]^((m-1)/m).
     """
     if t >= spec.t0:
         raise DomainError(
@@ -620,11 +617,9 @@ def neg_lambda_u(x, t: float, spec: ExactSolutionSpec):
         if np.any(y < -1e-12):
             raise DomainError("a>0 blow-up branch is defined for |x| >= R")
     else:
-        sgn = 1.0 if spec.sign == "+" else -1.0
-        kind, y = "K", sgn * ks * r + spec.C_const
+        kind, y = "K", ks * r + spec.C_const
         if np.any(y < -1e-12):
-            raise DomainError(
-                "a<0 blow-up branch needs sign*k_slope*|x| + C >= 0")
+            raise DomainError("a<0 blow-up branch needs k_slope*|x| + C >= 0")
     y = np.maximum(y, 0.0)
     tab = _table_covering(kind, spec.a_const, p,
                           float(np.max(y)) if y.size else 1.0)
@@ -688,8 +683,7 @@ def _wet_interior(u: np.ndarray) -> np.ndarray:
 
 
 def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
-                 threshold_frac: float = 0.05,
-                 params: Params | None = None) -> tuple:
+                 threshold_frac: float = 0.05) -> tuple:
     """Max-norm discrete pressure-equation residual of an exact solution.
 
     Samples u on the grid, forms the centered time difference over
@@ -705,8 +699,7 @@ def pde_residual(spec: ExactSolutionSpec, grid: GridSpec, t: float,
       where the solution is only Lipschitz and the residual would measure
       the kink instead of the scheme.
     """
-    if params is None:
-        params = spec.params
+    params = spec.params
     X = grid.points()
     tau = 0.1 * min(grid.h)
     u0 = np.asarray(evaluate_u(spec, X, t)).reshape(grid.shape)

@@ -6,8 +6,8 @@ Pointwise evaluations follow the operator
 
 with centered second-order stencils for gradient and Hessian, and the
 full right-hand side rhs = L[u] + |Du|^2.  Array versions of the same
-kernels (suffix `_field`, and `rhs_core`, which the time steppers call)
-evaluate the whole interior at once.
+kernels (`quad_form_field`, and `rhs_core`, which the time steppers
+call) evaluate the whole interior at once.
 
 All of them run one kernel, `_terms`, which writes into the buffers of a
 `StencilWork`: the d gradient components, num, g2, lap, one temporary,
@@ -45,7 +45,7 @@ from .core import (DomainError, GridSpec, Params, RangeError, ScalarField,
 
 __all__ = [
     "beta_c", "StencilEval", "stencil_eval", "rhs_full", "rhs_core",
-    "quad_form_field", "inf_lap_field", "set_fault_injection", "StencilWork",
+    "quad_form_field", "set_fault_injection", "StencilWork",
 ]
 
 # test hook: "stencil-sign-flip" flips the sign of mixed second differences
@@ -361,28 +361,15 @@ def _rhs_slab(vals: np.ndarray, s: _Slab, params: Params) -> tuple:
     return maxima
 
 
-def _fresh(vals: np.ndarray, grid: GridSpec) -> StencilWork:
-    """A new workspace with grad, num, g2 and lap filled for `vals`."""
-    work = StencilWork(grid)
-    work.run(_terms, vals)
-    return work
-
-
 def quad_form_field(vals: np.ndarray, grid: GridSpec) -> tuple:
     """Interior arrays (num, g2, lap) of the stencil in one pass.
 
     num = <D^2 u Du, Du>, g2 = |Du|^2, lap = trace D^2 u, all with the
     centered differences used pointwise by stencil_eval.
     """
-    work = _fresh(vals, grid)
+    work = StencilWork(grid)
+    work.run(_terms, vals)
     return work.num, work.g2, work.lap
-
-
-def inf_lap_field(vals: np.ndarray, grid: GridSpec,
-                  delta: float) -> np.ndarray:
-    """Regularized 1-homogeneous quotient on the interior."""
-    work = _fresh(vals, grid)
-    return _quotient(work.num, work.g2, delta, out=work.tmp)
 
 
 def rhs_core(vals: np.ndarray, grid: GridSpec, params: Params,

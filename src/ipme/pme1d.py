@@ -31,6 +31,7 @@ __all__ = ["RadialProblem", "Pme1dResult", "pme1d_step", "pme1d_solve",
            "cfl_dt_1d"]
 
 BOUNDARY_KINDS = ("symmetry-at-0", "dirichlet")
+SAFETY = 0.4
 
 
 @dataclass
@@ -98,7 +99,8 @@ def _cfl_bound(rho_max: float, h: float, m: float, safety: float) -> float:
     return safety * h * h / (2.0 * diffusivity)
 
 
-def cfl_dt_1d(rho: np.ndarray, h: float, m: float, safety: float = 0.4) -> float:
+def cfl_dt_1d(rho: np.ndarray, h: float, m: float,
+              safety: float = SAFETY) -> float:
     """Stability bound safety * h^2 / (2 max(m rho^(m-1)))."""
     return _cfl_bound(float(np.max(rho)), h, m, safety)
 
@@ -165,48 +167,44 @@ def _mass(vals: np.ndarray, h: float) -> float:
 
 
 def pme1d_solve(problem: RadialProblem, t_end: float,
-                snapshot_times: Sequence[float] = (),
-                t_start: float = 0.0, safety: float = 0.4) -> Pme1dResult:
-    """Step from t_start to t_end with automatic dt, landing exactly on the
-    requested snapshot times; returns profiles plus conservation accounting.
+                snapshot_times: Sequence[float] = ()) -> Pme1dResult:
+    """Step from t = 0 to t_end with automatic dt (SAFETY times the
+    stability bound), landing exactly on the requested snapshot times;
+    returns profiles plus conservation accounting.
 
-    The times must be finite with t_start < snapshot times <= t_end, and
-    the safety factor must lie in (0, 1]; anything else is a DomainError
-    before the first step.  The loop advances one density array in place
-    (the update of `pme1d_step`, on workspaces made once per solve), so
-    fields are built only for the initial state and the snapshots.
+    The times must be finite with 0 < snapshot times <= t_end; anything
+    else is a DomainError before the first step.  The loop advances one
+    density array in place (the update of `pme1d_step`, on workspaces
+    made once per solve), so fields are built only for the initial state
+    and the snapshots.
     """
-    if not (math.isfinite(t_start) and math.isfinite(t_end)
-            and t_end > t_start):
-        raise DomainError(
-            f"t_end must be finite and exceed t_start, got {t_end}")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise DomainError(f"t_end must be finite and positive, got {t_end}")
     snaps = [float(t) for t in snapshot_times]
-    if not all(t_start < t <= t_end for t in snaps):
-        raise DomainError("snapshot times must lie in (t_start, t_end]")
+    if not all(0.0 < t <= t_end for t in snaps):
+        raise DomainError("snapshot times must lie in (0, t_end]")
     snaps = sorted(set(snaps) | {float(t_end)})
-    if not (0.0 < safety <= 1.0):
-        raise DomainError(f"safety must lie in (0, 1], got {safety}")
     # the field's entry checks vet the initial data (finite, nonnegative)
     rho = ScalarField(grid=problem.grid, values=problem.initial.copy(),
-                      t=t_start, quantity="rho").values
+                      t=0.0, quantity="rho").values
     # impose the held edge values on the initial slice; otherwise a run
     # from zero data with positive inflow would see zero diffusivity and
     # cross to t_end in one unbounded step
     if problem.boundary == "dirichlet":
-        rho[0] = problem._edge("left", t_start)
-    rho[-1] = problem._edge("right", t_start)
+        rho[0] = problem._edge("left", 0.0)
+    rho[-1] = problem._edge("right", 0.0)
     h = problem.grid.h[0]
     mass0 = _mass(rho, h)
     w, lap = np.empty_like(rho), np.empty(rho.size - 2)
     rho_max = float(np.max(rho))
     clip_account: list = []
     out, out_times = [], []
-    t = t_start
+    t = 0.0
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
     for target in snaps:
         while t < target - 1e-14 * max(1.0, target):
-            dt = min(_cfl_bound(rho_max, h, problem.m, safety), target - t)
+            dt = min(_cfl_bound(rho_max, h, problem.m, SAFETY), target - t)
             if not math.isfinite(dt):
                 dt = target - t
             rho_max = _advance(rho, w, lap, t + dt, dt, h, problem, rho_max,
@@ -233,5 +231,5 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
                        dt_max=float(dt_max),
                        manifest={"problem": "pme1d", "m": problem.m,
                                  "boundary": problem.boundary,
-                                 "t_start": t_start, "t_end": t_end,
+                                 "t_start": 0.0, "t_end": t_end,
                                  "n_steps": n_steps})

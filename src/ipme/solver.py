@@ -141,11 +141,11 @@ def ball_mask(grid: GridSpec, radius: float,
     return grid.radii(center) < radius
 
 
-def cfl_dt(u: ScalarField, params: Params, safety: float = SAFETY) -> float:
+def cfl_dt(u: ScalarField, params: Params) -> float:
     """Largest stable step for the current field (may be inf for flat,
     unregularized fields; callers cap by the time remaining)."""
     _, bmax, g2max = rhs_core(u.values, u.grid, params)
-    return _cfl_from_bounds(u.grid, params, bmax, g2max, safety)
+    return _cfl_from_bounds(u.grid, params, bmax, g2max)
 
 
 def _cfl_from_bounds(grid: GridSpec, params: Params, bmax: float,
@@ -190,8 +190,7 @@ def _euler(vals: np.ndarray, rhs: np.ndarray, dt: float, t_new: float,
 
 
 def step_explicit(u: ScalarField, dt: float, params: Params,
-                  boundary: BoundaryData,
-                  domain_mask: Optional[np.ndarray] = None) -> ScalarField:
+                  boundary: BoundaryData) -> ScalarField:
     """One forward-Euler step; boundary nodes are stamped with g(x, t+dt).
 
     dt above the CFL bound raises, as do NaNs or interior undershoots
@@ -204,7 +203,7 @@ def step_explicit(u: ScalarField, dt: float, params: Params,
         raise CflError(f"dt={dt} exceeds the stability bound {bound}")
     new = u.values.copy()
     _euler(new, rhs, dt, u.t + dt, grid,
-           _lateral_stamp(grid, boundary, domain_mask), u.quantity)
+           _lateral_stamp(grid, boundary, None), u.quantity)
     return ScalarField(grid=grid, values=new, t=u.t + dt, quantity=u.quantity)
 
 
@@ -378,11 +377,11 @@ def _ladder(problem: DirichletProblem, kind: str,
 
 def solve_maximal(problem: DirichletProblem,
                   n_list: Sequence[int] | None = None,
-                  schedule: RegularizationSchedule | None = None,
-                  monitor: Callable | None = None) -> SolveReport:
+                  schedule: RegularizationSchedule | None = None
+                  ) -> SolveReport:
     """Maximal-solution ladder: data g + 1/n, floor c = 1/(2n), n ascending
     (see `_ladder`)."""
-    return _ladder(problem, "maximal", n_list, schedule, lambda floor: monitor)
+    return _ladder(problem, "maximal", n_list, schedule, lambda floor: None)
 
 
 def cauchy_initial(problem: CauchyProblem) -> np.ndarray:
@@ -467,6 +466,7 @@ def solve_cauchy(problem: CauchyProblem,
 # ── Barriers ─────────────────────────────────────────────────────────────
 
 BARRIER_KINDS = ("time-lipschitz", "hoelder", "cauchy-V")
+BARRIER_SLACK = 1e-3  # allowance for scheme error above a barrier
 
 
 def _data_norms(problem: DirichletProblem) -> dict:
@@ -498,14 +498,16 @@ def _data_norms(problem: DirichletProblem) -> dict:
 
 
 def barrier_check(report: SolveReport, barrier: str,
-                  problem: DirichletProblem | None = None,
-                  M: float | None = None,
-                  lambda_scale: float = 1.0, slack: float = 1e-3) -> bool:
+                  problem: DirichletProblem | CauchyProblem,
+                  lambda_scale: float = 1.0) -> bool:
     """Check u stays below the named barrier on its sub-cylinder.
 
-    Constants are sized from the data norms per the corresponding
-    comparison theorem; `lambda_scale` deliberately rescales the rate
-    constant so tests can demonstrate that undersized barriers fail.
+    `problem` is the one `report` solved: a DirichletProblem for
+    "time-lipschitz" and "hoelder", the CauchyProblem for "cauchy-V".
+    Constants are sized from the data norms (or M and k) per the
+    corresponding comparison theorem; `lambda_scale` deliberately
+    rescales the rate constant so tests can demonstrate that undersized
+    barriers fail.
     """
     if barrier not in BARRIER_KINDS:
         raise DomainError(f"unknown barrier kind {barrier!r}")
@@ -513,8 +515,6 @@ def barrier_check(report: SolveReport, barrier: str,
     X = grid.points()
 
     if barrier == "time-lipschitz":
-        if problem is None:
-            raise DomainError("time-lipschitz barrier needs the problem")
         norms = _data_norms(problem)
         eps, k = problem.params.eps, problem.params.k
         T = float(report.times[-1])
@@ -531,13 +531,11 @@ def barrier_check(report: SolveReport, barrier: str,
         g0 = np.asarray(problem.boundary.initial(X), dtype=float).reshape(grid.shape)
         for snap in report.snapshots:
             bar = g0 + lam * (math.exp(min(lam * snap.t, 50.0)) - 1.0)
-            if float(np.max(snap.values - bar)) > slack:
+            if float(np.max(snap.values - bar)) > BARRIER_SLACK:
                 return False
         return True
 
     if barrier == "hoelder":
-        if problem is None:
-            raise DomainError("hoelder barrier needs the problem")
         if problem.params.c <= 0.0:
             raise DomainError("hoelder barrier needs a positive cutoff c")
         norms = _data_norms(problem)
@@ -563,14 +561,12 @@ def barrier_check(report: SolveReport, barrier: str,
                     if not np.any(near):
                         continue
                     bar = g0v + K_star * dist[near] ** alpha + lam * (t0 - snap.t)
-                    if float(np.max(snap.values[near] - bar)) > slack:
+                    if float(np.max(snap.values[near] - bar)) > BARRIER_SLACK:
                         return False
         return True
 
     # cauchy-V
-    if M is None:
-        raise DomainError("cauchy-V barrier needs the truncation level M")
-    k = _params_from_report(report).k
+    M, k = problem.M, problem.params.k
     T = float(report.times[-1])
     eps0 = 0.05 * max(M, 1.0)
     b = min(0.05, 0.25 / (k + 2.0))
@@ -579,12 +575,7 @@ def barrier_check(report: SolveReport, barrier: str,
     r2 = np.sum(X * X, axis=1).reshape(grid.shape)
     for snap in report.snapshots:
         V = N + b * r2 / (2.0 * T - snap.t) + lam * snap.t
-        if float(np.max(snap.values - V)) > slack:
+        if float(np.max(snap.values - V)) > BARRIER_SLACK:
             return False
     return True
 
-
-def _params_from_report(report: SolveReport) -> Params:
-    p = report.manifest.data.get("params", {})
-    return Params(m=p.get("m", 2.0), eps=p.get("eps", 0.0),
-                  delta=p.get("delta", 0.0), c=p.get("c", 0.0))

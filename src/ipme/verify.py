@@ -117,9 +117,9 @@ def _case_barenblatt_value():
     return True, "u(0,1) = 1/6 for m=2, R=1"
 
 
-def _residual_case(spec, lo, hi, n=65, t=1.0, bound=0.05, params=None):
-    grid = GridSpec.box(lo, hi, (n, n))
-    res, count = exact.pde_residual(spec, grid, t, params=params)
+def _residual_case(spec, lo, hi, t=1.0, bound=0.05):
+    grid = GridSpec.box(lo, hi, (65, 65))
+    res, count = exact.pde_residual(spec, grid, t)
     if count == 0:
         return False, "empty residual set"
     if res > bound:

@@ -1,19 +1,14 @@
 """Large-time diagnostics checked against closed-form fields, where every
 expected number is available exactly."""
 
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ipme.core import DomainError, FitError, GridSpec, Params, ScalarField
 from ipme import exact
-from ipme.asymptotics import (aleksandrov_check, barenblatt_convergence,
-                              benilan_crandall_check, eigen_residual,
-                              fit_rate, friendly_giant, rescale_v,
-                              trace_rows, track_support)
+from ipme.asymptotics import (barenblatt_convergence, benilan_crandall_check,
+                              fit_rate, friendly_giant, trace_rows,
+                              track_support)
 
 M = 2.0
 PARAMS = Params(m=M, eps=1e-3, delta=1e-5)
@@ -129,40 +124,6 @@ class TestBenilanCrandall:
             benilan_crandall_check(snaps)
 
 
-class TestRescaleV:
-
-    @settings(max_examples=30, deadline=None)
-    @given(m=st.floats(1.2, 4.0), t=st.floats(0.05, 20.0))
-    def test_roundtrip_recovers_pressure(self, m, t):
-        params = Params(m=m, eps=1e-3, delta=1e-3)
-        grid = GridSpec.box((0.0,), (1.0,), (17,))
-        vals = np.linspace(0.0, 0.8, 17)
-        u = ScalarField(grid=grid, values=vals, t=t, quantity="u")
-        v = rescale_v(u, params)
-        assert v.quantity == "v"
-        assert v.t == pytest.approx(math.log(t) / (m - 1.0))
-        # u = v^(m-1) / (alpha t), alpha = (m-1)^2/m, inverts the map
-        back = v.values ** (m - 1.0) / ((m - 1.0) ** 2 / m * t)
-        np.testing.assert_allclose(back, vals, rtol=1e-9, atol=1e-12)
-
-    def test_separable_solution_is_stationary_in_v(self):
-        va = rescale_v(snapshot(BALL, GRID, 2.0), PARAMS)
-        vb = rescale_v(snapshot(BALL, GRID, 5.0), PARAMS)
-        np.testing.assert_allclose(va.values, vb.values, rtol=1e-12,
-                                   atol=1e-14)
-
-    def test_needs_positive_time(self):
-        u = ScalarField(grid=GRID, values=np.zeros(GRID.shape), t=0.0,
-                        quantity="u")
-        with pytest.raises(DomainError, match="t > 0"):
-            rescale_v(u, PARAMS)
-
-    def test_quantity_tags_enforced(self):
-        rho = snapshot(BB, GRID, 1.0, quantity="rho")
-        with pytest.raises(DomainError, match="pressure"):
-            rescale_v(rho, PARAMS)
-
-
 class TestFriendlyGiant:
 
     def test_exact_separable_snapshots_have_zero_distance(self):
@@ -184,72 +145,6 @@ class TestFriendlyGiant:
     def test_needs_a_snapshot(self):
         with pytest.raises(DomainError, match="at least one"):
             friendly_giant([], PARAMS)
-
-
-class TestEigenResidual:
-
-    def test_zero_field_is_the_trivial_eigenfunction(self):
-        G = ScalarField(grid=GRID, values=np.zeros(GRID.shape), t=0.0,
-                        quantity="v")
-        assert eigen_residual(G, PARAMS) == 0.0
-
-    def test_profile_satisfies_the_equation_away_from_the_crest(self):
-        # on a window strictly inside the ball the rescaled profile obeys
-        # the eigen equation; the residual is pure discretization error
-        # and drops at second order
-        spec = exact.separable_ball(M, R=1.2, t0=0.0, x0=(0.0,))
-        res = {}
-        for n in (65, 129):
-            grid = GridSpec.box((0.2,), (0.9,), (n,))
-            u = snapshot(spec, grid, 1.0)
-            G = rescale_v(u, PARAMS)
-            res[n] = eigen_residual(G, PARAMS, threshold_frac=0.0)
-        assert res[65] < 2e-5
-        assert res[65] / res[129] > 3.0
-
-    def test_on_node_crest_reports_the_missing_eigenvalue(self):
-        # a node exactly at the apex has vanishing centered gradient, so
-        # the regularized quotient is zero there and the residual equals
-        # G itself; this documents why measurement windows avoid crests
-        grid = GridSpec.box((-0.5, -0.5), (0.5, 0.5), (33, 33))
-        u = snapshot(BALL, grid, 1.0)
-        G = rescale_v(u, PARAMS)
-        res = eigen_residual(G, PARAMS, threshold_frac=0.05)
-        assert res == pytest.approx(float(np.max(G.values)), rel=1e-9)
-
-    def test_empty_threshold_set_rejected(self):
-        grid = GridSpec.box((0.0,), (1.0,), (17,))
-        vals = np.linspace(0.0, 1.0, 17)
-        G = ScalarField(grid=grid, values=vals, t=0.0, quantity="v")
-        # the maximum sits on the boundary, so no interior node passes a
-        # full-height threshold
-        with pytest.raises(DomainError, match="empty"):
-            eigen_residual(G, PARAMS, threshold_frac=1.0)
-
-
-class TestAleksandrov:
-
-    def test_source_density_passes(self):
-        rho = snapshot(BB, GRID, 1.0, quantity="rho")
-        assert aleksandrov_check(rho, R0=0.5) >= 0.0
-
-    def test_ring_mass_outside_r0_violates(self):
-        X = GRID.points()
-        rr = np.sqrt(X[:, 0] ** 2 + X[:, 1] ** 2)
-        ring = 0.3 * np.maximum(1.0 - ((rr - 1.2) / 0.15) ** 2, 0.0)
-        rho = ScalarField(grid=GRID, values=ring.reshape(GRID.shape), t=1.0,
-                          quantity="rho")
-        assert aleksandrov_check(rho, R0=0.2) < 0.0
-
-    def test_r0_must_be_positive(self):
-        rho = snapshot(BB, GRID, 1.0, quantity="rho")
-        with pytest.raises(DomainError, match="R0"):
-            aleksandrov_check(rho, R0=0.0)
-
-    def test_oversized_r0_leaves_no_shells(self):
-        rho = snapshot(BB, GRID, 1.0, quantity="rho")
-        with pytest.raises(DomainError, match="no shell pair"):
-            aleksandrov_check(rho, R0=1.5)
 
 
 class TestBarenblattConvergence:

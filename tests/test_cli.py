@@ -17,7 +17,7 @@ from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
 from ipme import cli, io
-from ipme.core import ConfigError
+from ipme.core import ConfigError, GridSpec, ScalarField
 
 
 CONFIGS = pathlib.Path(__file__).parent.parent / "configs"
@@ -125,9 +125,9 @@ class TestYaml12Floats:
         assert cfg["output"] == "1e-3x"
 
     def test_override(self):
-        cfg = cli.apply_overrides({}, ["eps=1e-3", "data.height=-5e-1"])
+        cfg = cli.apply_overrides({}, ["eps=1e-3", "exact.a=-5e-1"])
         assert cfg["eps"] == 1e-3 and isinstance(cfg["eps"], float)
-        assert cfg["data"]["height"] == -0.5
+        assert cfg["exact"]["a"] == -0.5
         # a string leaf given a number is still a type error
         with pytest.raises(ConfigError, match="wrong type"):
             cli.apply_overrides({}, ["problem=1e3"])
@@ -619,6 +619,27 @@ def test_null_leaf_is_a_config_error(tmp_path, capsys, key):
         f"IPME-E50: {key!r} has the wrong type (null)\n")
 
 
+@pytest.mark.parametrize("overrides,diagnostic", [
+    (["boundary.kind=constant", "boundary.value=-1"],
+     "boundary.value must be >= 0, got -1"),
+    (["data.kind=constant", "data.value=-1"],
+     "data.value must be >= 0, got -1"),
+    (["data.kind=linear", "data.slope=-1"], "data.slope must be >= 0, got -1"),
+    (["data.height=-0.5"], "data.height must be >= 0, got -0.5"),
+], ids=["boundary.value", "data.value", "data.slope", "data.height"])
+def test_negative_data_is_an_input_error(tmp_path, capsys, overrides,
+                                         diagnostic):
+    # negative data or lateral values once failed only while stepping, as
+    # IPME-E21 after the work was done
+    argv = ["solve", write_cfg(tmp_path / "c.yaml", FUZZ_YAML),
+            "--set", f"output={tmp_path / 'out'}"]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"IPME-E10: {diagnostic}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["eps", "data.height", "seed"])
 @pytest.mark.parametrize("value", ["true", "false"])
 def test_bool_leaf_is_a_config_error(tmp_path, capsys, key, value):
@@ -863,3 +884,21 @@ asym: {snapshots: %s, tasks: [support]}
 """ % (tmp_path / "out", tmp_path / "absent"))
         assert cli.main(["asym", cfg]) == 1
         assert capsys.readouterr().err.startswith("IPME-E10:")
+
+    def test_non_finite_snapshot_time_rejected(self, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        field = ScalarField(GridSpec.box((0.0,), (1.0,), (5,)), np.zeros(5),
+                            t=1.0, quantity="u")
+        io.write_snapshot(str(snaps / "u_0000.snap"), field)
+        text = io.snapshot_text(field).replace("t=1.0", "t=nan", 1)
+        (snaps / "u_0001.snap").write_text(text)
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: [support]}
+""" % (tmp_path / "out", snaps))
+        assert cli.main(["asym", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E40:") and err.count("IPME-E") == 1
+        assert "time must be finite, got nan" in err
+        assert not (tmp_path / "out").exists()

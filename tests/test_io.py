@@ -124,6 +124,13 @@ class TestSnapshotParsing:
         with pytest.raises(SnapshotFormatError, match="finite"):
             io.parse_snapshot_text(head + "\n" + "0.0\n" * 9)
 
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_non_finite_time_rejected(self, t):
+        # `ipme asym` would otherwise sort and fit on such a time
+        text = self.header().replace("t=0.5", f"t={t}")
+        with pytest.raises(SnapshotFormatError, match="time must be finite"):
+            io.parse_snapshot_text(text + "\n" + "0.0\n" * 9)
+
     def test_field_constraints_still_apply(self):
         # a parsed pressure field goes through the same nonnegativity
         # police as a constructed one

@@ -132,11 +132,6 @@ class TestFieldKernels:
         assert g2[i, j] == pytest.approx(float(se.grad @ se.grad), rel=1e-12)
         assert lap[i, j] == pytest.approx(se.lap, rel=1e-12)
 
-    def test_inf_lap_field_matches_pointwise(self):
-        arr = ops.inf_lap_field(self.vals, GRID2, 1e-2)
-        se = ops.stencil_eval(self.field(), (3, 3))
-        assert arr[2, 2] == pytest.approx(se.inf_lap_reg(1e-2), rel=1e-12)
-
     def test_grad_norm_sq_consistent(self):
         # every interior node of the field's |Du|^2 against the pointwise
         # centered gradient

@@ -70,12 +70,8 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(t_end=np.inf), "t_end"),
-        (dict(t_end=0.05, t_start=-np.inf), "t_end"),
+        (dict(t_end=np.nan), "t_end"),
         (dict(t_end=0.05, snapshot_times=(np.nan,)), "snapshot"),
-        (dict(t_end=0.05, safety=0.0), "safety"),
-        (dict(t_end=0.05, safety=-0.4), "safety"),
-        (dict(t_end=0.05, safety=np.nan), "safety"),
-        (dict(t_end=0.05, safety=1.5), "safety"),
     ])
     def test_rejects_bad_solve_arguments_before_stepping(self, kwargs, match):
         # each once returned nonsense, hung, or failed only mid-run
@@ -128,7 +124,8 @@ class TestSelfSimilarReproduction:
         rho0 = exact.evaluate_rho(spec, x, 1.0)
         prob = RadialProblem(m=m, grid=g, initial=rho0,
                              boundary="dirichlet", left=0.0, right=0.0)
-        res = pme1d_solve(prob, t_end=2.0, t_start=1.0)
+        # the equation is autonomous: one unit of time from rho(., 1)
+        res = pme1d_solve(prob, t_end=1.0)
         want = exact.evaluate_rho(spec, x, 2.0)
         got = res.snapshots[-1].values
         # error concentrates at the front kink, steeper for larger m
@@ -305,11 +302,11 @@ IDENTITY_CASES = [
      dict(t_end=0.05, snapshot_times=(0.005, 0.02, 0.03))),
     ("dirichlet-m3-callable-inflow",
      lambda: _line_bump(3.0, left=lambda t: 0.2 + t, right=None),
-     dict(t_end=0.03, t_start=0.01, snapshot_times=(0.02,))),
+     dict(t_end=0.03, snapshot_times=(0.02,))),
     ("dirichlet-m1.5-step-data", lambda: RadialProblem(
         m=1.5, grid=GridSpec.box((0.0,), (1.0,), (65,)),
         initial=np.where(np.arange(65) < 20, 0.5, 0.0), boundary="dirichlet"),
-     dict(t_end=0.02, safety=1.0)),
+     dict(t_end=0.02)),
     ("dirichlet-zero-data-inflow", lambda: RadialProblem(
         m=2.0, grid=GridSpec.box((0.0,), (1.0,), (65,)),
         initial=np.zeros(65), boundary="dirichlet",

@@ -342,7 +342,7 @@ class TestSolveCauchy:
         assert rep.manifest.data["problem"] == "cauchy"
         assert rep.manifest.data["M"] == 0.05
         assert rep.manifest.data["truncation_radius"] == 0.3
-        assert barrier_check(rep, "cauchy-V", M=prob.M)
+        assert barrier_check(rep, "cauchy-V", prob)
 
     def test_manifest_records_ladder_diffs_and_ordering(self):
         rep = solve_cauchy(self.roomy_problem(), n_list=(128, 256))
@@ -381,11 +381,11 @@ class TestBarriers:
 
     def test_time_growth_barrier_holds_at_full_rate(self, paraboloid_run):
         prob, rep = paraboloid_run
-        assert barrier_check(rep, "time-lipschitz", problem=prob)
+        assert barrier_check(rep, "time-lipschitz", prob)
 
     def test_undersized_rate_constant_fails(self, paraboloid_run):
         prob, rep = paraboloid_run
-        assert not barrier_check(rep, "time-lipschitz", problem=prob,
+        assert not barrier_check(rep, "time-lipschitz", prob,
                                  lambda_scale=0.3)
 
     def test_boundary_hoelder_barrier_holds(self):
@@ -395,25 +395,15 @@ class TestBarriers:
         prob = DirichletProblem(GRID, params, bump_boundary(radius=0.9),
                                 t_end=0.05, snapshot_times=(0.025, 0.05))
         rep = solve_dirichlet(prob)
-        assert barrier_check(rep, "hoelder", problem=prob)
+        assert barrier_check(rep, "hoelder", prob)
 
     def test_unknown_barrier_rejected(self, paraboloid_run):
         prob, rep = paraboloid_run
         with pytest.raises(DomainError, match="unknown barrier"):
-            barrier_check(rep, "parabolic")
-
-    def test_time_growth_needs_problem(self, paraboloid_run):
-        _, rep = paraboloid_run
-        with pytest.raises(DomainError, match="needs the problem"):
-            barrier_check(rep, "time-lipschitz")
+            barrier_check(rep, "parabolic", prob)
 
     def test_hoelder_needs_positive_cutoff(self):
         prob = DirichletProblem(GRID, PARAMS, bump_boundary(), t_end=0.01)
         rep = solve_dirichlet(prob)
         with pytest.raises(DomainError, match="cutoff"):
-            barrier_check(rep, "hoelder", problem=prob)
-
-    def test_cauchy_barrier_needs_m(self, paraboloid_run):
-        _, rep = paraboloid_run
-        with pytest.raises(DomainError, match="truncation level"):
-            barrier_check(rep, "cauchy-V", M=None)
+            barrier_check(rep, "hoelder", prob)
