@@ -11,28 +11,38 @@ call) evaluate the whole interior at once.
 
 All of them run one kernel, `_terms`, which writes into the buffers of a
 `StencilWork`: the d gradient components, num, g2, lap, one temporary,
-rhs and a boolean mask, allocated once per grid together with the index
-tuples of every shifted stencil view.  It evaluates one fixed expression
-tree (the centered differences of `stencil_eval`, summed axis by axis)
-with `out=` ufuncs and in-place operators, so a time step allocates no
-field-sized array.  One-off calls build a fresh workspace, so what they
-return is never overwritten by a later call.
+rhs and a boolean mask, allocated once per grid together with the slices
+of every stencil neighbour.  It evaluates one fixed expression tree (the
+centered differences of `stencil_eval`, summed axis by axis) with `out=`
+ufuncs and in-place operators, so a time step allocates no field-sized
+array.  One-off calls build a fresh workspace, so what they return is
+never overwritten by a later call.
+
+Every operand is a contiguous 1-d run of the flattened field: the run
+from node (1, 1, ..., 1) to the last interior node, and the same run
+shifted by a sum of +-strides for each neighbour.  So every ufunc walks
+one contiguous stretch of memory instead of the rows of a strided view.
+The run also passes over the boundary nodes of axes >= 1 (two per row
+in 2-d); those positions are computed and ignored.  The returned arrays,
+the maxima and the delta == 0 check read only the interior views.
 
 On grids with at least SPLIT_NODES = 40,000 interior nodes, and with two
-or more usable cores, the workspace cuts the interior into two row slabs
-(axis 0; each reads one ghost row of the other).  Inside a `with` block
-the calling thread computes the first slab and one helper thread the
-second; numpy releases the GIL inside the ufuncs, and the slab maxima are
-combined afterwards.  Every operation is elementwise, so split and
+or more usable cores, the workspace cuts the run into two slabs of whole
+rows of axis 0 (each reads one ghost row of the other).  Inside a `with`
+block the calling thread computes the first slab and one helper thread
+the second; numpy releases the GIL inside the ufuncs, and the slab maxima
+are combined afterwards.  Every operation is elementwise, so split and
 unsplit results are identical.  The threshold sits just above the
-measured crossover of one 2-d call on a 2-core Xeon (numpy 2.4): one
-slab against two took 0.36 against 0.70 ms at 129^2 nodes, 0.56 against
-0.64 ms at 161^2, broke even at 177^2, and 0.91 against 0.76 ms at 193^2,
-1.78 against 1.08 ms at 257^2 and 4.97 against 2.11 ms at 385^2.
+measured crossover of one 2-d call on a 2-core Xeon (numpy 2.4; medians
+of calls alternated in one process): one slab against two took 0.32
+against 0.53 ms at 129^2 nodes, 0.62 against 0.68 ms at 161^2, 0.66
+against 0.71 ms at 177^2, 1.01 against 0.86 ms at 193^2, 2.59 against
+1.48 ms at 257^2 and 5.57 against 2.70 ms at 385^2.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -84,16 +94,17 @@ def beta_c(z, c: float):
 
 def _beta_into(z: np.ndarray, c: float, out: np.ndarray,
                scratch: np.ndarray, mask: np.ndarray) -> None:
-    """beta_c(z) into `out` (plain |z| when c == 0): 0.5 c + z^2/(2c),
-    then |z| where |z| >= c.  `scratch` and `mask` are overwritten."""
-    if c == 0.0:
-        np.abs(z, out=out)
+    """beta_c(z) into `out` (plain |z| when c == 0): |z|, and where
+    |z| < c the blend 0.5 c + z^2/(2c).  When c == 0 or every |z| >= c,
+    |z| is already the answer and the blend is skipped.  `scratch` and
+    `mask` are overwritten."""
+    np.abs(z, out=out)
+    if c == 0.0 or np.minimum.reduce(out, axis=None, initial=np.inf) >= c:
         return
-    np.multiply(z, z, out=out)
-    out /= 2.0 * c
-    out += 0.5 * c
-    np.abs(z, out=scratch)
-    np.greater_equal(scratch, c, out=mask)
+    np.less(out, c, out=mask)
+    np.multiply(z, z, out=scratch)
+    scratch /= 2.0 * c
+    scratch += 0.5 * c
     np.copyto(out, scratch, where=mask)
 
 
@@ -204,61 +215,90 @@ def _cores() -> int:
 
 
 class _Slab:
-    """Interior rows [r0, r1): index tuples into the whole field for the
-    centre and every shifted stencil view, and row views of the
-    workspace buffers."""
+    """Interior rows [r0, r1) as one contiguous run of the flattened
+    field, from node (1+r0, 1, ..., 1) to the last interior node of row
+    r1: slices of the flat field for the centre and every stencil
+    neighbour (the run shifted by a sum of +-strides), the matching
+    contiguous views of the workspace buffers, and the interior views of
+    the rows whose maxima the kernel reads."""
 
     def __init__(self, work: "StencilWork", r0: int, r1: int):
-        n = work.grid.n
-        d = len(n)
-        lo = (1 + r0,) + (1,) * (d - 1)
-        hi = (1 + r1,) + tuple(k - 1 for k in n[1:])
+        n, strides = work.grid.n, work.strides
+        first = (1 + r0) * strides[0] + sum(strides[1:])
+        last = r1 * strides[0] + sum((k - 2) * st
+                                     for k, st in zip(n[1:], strides[1:]))
 
-        def at(*moves):
-            off = [0] * d
-            for axis, step in moves:
-                off[axis] = step
-            return tuple(slice(a + o, b + o) for a, b, o in zip(lo, hi, off))
+        def at(shift):
+            return slice(first + shift, last + 1 + shift)
 
         self.h = work.grid.h
-        self.c0 = at()
-        self.up = [at((i, 1)) for i in range(d)]
-        self.dn = [at((i, -1)) for i in range(d)]
-        self.cross = [(i, j, at((i, 1), (j, 1)), at((i, 1), (j, -1)),
-                       at((i, -1), (j, 1)), at((i, -1), (j, -1)))
-                      for i in range(d) for j in range(i + 1, d)]
-        rows = slice(r0, r1)
-        self.grad = [g[rows] for g in work.grad]
+        self.c0 = at(0)
+        self.up = [at(st) for st in strides]
+        self.dn = [at(-st) for st in strides]
+        self.cross = [(i, j, at(si + sj), at(si - sj), at(sj - si),
+                       at(-si - sj))
+                      for i, si in enumerate(strides)
+                      for j, sj in enumerate(strides) if j > i]
+        # buffer position q holds flat field position q + work.offset
+        run = slice(first - work.offset, last + 1 - work.offset)
+        self.grad = [g[run] for g in work.flat_grad]
         self.num, self.g2, self.lap, self.tmp, self.rhs, self.mask = (
-            a[rows] for a in (work.num, work.g2, work.lap, work.tmp,
-                              work.rhs, work.mask))
+            a[run] for a in (work.flat_num, work.flat_g2, work.flat_lap,
+                             work.flat_tmp, work.flat_rhs, work.flat_mask))
+        rows = slice(r0, r1)
+        self.b_in = work.interior(work.flat_grad[0])[rows]
+        self.g2_in = work.g2[rows]
 
 
 class StencilWork:
-    """Interior buffers and stencil index tuples of one grid, built once.
+    """Flat buffers and stencil runs of one grid, built once.
 
     The buffers are the d gradient components, num, g2, lap, one
-    temporary, rhs and a boolean mask.  Grids with at least SPLIT_NODES
-    interior nodes on a machine with two or more usable cores get two row
-    slabs, other grids one.  Inside a `with` block a two-slab
-    workspace runs its second slab on one helper thread, which the block
-    joins on exit; outside one, the slabs run in turn on the calling
-    thread.  Arrays that `rhs_core(..., work)` returns are these buffers,
-    overwritten by the next call with the same workspace.
+    temporary, rhs and a boolean mask, each of length
+    (n0 - 2) * n1 * ... * n_{d-1}: position q holds the value at flat
+    field index q + offset, where offset is the flat index of node
+    (1, ..., 1).  Every kernel operation runs over one contiguous run
+    per slab, so run positions that fall on boundary nodes of axes >= 1
+    (two per row in 2-d) are computed too and ignored: they never reach
+    a returned array, a maximum or the singularity check, and they raise
+    nothing.  The buffers are the `flat_*` attributes; `num`, `g2`, `lap`
+    and `rhs` are the interior views of theirs, shape
+    (n0 - 2, ..., n_{d-1} - 2).
+
+    Grids with at least SPLIT_NODES interior nodes on a machine with two
+    or more usable cores get two row slabs, other grids one.  Inside a
+    `with` block a two-slab workspace runs its second slab on one helper
+    thread, which the block joins on exit; outside one, the slabs run in
+    turn on the calling thread.  Arrays that `rhs_core(..., work)`
+    returns are views of these buffers, overwritten by the next call
+    with the same workspace.
     """
 
     def __init__(self, grid: GridSpec):
-        shape = tuple(n - 2 for n in grid.n)
-        split = shape[0] >= 2 and int(np.prod(shape)) >= SPLIT_NODES \
+        n = grid.n
+        rows = n[0] - 2
+        split = rows >= 2 and math.prod(k - 2 for k in n) >= SPLIT_NODES \
             and _cores() >= 2
         self.grid = grid
-        self.grad = [np.empty(shape) for _ in range(grid.dim)]
-        self.num, self.g2, self.lap, self.tmp, self.rhs = (
-            np.empty(shape) for _ in range(5))
-        self.mask = np.empty(shape, dtype=bool)
-        cuts = (0, shape[0] // 2, shape[0]) if split else (0, shape[0])
+        self.strides = tuple(math.prod(n[i + 1:]) for i in range(grid.dim))
+        self.offset = sum(self.strides)
+        size = rows * self.strides[0]
+        self.flat_grad = [np.empty(size) for _ in range(grid.dim)]
+        self.flat_num, self.flat_g2, self.flat_lap, self.flat_tmp, \
+            self.flat_rhs = (np.empty(size) for _ in range(5))
+        self.flat_mask = np.empty(size, dtype=bool)
+        self.num, self.g2, self.lap, self.rhs = (
+            self.interior(a) for a in (self.flat_num, self.flat_g2,
+                                       self.flat_lap, self.flat_rhs))
+        cuts = (0, rows // 2, rows) if split else (0, rows)
         self.slabs = [_Slab(self, a, b) for a, b in zip(cuts, cuts[1:])]
         self._helper = None
+
+    def interior(self, buf: np.ndarray) -> np.ndarray:
+        """The interior nodes of a flat buffer, as a grid-shaped view."""
+        n = self.grid.n
+        return buf.reshape((n[0] - 2,) + n[1:])[
+            (slice(None),) + tuple(slice(0, k - 2) for k in n[1:])]
 
     def __enter__(self) -> "StencilWork":
         if len(self.slabs) > 1:
@@ -272,13 +312,18 @@ class StencilWork:
             self._helper = None
 
     def run(self, fn: Callable, vals: np.ndarray, *args) -> list:
-        """[fn(vals, slab, *args) for each slab]; with a helper running,
-        the last slab goes to it while this thread does the first."""
+        """[fn(flat, slab, *args) for each slab], with `flat` the field
+        `vals` flattened; with a helper running, the last slab goes to it
+        while this thread does the first."""
+        if vals.shape != self.grid.shape:
+            raise DomainError(f"field of shape {vals.shape} does not match "
+                              f"the grid's {self.grid.shape}")
+        flat = vals.reshape(-1)
         if self._helper is None:
-            return [fn(vals, s, *args) for s in self.slabs]
-        pending = self._helper.submit(fn, vals, self.slabs[1], *args)
+            return [fn(flat, s, *args) for s in self.slabs]
+        pending = self._helper.submit(fn, flat, self.slabs[1], *args)
         try:
-            first = fn(vals, self.slabs[0], *args)
+            first = fn(flat, self.slabs[0], *args)
         except BaseException:
             pending.exception()  # the helper must be done with the buffers
             raise
@@ -296,13 +341,15 @@ def _accumulate(acc: np.ndarray, term: np.ndarray, first: bool) -> None:
 
 def _terms(vals: np.ndarray, s: _Slab) -> None:
     """Fill the slab's grad, num = <D^2u Du, Du>, g2 = |Du|^2 and
-    lap = trace D^2u in place.
+    lap = trace D^2u in place, from the flattened field `vals`.
 
     The operation order is fixed, so every value is reproducible bit for
     bit: gi = (up - dn)/(2h), hii = ((up - 2 c0) + dn)/h^2,
     hij = sgn ((pp - pm) - mp + mm)/(4 hi hj), and the sums lap += hii,
-    num += (hii gi) gi then ((2 hij) gi) gj, g2 += gi gi, each from
-    zero.  The rhs buffer holds 2 c0 meanwhile.
+    num += (hii gi) gi then ((2 hij) gi) gj, each from zero, and
+    g2 += gi gi, which starts at g0 g0 (a square is never -0.0, so adding
+    it to zero would change nothing).  The rhs buffer holds 2 c0
+    meanwhile.
     """
     h, tmp, two_c0 = s.h, s.tmp, s.rhs
     np.multiply(vals[s.c0], 2.0, out=two_c0)
@@ -317,8 +364,11 @@ def _terms(vals: np.ndarray, s: _Slab) -> None:
         tmp *= gi
         tmp *= gi
         _accumulate(s.num, tmp, i == 0)
-        np.multiply(gi, gi, out=tmp)
-        _accumulate(s.g2, tmp, i == 0)
+        if i == 0:
+            np.multiply(gi, gi, out=s.g2)
+        else:
+            np.multiply(gi, gi, out=tmp)
+            s.g2 += tmp
     sgn = _cross_sign()
     for i, j, pp, pm, mp, mm in s.cross:
         np.subtract(vals[pp], vals[pm], out=tmp)
@@ -333,26 +383,29 @@ def _terms(vals: np.ndarray, s: _Slab) -> None:
         s.num += tmp
 
 
-def _quotient(num: np.ndarray, g2: np.ndarray, delta: float,
-              out: np.ndarray) -> np.ndarray:
-    """num / (g2 + delta^2) into `out`; delta == 0 needs g2 nowhere 0."""
+def _quotient(num: np.ndarray, g2: np.ndarray, g2_in: np.ndarray,
+              delta: float, out: np.ndarray) -> np.ndarray:
+    """num / (g2 + delta^2) into `out`; delta == 0 needs g2 nowhere 0 on
+    the interior view `g2_in` (ignored run positions may divide by 0)."""
     if delta == 0.0:
-        if not g2.all():
+        if not g2_in.all():
             raise SingularPointError(
                 "delta == 0 with vanishing interior gradient")
-        return np.divide(num, g2, out=out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(num, g2, out=out)
     np.add(g2, delta * delta, out=out)
     return np.divide(num, out, out=out)
 
 
 def _rhs_slab(vals: np.ndarray, s: _Slab, params: Params) -> tuple:
     """rhs = (eps lap + (k beta_c(u)) ratio) + g2 on one slab, into its
-    rhs buffer; returns the slab's (max beta_c(u), max g2)."""
+    rhs buffer; returns the maxima of beta_c(u) and g2 over the slab's
+    interior nodes."""
     _terms(vals, s)
-    ratio = _quotient(s.num, s.g2, params.delta, out=s.tmp)
+    ratio = _quotient(s.num, s.g2, s.g2_in, params.delta, out=s.tmp)
     b = s.grad[0]
     _beta_into(vals[s.c0], params.c, b, s.rhs, s.mask)
-    maxima = float(b.max()), float(s.g2.max())
+    maxima = float(s.b_in.max()), float(s.g2_in.max())
     b *= params.k
     b *= ratio
     np.multiply(s.lap, params.eps, out=s.rhs)
@@ -378,7 +431,8 @@ def rhs_core(vals: np.ndarray, grid: GridSpec, params: Params,
 
     Returns (rhs, max beta_c(u), max |Du|^2) so the time stepper can form
     its CFL bound without a second stencil pass.  Without `work` the
-    arrays come from a new workspace; with one, rhs is its buffer.
+    arrays come from a new workspace; with one, rhs is `work.rhs`, the
+    interior view of its rhs buffer.
     """
     if work is None:
         work = StencilWork(grid)

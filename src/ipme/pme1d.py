@@ -11,9 +11,10 @@ pressure, conservative second difference of rho^m instead of the expanded
 operator, so the two codes cannot share a bug.
 
 There is one update, `_advance`: it steps a plain density array in place
-on preallocated workspaces.  `pme1d_solve` runs it on one array for the
-whole solve and builds `ScalarField`s only for the initial state and the
-snapshots; `pme1d_step` runs it on a copy of its input field.
+on a `_Work`, the workspaces and stencil views made once per array.
+`pme1d_solve` runs it on one array for the whole solve and builds
+`ScalarField`s only for the initial state and the snapshots; `pme1d_step`
+runs it on a copy of its input field, with a workspace of its own.
 """
 
 from __future__ import annotations
@@ -105,33 +106,55 @@ def cfl_dt_1d(rho: np.ndarray, h: float, m: float,
     return _cfl_bound(float(np.max(rho)), h, m, safety)
 
 
-def _advance(rho: np.ndarray, w: np.ndarray, lap: np.ndarray, t_new: float,
-             dt: float, h: float, problem: RadialProblem, rho_max: float,
+class _Work:
+    """What the 1-d update of one density array `rho` needs, made once:
+    the workspaces w = rho^m (size n) and `lap` (size n-2), the stencil
+    views w[1:-1], w[2:], w[:-2] and rho[1:-1], and the scalar operands
+    m, 2 and dt/h^2 as 0-d arrays (a Python float operand costs numpy a
+    conversion on every call; the arithmetic is the same)."""
+
+    def __init__(self, rho: np.ndarray, m: float):
+        self.rho = rho
+        self.w = np.empty_like(rho)
+        self.lap = np.empty(rho.size - 2)
+        self.w_mid, self.w_up, self.w_dn = self.w[1:-1], self.w[2:], \
+            self.w[:-2]
+        self.rho_mid = rho[1:-1]
+        self.m, self.two, self.scale = np.array(m), np.array(2.0), \
+            np.array(0.0)
+
+
+def _advance(work: _Work, t_new: float, dt: float, h: float,
+             problem: RadialProblem, rho_max: float,
              clip_account: Optional[list]) -> float:
-    """The explicit conservative update, in place: `rho` (whose maximum is
-    `rho_max`) advances by dt to t_new, with `w` (size n) and `lap` (size
-    n-2) as workspaces.  Returns the new maximum of rho.
+    """The explicit conservative update, in place: `work.rho` (whose
+    maximum is `rho_max`) advances by dt to t_new.  Returns the new
+    maximum of rho.
 
     The edges are set before the checks, so one min and one max cover the
     finiteness test, the undershoot clip and the next stability bound.
+    The symmetry edge is computed on Python floats, which take the same
+    IEEE operations in the same order as numpy scalars would.
     """
     bound = _cfl_bound(rho_max, h, problem.m, 1.0)
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt} exceeds the 1-d stability bound {bound}")
     scale = dt / (h * h)
-    np.power(rho, problem.m, out=w)
+    rho, w, lap = work.rho, work.w, work.lap
+    np.power(rho, work.m, out=w)
     # (w[2:] - 2 w[1:-1]) + w[:-2], in this order, scaled by dt/h^2
-    np.multiply(w[1:-1], 2.0, out=lap)
-    np.subtract(w[2:], lap, out=lap)
-    np.add(lap, w[:-2], out=lap)
-    np.multiply(lap, scale, out=lap)
-    np.add(rho[1:-1], lap, out=rho[1:-1])
+    np.multiply(work.w_mid, work.two, out=lap)
+    np.subtract(work.w_up, lap, out=lap)
+    np.add(lap, work.w_dn, out=lap)
+    work.scale[()] = scale
+    np.multiply(lap, work.scale, out=lap)
+    np.add(work.rho_mid, lap, out=work.rho_mid)
     if problem.boundary == "symmetry-at-0":
-        rho[0] = rho[0] + scale * (2.0 * w[1] - 2.0 * w[0])
+        rho[0] = rho.item(0) + scale * (2.0 * w.item(1) - 2.0 * w.item(0))
     else:
         rho[0] = problem._edge("left", t_new)
     rho[-1] = problem._edge("right", t_new)
-    low, top = rho.min(), rho.max()
+    low, top = np.minimum.reduce(rho), np.maximum.reduce(rho)
     if not (math.isfinite(low) and math.isfinite(top)):
         raise InstabilityError("non-finite density during 1-d stepping")
     if low < 0.0:
@@ -154,8 +177,8 @@ def pme1d_step(state: ScalarField, dt: float, problem: RadialProblem,
     copy, so `state` is left unchanged.
     """
     rho = state.values.ravel().copy()
-    _advance(rho, np.empty_like(rho), np.empty(rho.size - 2), state.t + dt,
-             dt, state.grid.h[0], problem, float(np.max(rho)), clip_account)
+    _advance(_Work(rho, problem.m), state.t + dt, dt, state.grid.h[0], problem,
+             float(np.max(rho)), clip_account)
     return ScalarField(grid=state.grid, values=rho, t=state.t + dt,
                        quantity="rho")
 
@@ -195,7 +218,7 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
     rho[-1] = problem._edge("right", 0.0)
     h = problem.grid.h[0]
     mass0 = _mass(rho, h)
-    w, lap = np.empty_like(rho), np.empty(rho.size - 2)
+    work = _Work(rho, problem.m)
     rho_max = float(np.max(rho))
     clip_account: list = []
     out, out_times = [], []
@@ -207,7 +230,7 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
             dt = min(_cfl_bound(rho_max, h, problem.m, SAFETY), target - t)
             if not math.isfinite(dt):
                 dt = target - t
-            rho_max = _advance(rho, w, lap, t + dt, dt, h, problem, rho_max,
+            rho_max = _advance(work, t + dt, dt, h, problem, rho_max,
                                clip_account)
             t += dt
             n_steps += 1

@@ -3,8 +3,9 @@
 Five suites, each a list of quick self-contained cases:
 
   operators   stencil consistency: quadratics are differentiated exactly,
-              the field kernel matches the pointwise kernel, beta_c obeys
-              its floor.  Sensitive to sign faults in the mixed terms.
+              pointwise and by the field kernel, the field kernel matches
+              the pointwise kernel, beta_c obeys its floor.  Sensitive to
+              sign faults in the mixed terms.
   exact       frozen point values and discrete residuals of the explicit
               solution families, plus profile-table endpoint/inverse checks.
               The residuals run the solver's stencil kernel, so the ball
@@ -91,6 +92,31 @@ def _case_field_matches_pointwise():
         if abs(got - want) > 1e-13 * max(1.0, abs(want)):
             return False, f"field kernel disagrees at {node}"
     return True, "field kernel == pointwise kernel"
+
+
+def _case_field_quadratic():
+    # the field kernel on a quadratic u = x.Ax/2 + b.x + c0, where every
+    # centered difference is exact: at each interior node
+    # rhs = eps tr A + k beta_c(u) g.Ag / (|g|^2 + delta^2) + |g|^2 with
+    # g = Ax + b, to rounding; the non-square grid with unequal spacings
+    # catches stride and run-boundary faults, the A01 entry a sign flip
+    A = np.array([[1.3, -0.6], [-0.6, 0.8]])
+    b = np.array([0.4, 1.1])
+    grid = GridSpec(n=(17, 23), h=(0.11, 0.07), origin=(-0.9, -0.8))
+    par = Params(m=2.5, eps=0.3, delta=0.2, c=1.5)
+    X = grid.points()
+    vals = (0.5 * np.einsum("ni,ij,nj->n", X, A, X) + X @ b + 2.0
+            ).reshape(grid.shape)
+    got = rhs_core(vals, grid, par)[0]
+    g = X.reshape(grid.shape + (2,))[grid.interior()] @ A + b
+    g2 = np.einsum("...i,...i->...", g, g)
+    quad = np.einsum("...i,ij,...j->...", g, A, g)
+    want = (par.eps * np.trace(A) + g2 + par.k * beta_c(
+        vals[grid.interior()], par.c) * quad / (g2 + par.delta ** 2))
+    worst = float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+    if worst > 1e-10:
+        return False, f"field rhs error {worst:.2e} on a quadratic"
+    return True, f"field rhs exact on a quadratic to {worst:.1e}"
 
 
 def _case_traveling_wave_operator():
@@ -323,6 +349,7 @@ SUITES = {
         ("beta-floor", _case_beta_floor),
         ("quadratic-quotient", _case_quadratic_quotient),
         ("field-vs-pointwise", _case_field_matches_pointwise),
+        ("field-quadratic", _case_field_quadratic),
         ("traveling-wave-rhs", _case_traveling_wave_operator),
     ],
     "exact": [

@@ -757,9 +757,10 @@ class TestVerifyCommand:
     def test_full_battery_passes(self, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.strip().endswith("19/19 cases passed")
+        assert out.strip().endswith("20/20 cases passed")
         assert all(line.startswith("PASS") for line in
                    out.strip().splitlines()[:-1])
+        assert "PASS  operators/field-quadratic" in out
 
     def test_single_suite_selection(self, capsys):
         assert cli.main(["verify", "--suite", "io"]) == 0
@@ -773,6 +774,7 @@ class TestVerifyCommand:
         assert rc == 1
         cap = capsys.readouterr()
         assert "FAIL  operators/quadratic-quotient" in cap.out
+        assert "FAIL  operators/field-quadratic" in cap.out
         assert cap.err.startswith("IPME-E1: failing cases:")
         # the fault must not leak into later runs
         assert cli.main(["verify", "--suite", "operators"]) == 0

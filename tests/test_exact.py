@@ -288,4 +288,4 @@ def test_exact_ball_and_verify_run_without_scipy(tmp_path):
         block_scipy=True)
     assert out.returncode == 0, out.stdout + out.stderr
     assert (tmp_path / "out" / "u_0000.snap").exists()
-    assert "19/19 cases passed" in out.stdout
+    assert "20/20 cases passed" in out.stdout

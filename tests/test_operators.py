@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,85 @@ class TestWorkspaceKernel:
             ops.rhs_core(vals[:-1], GridSpec(n=(22, 19), h=grid.h,
                                              origin=grid.origin),
                          params, work)
+
+
+class TestFlatRuns:
+    """The kernel steps over one flat run per slab; the run positions on
+    boundary nodes of axes >= 1 are computed and ignored."""
+
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    @pytest.mark.parametrize("delta", [0.0, 1e-2])
+    def test_single_interior_column(self, delta, c):
+        # n1 = 3: two of every three run positions are ignored
+        grid = GridSpec(n=(11, 3), h=(0.1, 0.13), origin=(0.0, -0.2))
+        vals = np.random.default_rng(11).random(grid.shape) ** 2
+        params = Params(m=2.5, eps=1e-2, delta=delta, c=c)
+        got = ops.rhs_core(vals, grid, params)
+        want = _ref_rhs_core(vals, grid, params)
+        assert got[0].shape == (9, 1)
+        assert _bitwise_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        for a, b in zip(ops.quad_form_field(vals, grid),
+                        _ref_quad_form_field(vals, grid)):
+            assert _bitwise_equal(a, b)
+
+    def test_three_d_split_equals_unsplit(self, two_cores, monkeypatch):
+        grid = GridSpec(n=(37, 37, 37), h=(0.03, 0.025, 0.02),
+                        origin=(0.0, 0.0, 0.0))
+        vals = np.random.default_rng(37).random(grid.shape) ** 2
+        params = Params(m=2.0, eps=1e-3, delta=1e-3, c=0.1)
+        with ops.StencilWork(grid) as work:
+            assert len(work.slabs) == 2
+            two = ops.rhs_core(vals, grid, params, work)
+        monkeypatch.setattr(ops, "SPLIT_NODES", grid.size)
+        work = ops.StencilWork(grid)
+        assert len(work.slabs) == 1
+        one = ops.rhs_core(vals, grid, params, work)
+        want = _ref_rhs_core(vals, grid, params)
+        assert _bitwise_equal(one[0], two[0])
+        assert _bitwise_equal(one[0], want[0])
+        assert one[1:] == two[1:] == want[1:]
+
+    def test_no_delta_with_flat_ignored_positions(self):
+        # u = f(x1) with f(1) == f(n1 - 1): the gradient vanishes at the
+        # ignored run positions on column 0 but at no interior node
+        grid = GridSpec(n=(9, 5), h=(0.1, 0.1), origin=(0.0, 0.0))
+        vals = np.tile([0.0, 1.0, 2.0, 3.0, 1.0], (9, 1))
+        params = Params(m=2.0, eps=1e-2, delta=0.0)
+        work = ops.StencilWork(grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ops.rhs_core(vals, grid, params, work)
+        assert not work.flat_g2.all()
+        assert work.g2.all()
+        want = _ref_rhs_core(vals, grid, params)
+        assert _bitwise_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+
+    def test_field_must_have_the_grid_shape(self):
+        # a transposed field has the right size but would run the wrong
+        # strides
+        grid = KERNEL_GRIDS[1]
+        vals = np.random.default_rng(9).random(grid.shape)
+        params = Params(m=2.0, eps=1e-2, delta=1e-2)
+        with pytest.raises(DomainError, match="does not match"):
+            ops.rhs_core(vals.T, grid, params)
+        with pytest.raises(DomainError, match="does not match"):
+            ops.quad_form_field(vals.ravel(), grid)
+
+    def test_beta_short_path_and_blend(self):
+        # every |u| >= c takes beta_c(u) = |u| without the blend; one node
+        # below c brings the blend back
+        grid = KERNEL_GRIDS[1]
+        params = Params(m=2.0, eps=1e-2, delta=1e-2, c=0.3)
+        vals = 0.3 + np.random.default_rng(8).random(grid.shape)
+        for low in (None, 0.1):
+            if low is not None:
+                vals[7, 5] = low
+            got = ops.rhs_core(vals, grid, params)
+            want = _ref_rhs_core(vals, grid, params)
+            assert _bitwise_equal(got[0], want[0])
+            assert got[1:] == want[1:]
 
 
 # ── Row slabs ────────────────────────────────────────────────────────────
