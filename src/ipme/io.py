@@ -10,6 +10,14 @@ One decimal value per line, row-major node order, written with Python's
 shortest round-trip float repr so that read(write(field)) reproduces every
 value bit for bit.  quantity is one of u, rho, v, G.
 
+The writer formats each distinct value once: solutions are mostly
+plateaus (the floor outside the support, the lateral value beyond the
+truncation ramp) and mirror images, so few of their values differ.
+Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
+own text, and every line is the repr of its own value: the bytes are
+those of formatting value by value.  `write_snapshot` streams the rows
+that `snapshot_text` joins.
+
 Manifests are a small deterministic YAML subset (nested mappings, scalars,
 flat lists) emitted with sorted structure fixed by the writer; they parse
 with any YAML reader.  Traces are RFC-4180 CSV.
@@ -40,23 +48,32 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def snapshot_text(field: ScalarField) -> str:
+def _snapshot_chunks(field: ScalarField):
+    """The snapshot text in pieces: the header line, then each row of the
+    last axis.  A table holds the text of each distinct bit pattern, and
+    the rows are put together from it."""
     g = field.grid
-    head = ("# {magic} d={d} n={n} h={h} origin={o} t={t} quantity={q}"
-            .format(magic=_MAGIC, d=g.dim,
-                    n=",".join(str(v) for v in g.n),
-                    h=",".join(_fmt(v) for v in g.h),
-                    o=",".join(_fmt(v) for v in g.origin),
-                    t=_fmt(field.t), q=field.quantity))
-    # row by row: each row's floats are alive only while it is formatted
-    rows = field.values.reshape(-1, g.n[-1])
-    body = "\n".join("\n".join(map(repr, row.tolist())) for row in rows)
-    return head + "\n" + body + "\n"
+    yield ("# {magic} d={d} n={n} h={h} origin={o} t={t} quantity={q}\n"
+           .format(magic=_MAGIC, d=g.dim,
+                   n=",".join(str(v) for v in g.n),
+                   h=",".join(_fmt(v) for v in g.h),
+                   o=",".join(_fmt(v) for v in g.origin),
+                   t=_fmt(field.t), q=field.quantity))
+    bits, where = np.unique(field.values.reshape(-1).view(np.int64),
+                            return_inverse=True)
+    text = np.array([repr(v) + "\n" for v in bits.view(float).tolist()],
+                    dtype=object)
+    for row in where.reshape(-1, g.n[-1]):
+        yield "".join(text[row])
+
+
+def snapshot_text(field: ScalarField) -> str:
+    return "".join(_snapshot_chunks(field))
 
 
 def write_snapshot(path: str, field: ScalarField) -> None:
     with open(path, "w", newline="\n") as f:
-        f.write(snapshot_text(field))
+        f.writelines(_snapshot_chunks(field))
 
 
 def parse_snapshot_text(text: str, name: str = "<snapshot>") -> ScalarField:

@@ -24,7 +24,12 @@ shifted by a sum of +-strides for each neighbour.  So every ufunc walks
 one contiguous stretch of memory instead of the rows of a strided view.
 The run also passes over the boundary nodes of axes >= 1 (two per row
 in 2-d); those positions are computed and ignored.  The returned arrays,
-the maxima and the delta == 0 check read only the interior views.
+the maxima and the delta == 0 check read only the interior views.  The
+time stepper adds the whole run of rhs into the field at once
+(`StencilWork.span`): that is sound because every ignored run position
+is a held node, which the lateral stamp overwrites before any check
+reads the field.  Buffer positions past the last interior node are
+never written, by the kernel or the stepper.
 
 On grids with at least SPLIT_NODES = 40,000 interior nodes, and with two
 or more usable cores, the workspace cuts the run into two slabs of whole
@@ -265,6 +270,14 @@ class StencilWork:
     and `rhs` are the interior views of theirs, shape
     (n0 - 2, ..., n_{d-1} - 2).
 
+    The slabs together write one contiguous run: `span` is the slice of
+    the flat field from node (1, ..., 1) to the last interior node, and
+    `span_rhs` the buffer positions that hold it.  The tail of each
+    buffer past that run is never written.  Every ignored position of
+    the run is a box-boundary node, so a caller that adds `span_rhs`
+    into `span` touches only interior nodes and nodes it must overwrite
+    with lateral data before reading the field.
+
     Grids with at least SPLIT_NODES interior nodes on a machine with two
     or more usable cores get two row slabs, other grids one.  Inside a
     `with` block a two-slab workspace runs its second slab on one helper
@@ -290,6 +303,9 @@ class StencilWork:
         self.num, self.g2, self.lap, self.rhs = (
             self.interior(a) for a in (self.flat_num, self.flat_g2,
                                        self.flat_lap, self.flat_rhs))
+        last = sum((k - 2) * st for k, st in zip(n, self.strides))
+        self.span = slice(self.offset, last + 1)
+        self.span_rhs = self.flat_rhs[:last + 1 - self.offset]
         cuts = (0, rows // 2, rows) if split else (0, rows)
         self.slabs = [_Slab(self, a, b) for a, b in zip(cuts, cuts[1:])]
         self._helper = None

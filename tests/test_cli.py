@@ -768,6 +768,15 @@ class TestVerifyCommand:
         assert out.strip().endswith("4/4 cases passed")
         assert "io/snapshot-roundtrip" in out
 
+    def test_writer_merging_signed_zeros_is_caught(self, capsys,
+                                                   monkeypatch):
+        # a writer that formats -0.0 as 0.0 reads back equal under ==
+        real = io.snapshot_text
+        monkeypatch.setattr(io, "snapshot_text", lambda f: real(ScalarField(
+            f.grid, f.values + 0.0, t=f.t, quantity=f.quantity)))
+        assert cli.main(["verify", "--suite", "io"]) == 1
+        assert "FAIL  io/snapshot-roundtrip" in capsys.readouterr().out
+
     def test_injected_fault_is_caught(self, capsys):
         rc = cli.main(["verify", "--suite", "operators",
                        "--fault", "stencil-sign-flip"])

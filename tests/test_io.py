@@ -59,16 +59,39 @@ class TestSnapshotRoundtrip:
         assert lines[1:] == [repr(float(v)) for v in range(9)]
 
 
-    def test_body_bytes_match_per_value_repr(self):
+    def test_body_bytes_match_per_value_repr(self, tmp_path):
         # the body is one shortest round-trip repr per value, the same
-        # bytes as formatting each value on its own
+        # bytes as formatting each value on its own, although the writer
+        # formats each distinct bit pattern once; the file holds the same
         rng = np.random.default_rng(3)
         specials = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 0.0, -1.5e300, 2.0 ** 53]
-        for vals in (rng.standard_normal(9) * 10.0 ** rng.integers(-30, 30, 9),
-                     rng.uniform(-1.0, 1.0, 9), specials[:9] + [1.0]):
-            field = field_of(np.asarray(vals, dtype=float)[:9])
-            body = io.snapshot_text(field).splitlines()[1:]
+        zeros = np.array([0.0, -0.0, 0.0, -0.0, 0.25, -0.0, 0.0, 0.25, -0.0])
+        x = np.linspace(-1.0, 1.0, 9)
+        # floor plateau, a ramp, a ceiling plateau: symmetric in x and y
+        plateau = np.clip(2.0 - 3.0 * np.hypot(*np.meshgrid(x, x)), 0.1, 1.0)
+        assert np.array_equal(plateau, plateau[::-1]) and \
+            np.array_equal(plateau, plateau.T)
+        line = GridSpec.box((0.0,), (1.0,), (13,))
+        cube = GridSpec.box((0.0,) * 3, (1.0,) * 3, (3, 4, 5))
+        for vals, grid in (
+                (rng.standard_normal(9) * 10.0 ** rng.integers(-30, 30, 9),
+                 GRID3),
+                (rng.uniform(-1.0, 1.0, 9), GRID3),
+                (specials[:9] + [1.0], GRID3),
+                (zeros, GRID3),
+                (plateau, GridSpec.box((-1.0, -1.0), (1.0, 1.0), (9, 9))),
+                (np.arange(81.0) / 7.0, GridSpec.box((0.0, 0.0), (1.0, 1.0),
+                                                     (9, 9))),
+                (np.tile([0.5, -0.0, 0.0, 1.0 / 3.0], 4)[:13], line),
+                (np.where(rng.random(60) < 0.5, rng.random(60), -0.0), cube)):
+            vals = np.asarray(vals, dtype=float)[:grid.size]
+            field = field_of(vals, grid=grid)
+            text = io.snapshot_text(field)
+            body = text.splitlines()[1:]
             assert body == [repr(float(v)) for v in field.values.ravel()]
+            path = tmp_path / "s.snap"
+            io.write_snapshot(str(path), field)
+            assert path.read_bytes() == text.encode()
 
 
 class TestSnapshotParsing:

@@ -21,7 +21,7 @@ PARAMS = Params(m=2.0, eps=1e-2, delta=1e-2)
 def bump_boundary(height=0.5, radius=0.6, base=0.0):
     """Quartic bump over a constant pedestal, constant lateral data."""
     def u0(X):
-        r2 = X[:, 0] ** 2 + X[:, 1] ** 2
+        r2 = np.sum(X * X, axis=1)
         return base + height * np.maximum(1.0 - (r2 / radius**2) ** 2, 0.0)
     return BoundaryData.from_functions(
         u0=u0, g=lambda X, t: np.full(len(X), base), time_dependent=False)
@@ -117,6 +117,36 @@ class TestStepExplicit:
         stepped = step_explicit(u, cfl_dt(u, PARAMS), PARAMS, bd)
         assert np.array_equal(u.values, keep)
         assert not np.shares_memory(stepped.values, u.values)
+
+    @pytest.mark.parametrize("n", [(17, 17), (7, 6, 5)])
+    def test_workspace_tail_is_never_touched(self, n):
+        # the flat buffers are np.empty and the kernel writes none of their
+        # positions past the last interior node (2 in 2-d, 12 here in 3-d);
+        # a step that scaled them would overflow this tail
+        grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(-0.3,) * len(n))
+        work = operators.StencilWork(grid)
+        run = (np.ravel_multi_index(tuple(k - 2 for k in n), n)
+               - np.ravel_multi_index((1,) * len(n), n) + 1)
+        bufs = work.flat_grad + [work.flat_num, work.flat_g2, work.flat_lap,
+                                 work.flat_tmp, work.flat_rhs]
+        assert all(b.size > run for b in bufs)
+        for b in bufs:
+            b[run:] = 1e300
+        work.flat_mask[run:] = True
+        bd = BoundaryData.from_functions(
+            u0=lambda X: 0.5 + np.sum(X * X, axis=1),
+            g=lambda X, t: 0.5 + np.sum(X * X, axis=1), time_dependent=False)
+        vals = bd.initial(grid.points()).reshape(grid.shape)
+        dt = 1e10
+        with np.errstate(all="raise"):
+            rhs = operators.rhs_core(vals, grid, PARAMS, work)[0]
+            want = vals.copy()
+            want[grid.interior()] += rhs * dt
+            solver._euler(vals, work, dt, dt,
+                          solver._lateral_stamp(grid, bd, None), "u")
+        assert np.array_equal(vals, want)
+        assert all(np.all(b[run:] == 1e300) for b in bufs)
+        assert np.all(work.flat_mask[run:])
 
     def test_overlarge_step_raises(self):
         X = GRID.points()
@@ -407,3 +437,178 @@ class TestBarriers:
         rep = solve_dirichlet(prob)
         with pytest.raises(DomainError, match="cutoff"):
             barrier_check(rep, "hoelder", prob)
+
+
+# ---------------------------------------------------------------------------
+# reference: the stamp, the update, the value police and the stage loop as
+# they were before the update ran over one contiguous span and the checks
+# read the interior and the stamp's extremes, kept verbatim but for names
+# to pin bit identity; they call none of the functions under test
+
+def reference_stamp(grid, boundary, domain_mask):
+    held = np.flatnonzero(solver._inactive_nodes(grid, domain_mask))
+    X_in = grid.points()[held]
+    fixed = None if boundary.time_dependent else \
+        np.asarray(boundary.lateral(X_in, 0.0), dtype=float)
+
+    def stamp(vals, t):
+        vals.reshape(-1)[held] = boundary.lateral(X_in, t) \
+            if fixed is None else fixed
+    return stamp
+
+
+def reference_euler(vals, work, dt, t_new, grid, stamp, quantity):
+    work.flat_rhs *= dt
+    vals[grid.interior()] += work.rhs
+    stamp(vals, t_new)
+    reference_police(vals, quantity)
+
+
+def reference_police(vals, quantity):
+    top = float(np.max(vals))
+    low = float(np.min(vals))
+    if not (np.isfinite(top) and np.isfinite(low)):
+        raise InstabilityError("non-finite values during time stepping")
+    if quantity in ("u", "rho"):
+        if low < -solver.NEG_TOL * max(1.0, abs(top)):
+            raise InstabilityError(
+                f"negative value {low} beyond tolerance during stepping")
+        if not low > 0.0:
+            np.clip(vals, 0.0, None, out=vals)
+
+
+def reference_run_stage(grid, params, boundary, t_end, snapshot_times,
+                        domain_mask, monitor=None):
+    targets = sorted(set(float(t) for t in snapshot_times) | {float(t_end)})
+    interior = grid.interior()
+    vals = np.asarray(boundary.initial(grid.points()),
+                      dtype=float).reshape(grid.shape).copy()
+    stamp = reference_stamp(grid, boundary, domain_mask)
+    stamp(vals, 0.0)
+    reference_police(vals, "u")
+
+    dts = []
+    snaps = []
+    global_min = float(np.min(vals[interior]))
+    t = 0.0
+    with operators.StencilWork(grid) as work:
+        for target in targets:
+            while t < target - 1e-13 * max(1.0, target):
+                _, bmax, g2max = operators.rhs_core(vals, grid, params, work)
+                dt = min(solver._cfl_from_bounds(grid, params, bmax, g2max),
+                         target - t)
+                if not np.isfinite(dt):
+                    dt = target - t
+                t += dt
+                reference_euler(vals, work, dt, t, grid, stamp, "u")
+                dts.append(dt)
+                global_min = min(global_min, float(np.min(vals[interior])))
+                if monitor is not None and len(dts) % 128 == 0:
+                    monitor(ScalarField(grid=grid, values=vals.copy(), t=t,
+                                        quantity="u"))
+            t = target
+            snaps.append(ScalarField(grid=grid, values=vals.copy(), t=t,
+                                     quantity="u"))
+            if monitor is not None:
+                monitor(snaps[-1])
+    return solver.SolveReport(
+        final=ScalarField(grid=grid, values=vals, t=t, quantity="u"),
+        snapshots=snaps, times=np.asarray(targets), dt_history=np.asarray(dts),
+        max_trace=np.asarray([float(np.max(s.values)) for s in snaps]),
+        min_trace=np.asarray([float(np.min(s.values)) for s in snaps]),
+        global_min=global_min, n_steps=len(dts))
+
+
+def stage_case(name):
+    """(grid, params, boundary, t_end, snapshot_times, domain_mask)."""
+    if name == "ball-mask":
+        return (GRID, PARAMS, bump_boundary(radius=0.5, base=0.05), 0.05,
+                (0.02,), ball_mask(GRID, 0.8))
+    if name == "time-dependent":
+        bd = BoundaryData.from_functions(
+            u0=bump_boundary(base=0.05).initial,
+            g=lambda X, t: 0.05 + t * (1.0 + X[:, 0]))
+        return GRID, PARAMS, bd, 0.05, (0.02,), None
+    if name == "delta-zero":
+        # the gradient (0.3, 0.2 y) vanishes at no node
+        def g(X, t=0.0):
+            return 0.3 + 0.3 * X[:, 0] + 0.1 * X[:, 1] ** 2
+        bd = BoundaryData.from_functions(u0=g, g=g, time_dependent=False)
+        return GRID, PARAMS.with_(delta=0.0), bd, 0.01, (0.005,), None
+    if name.startswith("clipped"):
+        # held nodes at -1e-14, inside NEG_TOL, and positive evolving
+        # nodes: the clip runs every step only for the held ones; masked
+        # nodes make it move the interior minimum, box-boundary nodes
+        # alone are seen only through the stamp's extremes
+        bd = BoundaryData.from_functions(
+            u0=bump_boundary(radius=0.5, base=0.05).initial,
+            g=lambda X, t: np.full(len(X), -1e-14), time_dependent=False)
+        mask = ball_mask(GRID, 0.8) if name == "clipped-undershoot" else None
+        return GRID, PARAMS, bd, 0.02, (0.01,), mask
+    if name == "1-d":
+        grid = GridSpec.box((-1.0,), (1.0,), (33,))
+        return (grid, PARAMS, bump_boundary(base=0.01), 0.05, (0.02,), None)
+    if name == "3-d":
+        grid = GridSpec.box((-1.0,) * 3, (1.0,) * 3, (9, 8, 7))
+        return (grid, PARAMS, bump_boundary(base=0.01), 0.02, (0.01,), None)
+    if name == "split":
+        grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (203, 203))
+        return (grid, PARAMS, bump_boundary(base=0.05), 2e-4, (1e-4,), None)
+    raise KeyError(name)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStageMatchesReference:
+
+    @pytest.mark.parametrize("name", [
+        "ball-mask", "time-dependent", "delta-zero", "clipped-undershoot",
+        "clipped-box-undershoot", "1-d", "3-d", "split"])
+    def test_bit_identical_to_reference_loop(self, name, monkeypatch):
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        case = stage_case(name)
+        grid = case[0]
+        if name == "split":
+            assert (grid.n[0] - 2) * (grid.n[1] - 2) >= operators.SPLIT_NODES
+        assert len(operators.StencilWork(grid).slabs) == \
+            (2 if name == "split" else 1)
+        got = solver._run_stage(*case)
+        want = reference_run_stage(*case)
+        assert got.n_steps == want.n_steps >= 2
+        assert same_bits(got.dt_history, want.dt_history)
+        assert same_bits(got.global_min, want.global_min)
+        assert same_bits(got.max_trace, want.max_trace)
+        assert same_bits(got.min_trace, want.min_trace)
+        assert len(got.snapshots) == len(want.snapshots)
+        for a, b in zip(got.snapshots, want.snapshots):
+            assert a.t == b.t and same_bits(a.values, b.values)
+        assert same_bits(got.final.values, want.final.values)
+        if name.startswith("clipped"):
+            assert np.all(want.min_trace == 0.0)
+            assert (want.global_min == 0.0) == (name == "clipped-undershoot")
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "non-finite values during time stepping"),
+        (np.inf, "non-finite values during time stepping"),
+        (-np.inf, "non-finite values during time stepping"),
+        (-0.1, "negative value -0.1 beyond tolerance during stepping")])
+    def test_bad_lateral_data_raise_the_same_error(self, bad, message):
+        bd = BoundaryData.from_functions(
+            u0=bump_boundary(base=0.05).initial,
+            g=lambda X, t: np.where((X[:, 0] > 0.9) & (t > 0.0), bad, 0.05))
+        args = (GRID, PARAMS, bd, 0.01, (), None)
+        messages = []
+        for run in (solver._run_stage, reference_run_stage):
+            with pytest.raises(InstabilityError) as info:
+                run(*args)
+            messages.append(str(info.value))
+        assert messages == [message, message]
+        # and in the step that stamps them, not once they reach the interior
+        u = ScalarField(grid=GRID, values=bd.initial(GRID.points()).reshape(
+            GRID.shape), t=0.0, quantity="u")
+        with pytest.raises(InstabilityError) as info:
+            step_explicit(u, cfl_dt(u, PARAMS), PARAMS, bd)
+        assert str(info.value) == message
