@@ -429,6 +429,8 @@ def cmd_exact(cfg: dict) -> int:
     times = ex.get("times")
     if times is None:
         times = [_finite(ex, "t", 1.0)]
+    elif not times:
+        raise ConfigError("exact.times must list at least one time")
     outdir = _require(cfg, "output")
     os.makedirs(outdir, exist_ok=True)
     names = []
@@ -480,14 +482,21 @@ def _read_snapshot_dir(path: str) -> list:
     return [io.read_snapshot(os.path.join(path, n)) for n in names]
 
 
+ASYM_TASKS = ("support", "rate", "giant", "barenblatt", "benilan")
+
+
 def cmd_asym(cfg: dict) -> int:
     acfg = cfg.get("asym") or {}
+    tasks = list(acfg.get("tasks") or ["support", "rate"])
+    for task in tasks:
+        if task not in ASYM_TASKS:
+            raise ConfigError(f"unknown asym task {task!r}; "
+                              f"known: {', '.join(ASYM_TASKS)}")
     snaps = _read_snapshot_dir(acfg.get("snapshots")
                                or _require(cfg, "output"))
     snaps.sort(key=lambda s: s.t)
     outdir = _require(cfg, "output")
     os.makedirs(outdir, exist_ok=True)
-    tasks = list(acfg.get("tasks") or ["support", "rate"])
     floor = float(acfg.get("floor", 0.0))
     center = acfg.get("center")
     r_max = float(acfg["r_max"]) if "r_max" in acfg else None

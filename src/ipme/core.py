@@ -165,6 +165,9 @@ class GridSpec:
         lo = tuple(float(v) for v in lo)
         hi = tuple(float(v) for v in hi)
         n = tuple(int(v) for v in n)
+        if not (len(lo) == len(hi) == len(n)):
+            raise DomainError(f"box corners and node counts must have equal "
+                              f"length, got {len(lo)}, {len(hi)}, {len(n)}")
         if not all(map(math.isfinite, lo + hi)):
             raise DomainError(f"box corners must be finite, got {lo}, {hi}")
         if any(b <= a for a, b in zip(lo, hi)):
@@ -199,6 +202,9 @@ class GridSpec:
         """Distance of every node from `center` (default: coordinate origin)."""
         if center is None:
             center = (0.0,) * self.dim
+        if len(center) != self.dim:
+            raise DomainError(f"center must have {self.dim} coordinates, "
+                              f"got {len(center)}")
         mesh = np.meshgrid(*self.axes(), indexing="ij")
         r2 = np.zeros(self.shape)
         for i in range(self.dim):

@@ -85,7 +85,8 @@ class ExactSolutionSpec:
 
     Not every field is meaningful for every kind; the factory functions
     below fill in the consistent combinations and the constructor rejects
-    inconsistent ones.
+    inconsistent ones.  The sign of the separation constant lambda is the
+    kind's: positive for the separable kinds, negative for neg-lambda.
     """
 
     kind: str
@@ -96,7 +97,6 @@ class ExactSolutionSpec:
     C_const: float = 0.0
     x0: tuple = ()
     t0: float = 0.0
-    lam: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -105,13 +105,9 @@ class ExactSolutionSpec:
             raise DomainError("barenblatt kinds need R > 0")
         if self.kind.startswith("traveling-wave") and not (self.c_speed > 0.0):
             raise DomainError("traveling-wave kinds need c_speed > 0")
-        if self.kind in ("separable-ball", "separable-annulus"):
-            if not (self.lam > 0.0):
-                raise DomainError("H_p branch needs lambda > 0")
-            if not (self.a_const > 0.0):
-                raise DomainError("H_p branch needs a_const > 0")
-        if self.kind.startswith("neg-lambda") and not (self.lam < 0.0):
-            raise DomainError("negative-lambda kinds need lambda < 0")
+        if self.kind in ("separable-ball", "separable-annulus") and \
+                not (self.a_const > 0.0):
+            raise DomainError("H_p branch needs a_const > 0")
         if self.kind == "neg-lambda-a-pos" and not (self.a_const > 0.0):
             raise DomainError("neg-lambda-a-pos needs a_const > 0")
         if self.kind == "neg-lambda-a-neg" and not (self.a_const < 0.0):
@@ -145,7 +141,7 @@ def separable_ball(m: float, a: float | None = None, R: float | None = None,
         R = ball_radius_from_a(float(a), p)
     return ExactSolutionSpec(kind="separable-ball", params=Params(m=m),
                              R=float(R), a_const=float(a), t0=float(t0),
-                             lam=1.0, x0=tuple(x0))
+                             x0=tuple(x0))
 
 
 def separable_annulus(m: float, a: float, R1: float,
@@ -153,27 +149,25 @@ def separable_annulus(m: float, a: float, R1: float,
     if R1 < 0.0:
         raise DomainError("inner radius must be >= 0")
     return ExactSolutionSpec(kind="separable-annulus", params=Params(m=m),
-                             R=float(R1), a_const=float(a), t0=float(t0),
-                             lam=1.0)
+                             R=float(R1), a_const=float(a), t0=float(t0))
 
 
 def neg_lambda_a_pos(m: float, a: float, R: float,
                      t0: float) -> ExactSolutionSpec:
     return ExactSolutionSpec(kind="neg-lambda-a-pos", params=Params(m=m),
-                             R=float(R), a_const=float(a), t0=float(t0),
-                             lam=-1.0)
+                             R=float(R), a_const=float(a), t0=float(t0))
 
 
 def neg_lambda_a_zero(m: float, R: float, t0: float) -> ExactSolutionSpec:
     return ExactSolutionSpec(kind="neg-lambda-a-zero", params=Params(m=m),
-                             R=float(R), t0=float(t0), lam=-1.0)
+                             R=float(R), t0=float(t0))
 
 
 def neg_lambda_a_neg(m: float, a: float, C: float,
                      t0: float) -> ExactSolutionSpec:
     return ExactSolutionSpec(kind="neg-lambda-a-neg", params=Params(m=m),
                              a_const=float(a), C_const=float(C),
-                             t0=float(t0), lam=-1.0)
+                             t0=float(t0))
 
 
 # ── Point handling ───────────────────────────────────────────────────────
@@ -187,6 +181,9 @@ def _as_points(x) -> tuple:
 
 def _radii(X: np.ndarray, x0: tuple) -> np.ndarray:
     if x0:
+        if len(x0) != X.shape[1]:
+            raise DomainError(f"center must have {X.shape[1]} coordinates, "
+                              f"got {len(x0)}")
         X = X - np.asarray(x0, dtype=float)
     return np.sqrt(np.sum(X * X, axis=1))
 

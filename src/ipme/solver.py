@@ -18,7 +18,9 @@ excess in the manifest.
 The scheme is plain forward Euler, one in-place update shared by the
 stage loop (which advances its own array and reuses one stencil
 workspace per stage) and `step_explicit` (which updates a copy, so its
-input field never changes), under the two-part CFL bound
+input field never changes).  After each update one min and one max of
+the whole field refuse a pressure that is non-finite or negative beyond
+rounding.  The step runs under the two-part CFL bound
 
     dt <= safety * min( h^2/(2(eps d + k max beta_c(u))),
                         h/(2 max|Du| + tiny) ),   safety = 0.4,
@@ -118,11 +120,8 @@ class SolveReport:
 
     final: ScalarField
     snapshots: list
-    times: np.ndarray
     dt_history: np.ndarray
     max_trace: np.ndarray
-    min_trace: np.ndarray
-    global_min: float
     n_steps: int
     stage_diffs: tuple = ()
     ladder_diffs: tuple = ()
@@ -167,33 +166,25 @@ def _inactive_nodes(grid: GridSpec, domain_mask: Optional[np.ndarray]) -> np.nda
 def _lateral_stamp(grid: GridSpec, boundary: BoundaryData,
                    domain_mask: Optional[np.ndarray]) -> Callable:
     """stamp(vals, t) writes g(x, t) on the held nodes of the C-contiguous
-    array `vals`, through their flat indices in row-major order, and
-    returns the least and the greatest value written; data that does not
-    depend on time is evaluated once, here, with its extremes."""
+    array `vals`, through their flat indices in row-major order; data that
+    do not depend on time are evaluated once, here."""
     held = np.flatnonzero(_inactive_nodes(grid, domain_mask))
     X_in = grid.points()[held]
-    if boundary.time_dependent:
-        def stamp(vals: np.ndarray, t: float) -> tuple:
-            g = np.asarray(boundary.lateral(X_in, t), dtype=float)
-            vals.reshape(-1)[held] = g
-            return float(np.min(g)), float(np.max(g))
-        return stamp
-    fixed = np.asarray(boundary.lateral(X_in, 0.0), dtype=float)
-    extremes = float(np.min(fixed)), float(np.max(fixed))
+    fixed = None if boundary.time_dependent else \
+        np.asarray(boundary.lateral(X_in, 0.0), dtype=float)
 
-    def stamp(vals: np.ndarray, t: float) -> tuple:
-        vals.reshape(-1)[held] = fixed
-        return extremes
+    def stamp(vals: np.ndarray, t: float) -> None:
+        vals.reshape(-1)[held] = boundary.lateral(X_in, t) \
+            if fixed is None else fixed
     return stamp
 
 
 def _euler(vals: np.ndarray, work: StencilWork, dt: float, t_new: float,
-           stamp: Callable, quantity: str) -> float:
+           stamp: Callable) -> None:
     """The forward-Euler update, in place: the interior of `vals`
     advances by dt * rhs, the rhs last computed in `work` (and scaled
-    there in place), the lateral data are stamped at t_new, then
-    finiteness and sign checked.  Returns the least interior value,
-    after any clip.
+    there in place), the lateral data are stamped at t_new, then the
+    whole field is checked by `_police_values`.
 
     The scaling and the add run over the one contiguous run the kernel
     wrote (`work.span_rhs` into `work.span`), never over the buffer tail
@@ -206,15 +197,17 @@ def _euler(vals: np.ndarray, work: StencilWork, dt: float, t_new: float,
     rhs = work.span_rhs
     rhs *= dt
     vals.reshape(-1)[work.span] += rhs
-    return _police_values(vals, stamp(vals, t_new), quantity)
+    stamp(vals, t_new)
+    _police_values(vals)
 
 
 def step_explicit(u: ScalarField, dt: float, params: Params,
                   boundary: BoundaryData) -> ScalarField:
-    """One forward-Euler step; boundary nodes are stamped with g(x, t+dt).
+    """One forward-Euler step of the pressure u; boundary nodes are
+    stamped with g(x, t+dt).
 
-    dt above the CFL bound raises, as do NaNs or interior undershoots
-    beyond -1e-12 of the field scale; smaller undershoots are clipped.
+    dt above the CFL bound raises, as do NaNs or undershoots beyond
+    -1e-12 of the field scale; smaller undershoots are clipped.
     """
     grid = u.grid
     work = StencilWork(grid)
@@ -223,32 +216,24 @@ def step_explicit(u: ScalarField, dt: float, params: Params,
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt} exceeds the stability bound {bound}")
     new = u.values.copy()
-    _euler(new, work, dt, u.t + dt, _lateral_stamp(grid, boundary, None),
-           u.quantity)
+    _euler(new, work, dt, u.t + dt, _lateral_stamp(grid, boundary, None))
     return ScalarField(grid=grid, values=new, t=u.t + dt, quantity=u.quantity)
 
 
-def _police_values(vals: np.ndarray, held: tuple, quantity: str) -> float:
-    """Check the field `vals` for non-finite values and, for u and rho,
-    for undershoot beyond NEG_TOL of its scale; smaller undershoots are
-    clipped.  The field's extremes come from those of its interior and
-    the (least, greatest) values `held` the stamp wrote, which cover
-    every boundary node.  Returns the least interior value, after any
-    clip."""
-    interior = vals[(slice(1, -1),) * vals.ndim]
-    low_in, top_in = float(np.min(interior)), float(np.max(interior))
-    # each partial extreme on its own: Python's min and max drop a NaN
-    if not all(map(math.isfinite, (low_in, top_in) + held)):
+def _police_values(vals: np.ndarray) -> None:
+    """Refuse a pressure field `vals` with a non-finite value or an
+    undershoot beyond NEG_TOL of its scale, from one min and one max of
+    the whole field (a NaN anywhere makes both NaN); smaller undershoots
+    are clipped to 0 in place."""
+    top = float(np.max(vals))
+    low = float(np.min(vals))
+    if not (math.isfinite(top) and math.isfinite(low)):
         raise InstabilityError("non-finite values during time stepping")
-    low, top = min(low_in, held[0]), max(top_in, held[1])
-    if quantity in ("u", "rho"):
-        if low < -NEG_TOL * max(1.0, abs(top)):
-            raise InstabilityError(
-                f"negative value {low} beyond tolerance during stepping")
-        if not low > 0.0:
-            np.clip(vals, 0.0, None, out=vals)
-            low_in = float(np.min(interior))
-    return low_in
+    if low < -NEG_TOL * max(1.0, abs(top)):
+        raise InstabilityError(
+            f"negative value {low} beyond tolerance during stepping")
+    if not low > 0.0:
+        np.clip(vals, 0.0, None, out=vals)
 
 
 def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
@@ -265,7 +250,8 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
     vals = np.asarray(boundary.initial(grid.points()),
                       dtype=float).reshape(grid.shape).copy()
     stamp = _lateral_stamp(grid, boundary, domain_mask)
-    global_min = _police_values(vals, stamp(vals, 0.0), "u")
+    stamp(vals, 0.0)
+    _police_values(vals)
 
     dts: list = []
     snaps: list = []
@@ -279,9 +265,8 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
                 if not np.isfinite(dt):
                     dt = target - t
                 t += dt
-                low = _euler(vals, work, dt, t, stamp, "u")
+                _euler(vals, work, dt, t, stamp)
                 dts.append(dt)
-                global_min = min(global_min, low)
                 if monitor is not None and len(dts) % 128 == 0:
                     monitor(ScalarField(grid=grid, values=vals.copy(), t=t,
                                         quantity="u"))
@@ -292,10 +277,9 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
                 monitor(snaps[-1])
     return SolveReport(
         final=ScalarField(grid=grid, values=vals, t=t, quantity="u"),
-        snapshots=snaps, times=np.asarray(targets), dt_history=np.asarray(dts),
+        snapshots=snaps, dt_history=np.asarray(dts),
         max_trace=np.asarray([float(np.max(s.values)) for s in snaps]),
-        min_trace=np.asarray([float(np.min(s.values)) for s in snaps]),
-        global_min=global_min, n_steps=len(dts))
+        n_steps=len(dts))
 
 
 def solve_dirichlet(problem: DirichletProblem,
@@ -545,7 +529,7 @@ def barrier_check(report: SolveReport, barrier: str,
     if barrier == "time-lipschitz":
         norms = _data_norms(problem)
         eps, k = problem.params.eps, problem.params.k
-        T = float(report.times[-1])
+        T = report.final.t
         lam = max(math.sqrt(max(norms["gt"], 0.0)), 1e-6)
         for _ in range(8):
             bulk = norms["g"] + lam * (math.exp(min(lam * T, 50.0)) - 1.0)
@@ -595,7 +579,7 @@ def barrier_check(report: SolveReport, barrier: str,
 
     # cauchy-V
     M, k = problem.M, problem.params.k
-    T = float(report.times[-1])
+    T = report.final.t
     eps0 = 0.05 * max(M, 1.0)
     b = min(0.05, 0.25 / (k + 2.0))
     N = M + eps0

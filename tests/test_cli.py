@@ -514,6 +514,18 @@ grid: {lo: [-1.0], hi: [1.0], n: [17]}
         assert cli.main(["exact", cfg]) == 1
         assert "unknown exact family 'wavelet'" in capsys.readouterr().err
 
+    def test_empty_time_list_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", """\
+output: %s
+exact: {family: barenblatt, m: 2.0, R: 1.0, times: []}
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
+""" % out)
+        assert cli.main(["exact", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "IPME-E50: exact.times must list at least one time\n")
+        assert not out.exists()
+
     def test_barenblatt_needs_positive_time(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "e.yaml", """\
 output: %s
@@ -683,6 +695,31 @@ def test_grid_corners_must_be_finite(tmp_path, capsys, corner, key):
     err = capsys.readouterr().err
     assert err.startswith(f"IPME-E10: {key} must be finite, got ")
     assert err.count("IPME-E") == 1
+
+
+def test_grid_lists_must_have_equal_length(tmp_path, capsys):
+    # a 2-d run would silently drop the third hi entry
+    cfg = FUZZ_YAML.replace("hi: [1.0, 1.0]", "hi: [1.0, 1.0, 7.0]")
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", cfg),
+                   "--set", f"output={tmp_path / 'out'}"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "IPME-E10: box corners and node counts must have equal length, "
+        "got 2, 3, 2\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("center", ["[0, 0, 5]", "[0]"])
+def test_domain_center_needs_one_coordinate_per_axis(tmp_path, capsys,
+                                                     center):
+    cfg = FUZZ_YAML + f"domain: {{kind: ball, radius: 0.8, center: {center}}}\n"
+    rc = cli.main(["solve", write_cfg(tmp_path / "c.yaml", cfg),
+                   "--set", f"output={tmp_path / 'out'}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IPME-E10: center must have 2 coordinates, got ")
+    assert err.count("IPME-E") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_unread_leaves_are_checked(tmp_path, capsys):
@@ -887,6 +924,34 @@ asym: {snapshots: %s, tasks: [giant]}
 """ % (tmp_path / "out", bb_snapshot_dir))
         assert cli.main(["asym", cfg]) == 1
         assert "asym.m is required" in capsys.readouterr().err
+
+    def test_unknown_task_rejected(self, tmp_path, bb_snapshot_dir, capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: [support, suport]}
+""" % (out, bb_snapshot_dir))
+        assert cli.main(["asym", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "IPME-E50: unknown asym task 'suport'; known: support, rate, "
+            "giant, barenblatt, benilan\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tasks", ["[support]", "[barenblatt]"])
+    @pytest.mark.parametrize("center", ["[0.0]", "[0.0, 0.0, 5.0]"])
+    def test_center_needs_one_coordinate_per_axis(self, tmp_path,
+                                                  bb_snapshot_dir, capsys,
+                                                  tasks, center):
+        # the support task measures radii on the grid, the barenblatt task
+        # (with its own R estimate) centres the exact source solution
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: %s, center: %s, m: 2.0, R_estimate: 1.0}
+""" % (tmp_path / "out", bb_snapshot_dir, tasks, center))
+        assert cli.main(["asym", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E10: center must have 2 coordinates, got ")
+        assert err.count("IPME-E") == 1
 
     def test_missing_snapshot_dir(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "a.yaml", """\

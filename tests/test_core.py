@@ -61,6 +61,11 @@ class TestGridSpec:
         with pytest.raises(DomainError, match="at least 3 nodes"):
             GridSpec.box((0.0, 0.0), (1.0, 1.0), (9, 1))
 
+    def test_box_lengths_must_agree(self):
+        # zip would silently drop the third hi entry and build a 2-d grid
+        with pytest.raises(DomainError, match="equal length"):
+            GridSpec.box((-1.0, -1.0), (1.0, 1.0, 7.0), (9, 9))
+
     @pytest.mark.parametrize("lo,hi", [((np.nan,), (1.0,)),
                                        ((0.0,), (np.inf,)),
                                        ((-np.inf,), (1.0,))])
@@ -100,6 +105,12 @@ class TestGridSpec:
         r = g.radii((0.5, 0.5))
         assert r[3, 3] == 0.0
         np.testing.assert_allclose(r[0, 0], np.hypot(1.5, 1.5))
+
+    @pytest.mark.parametrize("center", [(0.0,), (0.0, 0.0, 5.0)])
+    def test_radii_center_needs_one_coordinate_per_axis(self, center):
+        g = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (5, 5))
+        with pytest.raises(DomainError, match="center must have 2"):
+            g.radii(center)
 
     def test_boundary_mask_complements_interior(self):
         g = GridSpec.box((0.0, 0.0), (1.0, 1.0), (4, 5))

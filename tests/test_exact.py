@@ -226,6 +226,14 @@ class TestSampling:
         np.testing.assert_allclose(
             f_rho.values, density_from_pressure(f_u.values, 2.0), atol=1e-14)
 
+    @pytest.mark.parametrize("x0", [(0.25,), (0.25, 0.0, 0.0)])
+    def test_center_needs_one_coordinate_per_axis(self, x0):
+        # a one-entry center would otherwise broadcast over both axes
+        spec = exact.barenblatt(2.0, R=1.0, x0=x0)
+        g = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (9, 9))
+        with pytest.raises(DomainError, match="center must have 2"):
+            exact.sample_field(spec, g, 1.0)
+
     def test_residual_mask_excludes_critical_point(self):
         # the node at the bump apex has an exactly vanishing centered
         # gradient; the unregularized quotient is undefined there and the

@@ -14,6 +14,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the product: the package and the benchmark that drives it
 SOURCES = (sorted(ROOT.glob("src/ipme/*.py"))
            + sorted(ROOT.glob("perfbench/*.py")))
+# the tests an oracle serves; this file only lists the oracles
+TESTS = sorted(p for p in ROOT.glob("tests/*.py")
+               if p.name != pathlib.Path(__file__).name)
 
 # exports only tests call, each the reference a test checks the product
 # against; everything else in an __all__ needs a caller in SOURCES
@@ -88,3 +91,11 @@ def test_every_export_has_a_caller_or_is_an_oracle():
 def test_oracles_are_exported_and_have_no_product_caller():
     # an oracle that gains a product caller, or is deleted, leaves the list
     assert sorted(set(ORACLES) - _unused_exports(set())) == []
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_every_oracle_has_a_test_caller(name):
+    # an oracle no test calls is dead code the list would keep forever
+    assert any(ref == name for path in TESTS
+               for ref, _ in _references(
+                   ast.parse(path.read_text(encoding="utf-8"))))
