@@ -26,6 +26,7 @@ import numpy as np
 import yaml
 
 from . import asymptotics, exact, io, verify
+from .operators import FAULT_MODES
 from .core import (BoundaryData, ConfigError, DomainError, GridSpec,
                    IpmeError, NumericError, Params, RegularizationSchedule)
 from .solver import (CauchyProblem, DirichletProblem, ball_mask,
@@ -495,13 +496,22 @@ def cmd_asym(cfg: dict) -> int:
     snaps = _read_snapshot_dir(acfg.get("snapshots")
                                or _require(cfg, "output"))
     snaps.sort(key=lambda s: s.t)
-    outdir = _require(cfg, "output")
-    os.makedirs(outdir, exist_ok=True)
     floor = float(acfg.get("floor", 0.0))
     center = acfg.get("center")
     r_max = float(acfg["r_max"]) if "r_max" in acfg else None
     m = acfg.get("m")
+    # every task's inputs are checked before anything is written
+    for task in ("giant", "barenblatt"):
+        if task in tasks and m is None:
+            raise ConfigError(f"asym.m is required for the {task} task")
     params = Params(m=float(m)) if m is not None else None
+    if center is not None or r_max is not None:
+        radii = snaps[0].grid.radii(center)
+        if r_max is not None and not np.any(radii <= r_max):
+            raise DomainError(f"r_max={r_max} keeps no node of the "
+                              f"snapshot grid")
+    outdir = _require(cfg, "output")
+    os.makedirs(outdir, exist_ok=True)
     summary: dict = {"format": "ipme-asym v1", "tasks": tasks}
 
     trace = None
@@ -525,8 +535,6 @@ def cmd_asym(cfg: dict) -> int:
         summary["rate"] = {"rate": fit.rate, "amplitude": fit.amplitude,
                            "residual": fit.residual, "n_used": fit.n_used}
     if "giant" in tasks:
-        if params is None:
-            raise ConfigError("asym.m is required for the giant task")
         br = acfg.get("ball_radius")
         fg = asymptotics.friendly_giant(
             snaps, params, ball_radius=None if br is None else float(br),
@@ -542,8 +550,6 @@ def cmd_asym(cfg: dict) -> int:
         if fg.errors is not None:
             summary["giant"]["final_error"] = float(fg.errors[-1])
     if "barenblatt" in tasks:
-        if params is None:
-            raise ConfigError("asym.m is required for the barenblatt task")
         R_est = acfg.get("R_estimate")
         if R_est is None:
             if fit is None:
@@ -586,7 +592,8 @@ def _parser() -> argparse.ArgumentParser:
                            default=[], choices=list(verify.suite_names()),
                            help="run only the named suite (repeatable)")
             p.add_argument("--fault", default=None,
-                           help="fault-injection mode (sensitivity hook)")
+                           help="fault-injection mode (sensitivity hook): "
+                                + ", ".join(FAULT_MODES))
     return ap
 
 

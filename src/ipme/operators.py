@@ -18,6 +18,15 @@ ufuncs and in-place operators, so a time step allocates no field-sized
 array.  One-off calls build a fresh workspace, so what they return is
 never overwritten by a later call.
 
+The constant divisors of the stencil, 2 h_i, h_i^2 and 4 h_i h_j, are
+applied as a multiply by 1/c wherever c is an exact power of two with a
+finite reciprocal (h = 1/32 and 1/64 on [-1, 1] at 65 and 129 nodes),
+and as a division otherwise (h = 1/48, 0.07, ...).  1/c is then exact,
+and x * (1/c) and x / c are both the correctly rounded value of the same
+real number, so the bits, including -0.0, subnormals, inf and NaN, and
+the floating-point warnings are those of the division, which at 129^2
+costs about three times the multiply.
+
 Every operand is a contiguous 1-d run of the flattened field: the run
 from node (1, 1, ..., 1) to the last interior node, and the same run
 shifted by a sum of +-strides for each neighbour.  So every ufunc walks
@@ -63,19 +72,24 @@ __all__ = [
     "quad_form_field", "set_fault_injection", "StencilWork",
 ]
 
-# test hook: "stencil-sign-flip" flips the sign of mixed second differences
+# test hook: the deliberate defects `set_fault_injection` switches on
+FAULT_MODES = ("stencil-sign-flip", "drop-transport", "plain-laplacian")
 _FAULT_MODE = None
 
 
 def set_fault_injection(mode: str | None) -> None:
-    """Enable a deliberate stencil defect for mutation-sensitivity checks.
+    """Enable a deliberate operator defect for mutation-sensitivity checks.
 
-    Only "stencil-sign-flip" and None are accepted.  Never set this in
-    production paths; the verify command uses it to prove its own suites
-    can fail.
+    "stencil-sign-flip" flips the sign of the mixed second differences
+    (pointwise and in the field kernel); "drop-transport" leaves out the
+    + |Du|^2 of the field rhs; "plain-laplacian" puts k beta_c(u) Lap(u)
+    in place of the quotient term of the field rhs, which makes it the
+    standard porous-medium operator.  None switches the fault off.  Never
+    set this in production paths; the verify command uses it to prove
+    its own suites can fail.
     """
     global _FAULT_MODE
-    if mode not in (None, "stencil-sign-flip"):
+    if mode is not None and mode not in FAULT_MODES:
         raise DomainError(f"unknown fault mode {mode!r}")
     _FAULT_MODE = mode
 
@@ -219,16 +233,28 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
+def _scaling(c: float) -> tuple:
+    """(ufunc, operand) that divides an array by the constant c in place:
+    a multiply by 1/c when c is an exact power of two with a finite
+    reciprocal, a division by c otherwise.  Then 1/c is exact, and both
+    round the same real number x/c once, so their bits and warnings are
+    the same."""
+    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):
+        return np.multiply, 1.0 / c
+    return np.divide, c
+
+
 class _Slab:
     """Interior rows [r0, r1) as one contiguous run of the flattened
     field, from node (1+r0, 1, ..., 1) to the last interior node of row
     r1: slices of the flat field for the centre and every stencil
-    neighbour (the run shifted by a sum of +-strides), the matching
+    neighbour (the run shifted by a sum of +-strides), the scalings by
+    the constant divisors 2 h_i, h_i^2 and 4 h_i h_j, the matching
     contiguous views of the workspace buffers, and the interior views of
     the rows whose maxima the kernel reads."""
 
     def __init__(self, work: "StencilWork", r0: int, r1: int):
-        n, strides = work.grid.n, work.strides
+        n, strides, h = work.grid.n, work.strides, work.grid.h
         first = (1 + r0) * strides[0] + sum(strides[1:])
         last = r1 * strides[0] + sum((k - 2) * st
                                      for k, st in zip(n[1:], strides[1:]))
@@ -236,12 +262,13 @@ class _Slab:
         def at(shift):
             return slice(first + shift, last + 1 + shift)
 
-        self.h = work.grid.h
         self.c0 = at(0)
         self.up = [at(st) for st in strides]
         self.dn = [at(-st) for st in strides]
+        self.by_2h = [_scaling(2.0 * hi) for hi in h]
+        self.by_hh = [_scaling(hi * hi) for hi in h]
         self.cross = [(i, j, at(si + sj), at(si - sj), at(sj - si),
-                       at(-si - sj))
+                       at(-si - sj), _scaling(4.0 * h[i] * h[j]))
                       for i, si in enumerate(strides)
                       for j, sj in enumerate(strides) if j > i]
         # buffer position q holds flat field position q + work.offset
@@ -346,53 +373,52 @@ class StencilWork:
         return [first, pending.result()]
 
 
-def _accumulate(acc: np.ndarray, term: np.ndarray, first: bool) -> None:
-    """acc += term, with the first term added to 0.0 as into a zeroed
-    accumulator (which turns a -0.0 term into +0.0)."""
-    if first:
-        np.add(term, 0.0, out=acc)
-    else:
-        acc += term
-
-
 def _terms(vals: np.ndarray, s: _Slab) -> None:
     """Fill the slab's grad, num = <D^2u Du, Du>, g2 = |Du|^2 and
     lap = trace D^2u in place, from the flattened field `vals`.
 
     The operation order is fixed, so every value is reproducible bit for
     bit: gi = (up - dn)/(2h), hii = ((up - 2 c0) + dn)/h^2,
-    hij = sgn ((pp - pm) - mp + mm)/(4 hi hj), and the sums lap += hii,
-    num += (hii gi) gi then ((2 hij) gi) gj, each from zero, and
-    g2 += gi gi, which starts at g0 g0 (a square is never -0.0, so adding
-    it to zero would change nothing).  The rhs buffer holds 2 c0
-    meanwhile.
+    hij = sgn ((pp - pm) - mp + mm)/(4 hi hj), where each division by a
+    power of two is a multiply by its exact reciprocal (see `_scaling`),
+    and the sums lap = h00 + h11 + ..., num = (h00 g0) g0 + ((h11 g1) g1)
+    + ... then + ((2 hij) gi) gj, g2 = g0 g0 + g1 g1 + ....  The first
+    term of lap and of num is written, not added to zero, so a -0.0
+    there stays -0.0; in `rhs_core` the sign cannot show, because a zero
+    reaches rhs only through (eps lap + b) + g2 with g2 >= +0.0.  The rhs
+    buffer holds 2 c0 meanwhile.
     """
-    h, tmp, two_c0 = s.h, s.tmp, s.rhs
+    tmp, two_c0 = s.tmp, s.rhs
     np.multiply(vals[s.c0], 2.0, out=two_c0)
     for i, gi in enumerate(s.grad):
         up, dn = vals[s.up[i]], vals[s.dn[i]]
         np.subtract(up, dn, out=gi)
-        gi /= 2.0 * h[i]
-        np.subtract(up, two_c0, out=tmp)
-        tmp += dn
-        tmp /= h[i] * h[i]
-        _accumulate(s.lap, tmp, i == 0)
-        tmp *= gi
-        tmp *= gi
-        _accumulate(s.num, tmp, i == 0)
+        scale, c = s.by_2h[i]
+        scale(gi, c, out=gi)
+        hii = s.lap if i == 0 else tmp
+        np.subtract(up, two_c0, out=hii)
+        hii += dn
+        scale, c = s.by_hh[i]
+        scale(hii, c, out=hii)
         if i == 0:
+            np.multiply(hii, gi, out=s.num)
+            s.num *= gi
             np.multiply(gi, gi, out=s.g2)
         else:
+            s.lap += tmp
+            tmp *= gi
+            tmp *= gi
+            s.num += tmp
             np.multiply(gi, gi, out=tmp)
             s.g2 += tmp
     sgn = _cross_sign()
-    for i, j, pp, pm, mp, mm in s.cross:
+    for i, j, pp, pm, mp, mm, (scale, c) in s.cross:
         np.subtract(vals[pp], vals[pm], out=tmp)
         tmp -= vals[mp]
         tmp += vals[mm]
         if sgn != 1.0:
             tmp *= sgn
-        tmp /= 4.0 * h[i] * h[j]
+        scale(tmp, c, out=tmp)
         tmp *= 2.0
         tmp *= s.grad[i]
         tmp *= s.grad[j]
@@ -418,7 +444,8 @@ def _rhs_slab(vals: np.ndarray, s: _Slab, params: Params) -> tuple:
     rhs buffer; returns the maxima of beta_c(u) and g2 over the slab's
     interior nodes."""
     _terms(vals, s)
-    ratio = _quotient(s.num, s.g2, s.g2_in, params.delta, out=s.tmp)
+    ratio = s.lap if _FAULT_MODE == "plain-laplacian" else \
+        _quotient(s.num, s.g2, s.g2_in, params.delta, out=s.tmp)
     b = s.grad[0]
     _beta_into(vals[s.c0], params.c, b, s.rhs, s.mask)
     maxima = float(s.b_in.max()), float(s.g2_in.max())
@@ -426,7 +453,8 @@ def _rhs_slab(vals: np.ndarray, s: _Slab, params: Params) -> tuple:
     b *= ratio
     np.multiply(s.lap, params.eps, out=s.rhs)
     s.rhs += b
-    s.rhs += s.g2
+    if _FAULT_MODE != "drop-transport":
+        s.rhs += s.g2
     return maxima
 
 

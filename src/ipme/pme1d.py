@@ -11,10 +11,14 @@ pressure, conservative second difference of rho^m instead of the expanded
 operator, so the two codes cannot share a bug.
 
 There is one update, `_advance`: it steps a plain density array in place
-on a `_Work`, the workspaces and stencil views made once per array.
-`pme1d_solve` runs it on one array for the whole solve and builds
-`ScalarField`s only for the initial state and the snapshots; `pme1d_step`
-runs it on a copy of its input field, with a workspace of its own.
+on a `_Work`, which holds the workspaces and stencil views of that array
+and resolves once what every step reads (h^2, the safety-scaled h^2,
+m - 1, the edge kind and the constant edge values; a callable edge is
+still called on every step).  `pme1d_solve` runs it on one array for the
+whole solve, computes the step's diffusivity once for both its dt and
+the update's stability check, and builds `ScalarField`s only for the
+initial state and the snapshots; `pme1d_step` runs it on a copy of its
+input field, with a workspace of its own.
 """
 
 from __future__ import annotations
@@ -93,78 +97,98 @@ class Pme1dResult:
     manifest: dict = field(default_factory=dict)
 
 
-def _cfl_bound(rho_max: float, h: float, m: float, safety: float) -> float:
-    diffusivity = m * rho_max ** (m - 1.0)
+def cfl_dt_1d(rho: np.ndarray, h: float, m: float,
+              safety: float = SAFETY) -> float:
+    """Stability bound safety * h^2 / (2 max(m rho^(m-1)))."""
+    diffusivity = m * float(np.max(rho)) ** (m - 1.0)
     if diffusivity <= 0.0:
         return np.inf
     return safety * h * h / (2.0 * diffusivity)
 
 
-def cfl_dt_1d(rho: np.ndarray, h: float, m: float,
-              safety: float = SAFETY) -> float:
-    """Stability bound safety * h^2 / (2 max(m rho^(m-1)))."""
-    return _cfl_bound(float(np.max(rho)), h, m, safety)
-
-
 class _Work:
-    """What the 1-d update of one density array `rho` needs, made once:
-    the workspaces w = rho^m (size n) and `lap` (size n-2), the stencil
-    views w[1:-1], w[2:], w[:-2] and rho[1:-1], and the scalar operands
-    m, 2 and dt/h^2 as 0-d arrays (a Python float operand costs numpy a
-    conversion on every call; the arithmetic is the same)."""
+    """What the 1-d update of one density array `rho` on spacing h needs,
+    resolved once: the workspaces w = rho^m (size n) and `lap` (size
+    n-2), the stencil views w[1:-1], w[2:], w[:-2] and rho[1:-1], the
+    scalar operands m, 2 and dt/h^2 as 0-d arrays (a Python float operand
+    costs numpy a conversion on every call; the arithmetic is the same),
+    and the per-step constants: h*h, SAFETY*h*h (in that order, as the
+    bound was written), m - 1, whether the left edge is the symmetry
+    edge, and each held edge as a float, or as the callable to call on
+    every step."""
 
-    def __init__(self, rho: np.ndarray, m: float):
+    def __init__(self, rho: np.ndarray, problem: RadialProblem, h: float):
         self.rho = rho
         self.w = np.empty_like(rho)
         self.lap = np.empty(rho.size - 2)
         self.w_mid, self.w_up, self.w_dn = self.w[1:-1], self.w[2:], \
             self.w[:-2]
         self.rho_mid = rho[1:-1]
-        self.m, self.two, self.scale = np.array(m), np.array(2.0), \
+        self.m, self.two, self.scale = np.array(problem.m), np.array(2.0), \
             np.array(0.0)
+        self.h, self.hh, self.safety_hh = h, h * h, SAFETY * h * h
+        self.m_scalar, self.m_minus_1 = problem.m, problem.m - 1.0
+        self.symmetric = problem.boundary == "symmetry-at-0"
+        self.left, self.right = (
+            spec if callable(spec) else problem._edge(which, 0.0)
+            for which, spec in (("left", problem.left),
+                                ("right", problem.right)))
+
+    def diffusivity(self, rho_max: float) -> float:
+        """m rho_max^(m-1), the largest diffusivity of the step."""
+        return self.m_scalar * rho_max ** self.m_minus_1
 
 
-def _advance(work: _Work, t_new: float, dt: float, h: float,
-             problem: RadialProblem, rho_max: float,
+def _edge_at(spec, t: float) -> float:
+    return float(spec(t)) if callable(spec) else spec
+
+
+def _advance(work: _Work, t_new: float, dt: float, diffusivity: float,
              clip_account: Optional[list]) -> float:
-    """The explicit conservative update, in place: `work.rho` (whose
-    maximum is `rho_max`) advances by dt to t_new.  Returns the new
-    maximum of rho.
+    """The explicit conservative update, in place: `work.rho`, whose
+    largest diffusivity is `diffusivity`, advances by dt to t_new.
+    Returns the new maximum of rho.
 
-    The edges are set before the checks, so one min and one max cover the
-    finiteness test, the undershoot clip and the next stability bound.
-    The symmetry edge is computed on Python floats, which take the same
-    IEEE operations in the same order as numpy scalars would.
+    dt above the stability bound h^2/(2 diffusivity) is a CflError.  The
+    edges are set before the checks, so the least and the largest value
+    cover the finiteness test, the undershoot clip and the next stability
+    bound.  The symmetry edge is computed on Python floats, which take the
+    same IEEE operations in the same order as numpy scalars would.
     """
-    bound = _cfl_bound(rho_max, h, problem.m, 1.0)
+    bound = work.hh / (2.0 * diffusivity) if diffusivity > 0.0 else math.inf
     if dt > bound * (1.0 + 1e-12):
         raise CflError(f"dt={dt} exceeds the 1-d stability bound {bound}")
-    scale = dt / (h * h)
+    scale = dt / work.hh
     rho, w, lap = work.rho, work.w, work.lap
-    np.power(rho, work.m, out=w)
+    # the output array is passed by position, which numpy parses faster
+    np.power(rho, work.m, w)
     # (w[2:] - 2 w[1:-1]) + w[:-2], in this order, scaled by dt/h^2
-    np.multiply(work.w_mid, work.two, out=lap)
-    np.subtract(work.w_up, lap, out=lap)
-    np.add(lap, work.w_dn, out=lap)
+    np.multiply(work.w_mid, work.two, lap)
+    np.subtract(work.w_up, lap, lap)
+    np.add(lap, work.w_dn, lap)
     work.scale[()] = scale
-    np.multiply(lap, work.scale, out=lap)
-    np.add(work.rho_mid, lap, out=work.rho_mid)
-    if problem.boundary == "symmetry-at-0":
+    np.multiply(lap, work.scale, lap)
+    np.add(work.rho_mid, lap, work.rho_mid)
+    if work.symmetric:
         rho[0] = rho.item(0) + scale * (2.0 * w.item(1) - 2.0 * w.item(0))
     else:
-        rho[0] = problem._edge("left", t_new)
-    rho[-1] = problem._edge("right", t_new)
-    low, top = np.minimum.reduce(rho), np.maximum.reduce(rho)
+        rho[0] = _edge_at(work.left, t_new)
+    rho[-1] = _edge_at(work.right, t_new)
+    # argmin/argmax take a NaN for the extreme, as min/max reductions do,
+    # at a fourth of their cost on 513 nodes; of a tie of -0.0 and +0.0
+    # they may pick the other zero, which takes the same branches of
+    # `< 0.0` here and of `diffusivity > 0.0`
+    low, top = rho.item(rho.argmin()), rho.item(rho.argmax())
     if not (math.isfinite(low) and math.isfinite(top)):
         raise InstabilityError("non-finite density during 1-d stepping")
     if low < 0.0:
         negative = rho < 0.0
-        clipped = -float(np.sum(rho[negative])) * h
+        clipped = -float(np.sum(rho[negative])) * work.h
         if clip_account is not None:
             clip_account.append(clipped)
         rho[negative] = 0.0
         top = max(top, 0.0)
-    return float(top)
+    return top
 
 
 def pme1d_step(state: ScalarField, dt: float, problem: RadialProblem,
@@ -177,8 +201,9 @@ def pme1d_step(state: ScalarField, dt: float, problem: RadialProblem,
     copy, so `state` is left unchanged.
     """
     rho = state.values.ravel().copy()
-    _advance(_Work(rho, problem.m), state.t + dt, dt, state.grid.h[0], problem,
-             float(np.max(rho)), clip_account)
+    work = _Work(rho, problem, state.grid.h[0])
+    _advance(work, state.t + dt, dt, work.diffusivity(float(np.max(rho))),
+             clip_account)
     return ScalarField(grid=state.grid, values=rho, t=state.t + dt,
                        quantity="rho")
 
@@ -218,7 +243,7 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
     rho[-1] = problem._edge("right", 0.0)
     h = problem.grid.h[0]
     mass0 = _mass(rho, h)
-    work = _Work(rho, problem.m)
+    work = _Work(rho, problem, h)
     rho_max = float(np.max(rho))
     clip_account: list = []
     out, out_times = [], []
@@ -226,16 +251,18 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
     n_steps = 0
     dt_min, dt_max = np.inf, 0.0
     for target in snaps:
-        while t < target - 1e-14 * max(1.0, target):
-            dt = min(_cfl_bound(rho_max, h, problem.m, SAFETY), target - t)
-            if not math.isfinite(dt):
-                dt = target - t
-            rho_max = _advance(work, t + dt, dt, h, problem, rho_max,
-                               clip_account)
+        stop = target - 1e-14 * max(1.0, target)
+        while t < stop:
+            diffusivity = work.diffusivity(rho_max)
+            dt = min(work.safety_hh / (2.0 * diffusivity), target - t) \
+                if diffusivity > 0.0 else target - t
+            rho_max = _advance(work, t + dt, dt, diffusivity, clip_account)
             t += dt
             n_steps += 1
-            dt_min = min(dt_min, dt)
-            dt_max = max(dt_max, dt)
+            if dt < dt_min:
+                dt_min = dt
+            if dt > dt_max:
+                dt_max = dt
         t = target
         out.append(ScalarField(grid=problem.grid, values=rho.copy(), t=t,
                                quantity="rho"))

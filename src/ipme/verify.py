@@ -5,7 +5,9 @@ Five suites, each a list of quick self-contained cases:
   operators   stencil consistency: quadratics are differentiated exactly,
               pointwise and by the field kernel, the field kernel matches
               the pointwise kernel, beta_c obeys its floor.  Sensitive to
-              sign faults in the mixed terms.
+              every fault mode of `set_fault_injection`: sign faults in
+              the mixed terms, a dropped |Du|^2 and the plain Laplacian
+              in place of the quotient.
   exact       frozen point values and discrete residuals of the explicit
               solution families, plus profile-table endpoint/inverse checks.
               The residuals run the solver's stencil kernel, so the ball

@@ -825,6 +825,20 @@ class TestVerifyCommand:
         # the fault must not leak into later runs
         assert cli.main(["verify", "--suite", "operators"]) == 0
 
+    @pytest.mark.parametrize("mode", ["drop-transport", "plain-laplacian"])
+    def test_rhs_faults_are_caught(self, capsys, mode):
+        # without + |Du|^2, or with the standard porous-medium operator in
+        # place of the quotient, the field kernel leaves both the
+        # pointwise kernel and the closed form of a quadratic
+        assert cli.main(["verify", "--fault", mode]) == 1
+        cap = capsys.readouterr()
+        failed = [line.split()[1] for line in cap.out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["operators/field-vs-pointwise",
+                          "operators/field-quadratic"]
+        assert cap.err.startswith("IPME-E1: failing cases:")
+        assert cli.main(["verify", "--suite", "operators"]) == 0
+
     def test_injected_fault_reaches_the_exact_residuals(self, capsys):
         # pde_residual runs the solver's stencil kernel, so flipping the
         # mixed terms breaks the ball's residual bound
@@ -952,6 +966,28 @@ asym: {snapshots: %s, tasks: %s, center: %s, m: 2.0, R_estimate: 1.0}
         err = capsys.readouterr().err
         assert err.startswith("IPME-E10: center must have 2 coordinates, got ")
         assert err.count("IPME-E") == 1
+
+    @pytest.mark.parametrize("extra,code,message", [
+        ("center: [0.0, 0.0, 5.0], m: 2.0", "IPME-E10",
+         "center must have 2 coordinates, got 3"),
+        ("center: [0.0, 0.0]", "IPME-E50",
+         "asym.m is required for the barenblatt task"),
+        ("r_max: 0.01, center: [0.015, 0.0], m: 2.0", "IPME-E10",
+         "r_max=0.01 keeps no node of the snapshot grid"),
+    ], ids=["center", "m", "r_max"])
+    def test_later_task_input_is_checked_before_writing(
+            self, tmp_path, bb_snapshot_dir, capsys, extra, code, message):
+        # the support task runs first and would write its trace; the
+        # barenblatt task's input must be rejected before that
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: [support, barenblatt], %s}
+""" % (out, bb_snapshot_dir, extra))
+        assert cli.main(["asym", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"{code}: {message}\n"
+        assert not out.exists()
 
     def test_missing_snapshot_dir(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "a.yaml", """\

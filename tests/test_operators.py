@@ -1,7 +1,9 @@
+import math
 import sys
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,6 +189,28 @@ class TestFaultInjection:
         assert bad.hess[0, 1] == pytest.approx(-clean.hess[0, 1], rel=1e-12)
         assert bad.hess[0, 0] == clean.hess[0, 0]
         np.testing.assert_allclose(bad.grad, clean.grad)
+
+    @pytest.mark.parametrize("mode", ["drop-transport", "plain-laplacian"])
+    def test_rhs_faults_change_the_field_kernel_only(self, mode):
+        grid = KERNEL_GRIDS[1]
+        vals = 0.5 + np.random.default_rng(12).random(grid.shape)
+        params = Params(m=2.5, eps=1e-2, delta=1e-2)
+        u = ScalarField(grid, vals, t=0.0, quantity="v")
+        num, g2, lap = ops.quad_form_field(vals, grid)
+        clean = ops.rhs_full(u, (4, 5), params)
+        try:
+            ops.set_fault_injection(mode)
+            got = ops.rhs_core(vals, grid, params)[0]
+            assert ops.rhs_full(u, (4, 5), params) == clean
+        finally:
+            ops.set_fault_injection(None)
+        kb = params.k * vals[grid.interior()]
+        if mode == "drop-transport":
+            want = params.eps * lap + kb * num / (g2 + params.delta ** 2)
+        else:
+            want = params.eps * lap + kb * lap + g2
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(DomainError, match="unknown fault mode"):
@@ -505,3 +529,198 @@ class TestRowSlabs:
         finally:
             sys.setswitchinterval(old)
         assert calls >= 2
+
+
+# ── Division kernel ──────────────────────────────────────────────────────
+# `_terms` and `_rhs_slab` as they were before the constant divisors that
+# are powers of two became multiplies by their reciprocals, kept verbatim
+# but for names.  They run on the slabs of a workspace of their own
+# through `_division_slab`, which gives back the fields the old slab had:
+# h, and cross entries without their scaling.
+
+def _division_accumulate(acc, term, first):
+    if first:
+        np.add(term, 0.0, out=acc)
+    else:
+        acc += term
+
+
+def _division_terms(vals, s):
+    h, tmp, two_c0 = s.h, s.tmp, s.rhs
+    np.multiply(vals[s.c0], 2.0, out=two_c0)
+    for i, gi in enumerate(s.grad):
+        up, dn = vals[s.up[i]], vals[s.dn[i]]
+        np.subtract(up, dn, out=gi)
+        gi /= 2.0 * h[i]
+        np.subtract(up, two_c0, out=tmp)
+        tmp += dn
+        tmp /= h[i] * h[i]
+        _division_accumulate(s.lap, tmp, i == 0)
+        tmp *= gi
+        tmp *= gi
+        _division_accumulate(s.num, tmp, i == 0)
+        if i == 0:
+            np.multiply(gi, gi, out=s.g2)
+        else:
+            np.multiply(gi, gi, out=tmp)
+            s.g2 += tmp
+    sgn = ops._cross_sign()
+    for i, j, pp, pm, mp, mm in s.cross:
+        np.subtract(vals[pp], vals[pm], out=tmp)
+        tmp -= vals[mp]
+        tmp += vals[mm]
+        if sgn != 1.0:
+            tmp *= sgn
+        tmp /= 4.0 * h[i] * h[j]
+        tmp *= 2.0
+        tmp *= s.grad[i]
+        tmp *= s.grad[j]
+        s.num += tmp
+
+
+def _division_rhs_slab(vals, s, params):
+    s = _division_slab(s)
+    _division_terms(vals, s)
+    ratio = ops._quotient(s.num, s.g2, s.g2_in, params.delta, out=s.tmp)
+    b = s.grad[0]
+    ops._beta_into(vals[s.c0], params.c, b, s.rhs, s.mask)
+    maxima = float(s.b_in.max()), float(s.g2_in.max())
+    b *= params.k
+    b *= ratio
+    np.multiply(s.lap, params.eps, out=s.rhs)
+    s.rhs += b
+    s.rhs += s.g2
+    return maxima
+
+
+def _division_slab(s):
+    old = SimpleNamespace(**vars(s))
+    old.h = s.grid_h
+    old.cross = [entry[:6] for entry in s.cross]
+    return old
+
+
+def _division_rhs_core(vals, grid, params, work):
+    for s in work.slabs:
+        s.grid_h = grid.h
+    bmax, g2max = np.max(work.run(_division_rhs_slab, vals, params), axis=0)
+    return work.rhs, float(bmax), float(g2max)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1:]), _bits(want[1:]))
+
+
+PIN_GRIDS = {
+    "65sq": GridSpec.box((-1.0, -1.0), (1.0, 1.0), (65, 65)),
+    "129sq": GridSpec.box((-1.0, -1.0), (1.0, 1.0), (129, 129)),
+    "97sq-h1/12": GridSpec.box((-4.0, -4.0), (4.0, 4.0), (97, 97)),
+    "65x49": GridSpec.box((-1.0, -1.0), (1.0, 1.0), (65, 49)),
+    "1d": GridSpec.box((-1.0,), (1.0,), (33,)),
+    "3d": GridSpec.box((-1.0,) * 3, (1.0,) * 3, (17, 17, 17)),
+}
+
+
+def _pin_data(grid, kind):
+    rng = np.random.default_rng(grid.size)
+    if kind == "random":
+        return rng.random(grid.shape) ** 2
+    # patches of -0.0 and +0.0 around a positive block: every zero sign
+    # meets every other in the stencil sums
+    vals = np.where(rng.random(grid.shape) < 0.5, -0.0, 0.0)
+    block = tuple(slice(k // 3, 2 * k // 3) for k in grid.n)
+    vals[block] = 0.25 + rng.random(vals[block].shape)
+    return vals
+
+
+def _pinned(vals, grid, params, fault=None):
+    try:
+        ops.set_fault_injection(fault)
+        want = _division_rhs_core(vals, grid, params, ops.StencilWork(grid))
+        got = ops.rhs_core(vals, grid, params, ops.StencilWork(grid))
+    finally:
+        ops.set_fault_injection(None)
+    return got, want
+
+
+class TestReciprocalScaling:
+    """The kernel with multiplies by exact reciprocals against the kernel
+    that divided, bit for bit."""
+
+    @pytest.mark.parametrize("fault", [None, "stencil-sign-flip"])
+    @pytest.mark.parametrize("kind,delta,c", [
+        ("random", 1e-3, 0.0), ("random", 0.0, 0.0), ("random", 1e-3, 0.3),
+        ("zero-plateaus", 1e-3, 0.0), ("zero-plateaus", 1e-3, 0.3)],
+        ids=["delta", "no-delta", "blend", "plateaus", "plateaus-blend"])
+    @pytest.mark.parametrize("name", list(PIN_GRIDS))
+    def test_rhs_core_equals_the_division_kernel(self, name, kind, delta, c,
+                                                 fault):
+        grid = PIN_GRIDS[name]
+        vals = _pin_data(grid, kind)
+        params = Params(m=2.5, eps=1e-2, delta=delta, c=c)
+        got, want = _pinned(vals, grid, params, fault)
+        _assert_same_bits(got, want)
+        if c > 0.0:  # the blend is active on part of the field
+            assert np.min(np.abs(vals)) < c <= np.max(vals)
+
+    @pytest.mark.parametrize("name", list(PIN_GRIDS))
+    def test_vanishing_gradient_without_delta_raises_alike(self, name):
+        grid = PIN_GRIDS[name]
+        vals = np.ones(grid.shape)
+        params = Params(m=2.0, eps=1e-2, delta=0.0)
+        with pytest.raises(SingularPointError) as want:
+            _division_rhs_core(vals, grid, params, ops.StencilWork(grid))
+        with pytest.raises(SingularPointError) as got:
+            ops.rhs_core(vals, grid, params)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("fault", [None, "stencil-sign-flip"])
+    def test_two_slabs_inside_with(self, two_cores, fault):
+        grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (257, 257))
+        vals = _pin_data(grid, "random")
+        params = Params(m=2.0, eps=1e-3, delta=1e-3, c=0.1)
+        try:
+            ops.set_fault_injection(fault)
+            with ops.StencilWork(grid) as work:
+                assert len(work.slabs) == 2
+                got = ops.rhs_core(vals, grid, params, work)
+            with ops.StencilWork(grid) as work:
+                want = _division_rhs_core(vals, grid, params, work)
+        finally:
+            ops.set_fault_injection(None)
+        _assert_same_bits(got, want)
+
+    @given(k=st.integers(-1023, 1023),
+           x=st.floats(allow_nan=True, allow_infinity=True,
+                       allow_subnormal=True))
+    @settings(max_examples=500, deadline=None)
+    def test_power_of_two_reciprocal_is_exact(self, k, x):
+        c = math.ldexp(1.0, k)
+        scale, operand = ops._scaling(c)
+        assert scale is np.multiply and operand == math.ldexp(1.0, -k)
+        results, flags = [], []
+        for ufunc, y in ((scale, operand), (np.divide, c)):
+            seen = []
+            with np.errstate(all="call",
+                             call=lambda kind, flag: seen.append(kind)):
+                results.append(ufunc(np.array([x]), y))
+            flags.append(seen)
+        assert np.array_equal(_bits(results[0]), _bits(results[1]))
+        assert flags[0] == flags[1]
+
+    @pytest.mark.parametrize("c", [2.0 ** -1074, 2.0 ** -1025, 1.0 / 48.0,
+                                   3.0 / 64.0, 0.07, 2.0 / 48.0])
+    def test_other_divisors_divide(self, c):
+        assert ops._scaling(c) == (np.divide, c)
+
+    def test_grids_pick_per_divisor(self):
+        # h = (1/32, 1/24): 2h_0, h_0^2 are powers of two, the others not
+        s = ops.StencilWork(PIN_GRIDS["65x49"]).slabs[0]
+        assert [f for f, _ in s.by_2h] == [np.multiply, np.divide]
+        assert [f for f, _ in s.by_hh] == [np.multiply, np.divide]
+        assert s.cross[0][-1] == (np.divide, 4.0 * (1 / 32) * (1 / 24))

@@ -356,6 +356,33 @@ class TestBitIdentity:
                             reference_solve(make(), t_end=0.01))
 
 
+class TestEdgeCalls:
+    @pytest.mark.parametrize("boundary", ["symmetry-at-0", "dirichlet"])
+    def test_callable_edge_is_called_once_per_step(self, boundary):
+        # the solve resolves constant edges once, but a callable edge must
+        # still be called on every step, at that step's new time
+        def make(calls):
+            def edge(t):
+                calls.append(t)
+                return 0.01 * t
+            g = GridSpec.box((0.0,), (1.0,), (65,))
+            rho0 = density_from_pressure(
+                parabola_bump(g.axes()[0], 0.8, 0.6), 2.0)
+            edges = dict(right=edge) if boundary == "symmetry-at-0" \
+                else dict(left=edge, right=0.0)
+            return RadialProblem(m=2.0, grid=g, initial=rho0,
+                                 boundary=boundary, **edges)
+
+        want_calls, got_calls = [], []
+        want = reference_solve(make(want_calls), t_end=0.02,
+                               snapshot_times=(0.01,))
+        got = pme1d_solve(make(got_calls), t_end=0.02, snapshot_times=(0.01,))
+        _assert_same_result(got, want)
+        assert got_calls == want_calls
+        assert len(got_calls) == got.n_steps + 1
+        assert got_calls[0] == 0.0 and got_calls[-1] == 0.02
+
+
 class TestStep:
     @pytest.mark.parametrize("name,make,kwargs", IDENTITY_CASES,
                              ids=[c[0] for c in IDENTITY_CASES])
