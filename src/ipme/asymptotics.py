@@ -207,7 +207,7 @@ def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
     spec = exact.separable_ball(params.m, R=ball_radius, t0=0.0,
                                 x0=center if center is not None else ())
     X = grid.points()
-    U = exact.separable_ball_u(X, 1.0, spec).reshape(grid.shape)
+    U = exact.evaluate_u(spec, X, 1.0).reshape(grid.shape)
     errors = np.array([float(np.max(np.abs(s - U))) for s in scaled])
     return FriendlyGiantResult(times=times, errors=errors,
                                stabilization_diffs=diffs, is_ball=True,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from typing import Optional, Sequence
 
@@ -32,7 +31,7 @@ from .core import (BoundaryData, ConfigError, DomainError, GridSpec,
 from .solver import (CauchyProblem, DirichletProblem, ball_mask,
                      solve_cauchy, solve_dirichlet, solve_maximal)
 
-__all__ = ["main", "load_config", "apply_overrides"]
+__all__ = ["main", "load_config"]
 
 _NUM = (int, float)
 _LIST = (list, tuple)
@@ -91,17 +90,6 @@ DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
 BOUNDARY_KINDS = ("zero", "constant", "exact")
 
 
-class _Loader(yaml.SafeLoader):
-    """Safe YAML loader that also reads the YAML 1.2 floats YAML 1.1 takes
-    for strings: an exponent without a dot or a sign, like 1e-3 or 1.0e3."""
-
-
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
-
-
 def _leaves(cfg: dict, schema: dict, path: str = ""):
     """(path, value, type) of every leaf and list entry, in file order;
     unknown keys and non-mapping sections are a ConfigError."""
@@ -149,7 +137,7 @@ def load_config(path: Optional[str]) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = yaml.load(fh, Loader=_Loader)
+            cfg = io.load_yaml(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from e
     except yaml.YAMLError as e:
@@ -186,7 +174,7 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
             raise ConfigError(f"override {key!r} addresses a list; flags "
                               f"only override scalar leaves")
         try:
-            value = yaml.load(raw, Loader=_Loader)
+            value = io.load_yaml(raw)
         except yaml.YAMLError as e:
             raise ConfigError(f"cannot parse override value {raw!r}: {e}")
         if isinstance(value, (dict, list)):
@@ -249,7 +237,7 @@ def _exact_companion(data: dict, m: float) -> tuple:
     The preset is read as an `exact` section; `radius` of the ball preset
     is the ball radius R."""
     kind = data.get("kind")
-    if kind not in ("barenblatt", "traveling-wave", "separable-ball"):
+    if kind not in exact.FAMILIES:
         return None, 0.0
     t_off = 0.0 if kind == "traveling-wave" else _finite(data, "t_offset", 1.0)
     return _build_exact_spec({
@@ -322,16 +310,18 @@ def _domain_mask(cfg: dict, grid: GridSpec):
     return ball_mask(grid, _finite(dom, "radius"), dom.get("center"))
 
 
-def _write_run(outdir: str, report, cfg: dict) -> None:
+def _write_run(outdir: str, snapshots, manifest: io.RunManifest,
+               cfg: dict) -> None:
+    """<quantity>_<index>.snap per snapshot, then the manifest naming them."""
     os.makedirs(outdir, exist_ok=True)
     names = []
-    for i, snap in enumerate(report.snapshots):
+    for i, snap in enumerate(snapshots):
         name = f"{snap.quantity}_{i:04d}.snap"
         io.write_snapshot(os.path.join(outdir, name), snap)
         names.append(name)
-    report.manifest.data["snapshots"] = names
-    report.manifest.data["config"] = cfg
-    io.write_manifest(os.path.join(outdir, "manifest.yaml"), report.manifest)
+    manifest.data["snapshots"] = names
+    manifest.data["config"] = cfg
+    io.write_manifest(os.path.join(outdir, "manifest.yaml"), manifest)
 
 
 def cmd_solve(cfg: dict) -> int:
@@ -347,6 +337,7 @@ def cmd_solve(cfg: dict) -> int:
     if problem_kind == "cauchy" and ("M" not in cc or "r" not in cc):
         raise ConfigError("cauchy.M and cauchy.r are required")
     bdata, spec, t_off = _build_data(cfg, grid, params)
+    outdir = _require(cfg, "output")
 
     if problem_kind == "cauchy":
         prob = CauchyProblem(grid, params, bdata.initial,
@@ -373,36 +364,33 @@ def cmd_solve(cfg: dict) -> int:
             if thr is not None:
                 report.manifest.data["regression_threshold"] = float(thr)
                 if not rel <= float(thr):
-                    _write_run(_require(cfg, "output"), report, cfg)
+                    _write_run(outdir, report.snapshots, report.manifest, cfg)
                     raise NumericError(
                         f"regression error statistic {rel:.6f} exceeds "
                         f"threshold {thr}")
 
     if "seed" in cfg:
         report.manifest.data["seed"] = int(cfg["seed"])
-    _write_run(_require(cfg, "output"), report, cfg)
+    _write_run(outdir, report.snapshots, report.manifest, cfg)
     return 2 if report.warnings else 0
 
 
-_EXACT_FAMILIES = ("barenblatt", "traveling-wave", "separable-ball",
-                   "separable-annulus", "neg-lambda-pos", "neg-lambda-zero",
-                   "neg-lambda-neg")
-
-
 def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
+    """The spec of an `exact` section: the one reader of the family keys."""
     family = ex.get("family")
+    if family not in exact.FAMILIES:
+        raise ConfigError(f"unknown exact family {family!r}; known: "
+                          f"{', '.join(exact.FAMILIES)}")
 
     def num(key, default=None):
         return _finite(ex, key, default)
 
     m = num("m")
     if family == "barenblatt":
-        return exact.barenblatt(m, R=num("R", 1.0),
-                                quantity=ex.get("quantity", "u"))
+        return exact.barenblatt(m, R=num("R", 1.0))
     if family == "traveling-wave":
         return exact.traveling_wave(m, c=num("speed", 1.0),
-                                    a=num("offset", 0.0),
-                                    quantity=ex.get("quantity", "u"))
+                                    a=num("offset", 0.0))
     if family == "separable-ball":
         if "R" in ex:
             return exact.separable_ball(m, R=num("R"), t0=num("t0", 0.0))
@@ -415,11 +403,8 @@ def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
                                       t0=num("t0"))
     if family == "neg-lambda-zero":
         return exact.neg_lambda_a_zero(m, R=num("R"), t0=num("t0"))
-    if family == "neg-lambda-neg":
-        return exact.neg_lambda_a_neg(m, a=num("a", -1.0), C=num("C"),
-                                      t0=num("t0"))
-    raise ConfigError(f"unknown exact family {family!r}; known: "
-                      f"{', '.join(_EXACT_FAMILIES)}")
+    return exact.neg_lambda_a_neg(m, a=num("a", -1.0), C=num("C"),
+                                  t0=num("t0"))
 
 
 def cmd_exact(cfg: dict) -> int:
@@ -433,14 +418,10 @@ def cmd_exact(cfg: dict) -> int:
     elif not times:
         raise ConfigError("exact.times must list at least one time")
     outdir = _require(cfg, "output")
-    os.makedirs(outdir, exist_ok=True)
-    names = []
-    for i, t in enumerate(times):
-        f = exact.sample_field(spec, grid, float(t), quantity=quantity)
-        name = f"{quantity}_{i:04d}.snap"
-        io.write_snapshot(os.path.join(outdir, name), f)
-        names.append(name)
-    man = io.RunManifest({
+    # every time is sampled before anything is written
+    snaps = [exact.sample_field(spec, grid, float(t), quantity=quantity)
+             for t in times]
+    _write_run(outdir, snaps, io.RunManifest({
         "format": "ipme-manifest v1",
         "problem": "exact",
         "family": spec.kind,
@@ -449,10 +430,7 @@ def cmd_exact(cfg: dict) -> int:
                  "origin": list(grid.origin)},
         "times": [float(t) for t in times],
         "quantity": quantity,
-        "snapshots": names,
-        "config": cfg,
-    })
-    io.write_manifest(os.path.join(outdir, "manifest.yaml"), man)
+    }), cfg)
     return 0
 
 

@@ -2,11 +2,16 @@
 
 Families
 --------
-* Barenblatt source solutions, density and pressure form.
-* Planar traveling waves.
-* Separable solutions rho = T(t) F(x) whose radial profiles reduce, after
-  the substitution g = lambda^(-m/(m-1)) F^m with p = 1/m, to the ODEs
-  g'' + g^p = 0 (lambda > 0) and g'' - g^p = 0 (lambda < 0).
+`FAMILIES` maps each config name (`exact.family`, the spec's kind) to its
+evaluators:
+
+* barenblatt: source solutions, density and pressure form.
+* traveling-wave: planar traveling waves.
+* separable-ball, separable-annulus, neg-lambda-pos, neg-lambda-zero,
+  neg-lambda-neg: separable solutions rho = T(t) F(x) whose radial
+  profiles reduce, after the substitution g = lambda^(-m/(m-1)) F^m with
+  p = 1/m, to the ODEs g'' + g^p = 0 (lambda > 0, ball and annulus) and
+  g'' - g^p = 0 (lambda < 0, one branch per sign of the constant a).
 
 The ODE profiles are expressed through three elementary primitives
 
@@ -51,19 +56,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DomainError, GridSpec, NumericError, Params, RangeError,
-                   ScalarField)
+                   ScalarField, density_from_pressure)
 from .operators import quad_form_field
 
 __all__ = [
-    "ExactSolutionSpec", "ProfileTable",
+    "ExactSolutionSpec", "ProfileTable", "FAMILIES",
     "barenblatt", "traveling_wave", "separable_ball", "separable_annulus",
     "neg_lambda_a_pos", "neg_lambda_a_zero", "neg_lambda_a_neg",
-    "barenblatt_rho", "barenblatt_u", "traveling_wave_u", "traveling_wave_rho",
     "build_H_profile", "build_I_profile", "build_K_profile",
-    "separable_ball_u", "separable_ball_rho", "separable_annulus_u",
-    "neg_lambda_u", "evaluate_u", "evaluate_rho",
-    "sample_field", "pde_residual", "ode_residual",
-    "endpoint_A", "ball_radius_from_a", "ball_a_from_radius", "k_slope",
+    "evaluate_u", "evaluate_rho", "sample_field", "pde_residual",
+    "ode_residual", "endpoint_A",
 ]
 
 
@@ -74,19 +76,15 @@ def k_slope(p: float) -> float:
 
 # ── Solution specification ───────────────────────────────────────────────
 
-_KINDS = ("barenblatt-rho", "barenblatt-u", "traveling-wave-rho",
-          "traveling-wave-u", "separable-ball", "separable-annulus",
-          "neg-lambda-a-pos", "neg-lambda-a-zero", "neg-lambda-a-neg")
-
-
 @dataclass(frozen=True)
 class ExactSolutionSpec:
     """Parameters selecting one member of one exact family.
 
-    Not every field is meaningful for every kind; the factory functions
-    below fill in the consistent combinations and the constructor rejects
-    inconsistent ones.  The sign of the separation constant lambda is the
-    kind's: positive for the separable kinds, negative for neg-lambda.
+    `kind` is a key of `FAMILIES`.  Not every field is meaningful for
+    every kind; the factory functions below fill in the consistent
+    combinations and the constructor rejects inconsistent ones.  The sign
+    of the separation constant lambda is the kind's: positive for the
+    separable kinds, negative for neg-lambda.
     """
 
     kind: str
@@ -99,32 +97,28 @@ class ExactSolutionSpec:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in FAMILIES:
             raise DomainError(f"unknown exact-solution kind {self.kind!r}")
-        if self.kind.startswith("barenblatt") and not (self.R > 0.0):
-            raise DomainError("barenblatt kinds need R > 0")
-        if self.kind.startswith("traveling-wave") and not (self.c_speed > 0.0):
-            raise DomainError("traveling-wave kinds need c_speed > 0")
+        if self.kind == "barenblatt" and not (self.R > 0.0):
+            raise DomainError("barenblatt needs R > 0")
+        if self.kind == "traveling-wave" and not (self.c_speed > 0.0):
+            raise DomainError("traveling-wave needs c_speed > 0")
         if self.kind in ("separable-ball", "separable-annulus") and \
                 not (self.a_const > 0.0):
             raise DomainError("H_p branch needs a_const > 0")
-        if self.kind == "neg-lambda-a-pos" and not (self.a_const > 0.0):
-            raise DomainError("neg-lambda-a-pos needs a_const > 0")
-        if self.kind == "neg-lambda-a-neg" and not (self.a_const < 0.0):
-            raise DomainError("neg-lambda-a-neg needs a_const < 0")
+        if self.kind == "neg-lambda-pos" and not (self.a_const > 0.0):
+            raise DomainError("neg-lambda-pos needs a_const > 0")
+        if self.kind == "neg-lambda-neg" and not (self.a_const < 0.0):
+            raise DomainError("neg-lambda-neg needs a_const < 0")
 
 
-def barenblatt(m: float, R: float, quantity: str = "u",
-               x0=()) -> ExactSolutionSpec:
-    kind = "barenblatt-u" if quantity == "u" else "barenblatt-rho"
-    return ExactSolutionSpec(kind=kind, params=Params(m=m), R=float(R),
-                             x0=tuple(x0))
+def barenblatt(m: float, R: float, x0=()) -> ExactSolutionSpec:
+    return ExactSolutionSpec(kind="barenblatt", params=Params(m=m),
+                             R=float(R), x0=tuple(x0))
 
 
-def traveling_wave(m: float, c: float, a: float = 0.0,
-                   quantity: str = "u") -> ExactSolutionSpec:
-    kind = "traveling-wave-u" if quantity == "u" else "traveling-wave-rho"
-    return ExactSolutionSpec(kind=kind, params=Params(m=m),
+def traveling_wave(m: float, c: float, a: float = 0.0) -> ExactSolutionSpec:
+    return ExactSolutionSpec(kind="traveling-wave", params=Params(m=m),
                              c_speed=float(c), C_const=float(a))
 
 
@@ -154,18 +148,18 @@ def separable_annulus(m: float, a: float, R1: float,
 
 def neg_lambda_a_pos(m: float, a: float, R: float,
                      t0: float) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="neg-lambda-a-pos", params=Params(m=m),
+    return ExactSolutionSpec(kind="neg-lambda-pos", params=Params(m=m),
                              R=float(R), a_const=float(a), t0=float(t0))
 
 
 def neg_lambda_a_zero(m: float, R: float, t0: float) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="neg-lambda-a-zero", params=Params(m=m),
+    return ExactSolutionSpec(kind="neg-lambda-zero", params=Params(m=m),
                              R=float(R), t0=float(t0))
 
 
 def neg_lambda_a_neg(m: float, a: float, C: float,
                      t0: float) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="neg-lambda-a-neg", params=Params(m=m),
+    return ExactSolutionSpec(kind="neg-lambda-neg", params=Params(m=m),
                              a_const=float(a), C_const=float(C),
                              t0=float(t0))
 
@@ -198,14 +192,20 @@ def gamma_m(m: float) -> float:
     return ((m - 1.0) / (2.0 * m * (m + 1.0))) ** (1.0 / (m - 1.0))
 
 
-def barenblatt_rho(x, t: float, spec: ExactSolutionSpec):
-    """Source-type density gamma_m t^(-1/(m-1)) [(R t^(1/(m+1)))^2 - |x|^2]_+^(1/(m-1))."""
+def _barenblatt_core(x, t: float, spec: ExactSolutionSpec) -> tuple:
+    """([(R t^(1/(m+1)))^2 - |x|^2]_+, scalar flag) for t > 0."""
     if t <= 0.0:
         raise DomainError(f"Barenblatt solutions need t > 0, got {t}")
-    m = spec.params.m
     X, scalar = _as_points(x)
     r = _radii(X, spec.x0)
-    core = np.maximum((spec.R * t ** (1.0 / (m + 1.0))) ** 2 - r * r, 0.0)
+    front = spec.R * t ** (1.0 / (spec.params.m + 1.0))
+    return np.maximum(front ** 2 - r * r, 0.0), scalar
+
+
+def barenblatt_rho(x, t: float, spec: ExactSolutionSpec):
+    """Source-type density gamma_m t^(-1/(m-1)) [(R t^(1/(m+1)))^2 - |x|^2]_+^(1/(m-1))."""
+    core, scalar = _barenblatt_core(x, t, spec)
+    m = spec.params.m
     vals = gamma_m(m) * t ** (-1.0 / (m - 1.0)) * core ** (1.0 / (m - 1.0))
     return _ret(vals, scalar)
 
@@ -216,14 +216,8 @@ def barenblatt_u(x, t: float, spec: ExactSolutionSpec):
     The prefactor is the one forced by the density form under the pressure
     transform and by direct substitution into the PDE.
     """
-    if t <= 0.0:
-        raise DomainError(f"Barenblatt solutions need t > 0, got {t}")
-    m = spec.params.m
-    X, scalar = _as_points(x)
-    r = _radii(X, spec.x0)
-    core = np.maximum((spec.R * t ** (1.0 / (m + 1.0))) ** 2 - r * r, 0.0)
-    vals = core / (2.0 * (m + 1.0) * t)
-    return _ret(vals, scalar)
+    core, scalar = _barenblatt_core(x, t, spec)
+    return _ret(core / (2.0 * (spec.params.m + 1.0) * t), scalar)
 
 
 # ── Traveling waves ──────────────────────────────────────────────────────
@@ -605,11 +599,11 @@ def neg_lambda_u(x, t: float, spec: ExactSolutionSpec):
     X, scalar = _as_points(x)
     r = _radii(X, spec.x0)
     dt = spec.t0 - t
-    if spec.kind == "neg-lambda-a-zero":
+    if spec.kind == "neg-lambda-zero":
         vals = (r - spec.R) ** 2 / (2.0 * (m + 1.0) * dt)
         return _ret(vals, scalar)
     ks = k_slope(p)
-    if spec.kind == "neg-lambda-a-pos":
+    if spec.kind == "neg-lambda-pos":
         kind, y = "I", ks * (r - spec.R)
         if np.any(y < -1e-12):
             raise DomainError("a>0 blow-up branch is defined for |x| >= R")
@@ -627,30 +621,28 @@ def neg_lambda_u(x, t: float, spec: ExactSolutionSpec):
 
 # ── Uniform evaluation interface ─────────────────────────────────────────
 
+# pressure evaluator and, where one exists, closed-form density; the
+# other densities are transformed from the pressure
+FAMILIES = {
+    "barenblatt": (barenblatt_u, barenblatt_rho),
+    "traveling-wave": (traveling_wave_u, traveling_wave_rho),
+    "separable-ball": (separable_ball_u, separable_ball_rho),
+    "separable-annulus": (separable_annulus_u, None),
+    "neg-lambda-pos": (neg_lambda_u, None),
+    "neg-lambda-zero": (neg_lambda_u, None),
+    "neg-lambda-neg": (neg_lambda_u, None),
+}
+
+
 def evaluate_u(spec: ExactSolutionSpec, x, t: float):
-    kind = spec.kind
-    if kind in ("barenblatt-u", "barenblatt-rho"):
-        return barenblatt_u(x, t, spec)
-    if kind in ("traveling-wave-u", "traveling-wave-rho"):
-        return traveling_wave_u(x, t, spec)
-    if kind == "separable-ball":
-        return separable_ball_u(x, t, spec)
-    if kind == "separable-annulus":
-        return separable_annulus_u(x, t, spec)
-    return neg_lambda_u(x, t, spec)
+    return FAMILIES[spec.kind][0](x, t, spec)
 
 
 def evaluate_rho(spec: ExactSolutionSpec, x, t: float):
-    kind = spec.kind
-    m = spec.params.m
-    if kind in ("barenblatt-u", "barenblatt-rho"):
-        return barenblatt_rho(x, t, spec)
-    if kind in ("traveling-wave-u", "traveling-wave-rho"):
-        return traveling_wave_rho(x, t, spec)
-    if kind == "separable-ball":
-        return separable_ball_rho(x, t, spec)
-    u = evaluate_u(spec, x, t)
-    return ((m - 1.0) / m * np.asarray(u)) ** (1.0 / (m - 1.0))
+    rho = FAMILIES[spec.kind][1]
+    if rho is None:
+        return density_from_pressure(evaluate_u(spec, x, t), spec.params.m)
+    return rho(x, t, spec)
 
 
 def sample_field(spec: ExactSolutionSpec, grid: GridSpec, t: float,

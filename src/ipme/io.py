@@ -19,14 +19,17 @@ those of formatting value by value.  `write_snapshot` streams the rows
 that `snapshot_text` joins.
 
 Manifests are a small deterministic YAML subset (nested mappings, scalars,
-flat lists) emitted with sorted structure fixed by the writer; they parse
-with any YAML reader.  Traces are RFC-4180 CSV.
+flat lists) emitted with sorted structure fixed by the writer.  They read
+back value for value with `load_yaml`, the package's one YAML reader; a
+YAML 1.1 reader (`yaml.safe_load`) takes floats like 1e-05 for strings.
+Traces are RFC-4180 CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+import re
 
 import numpy as np
 import yaml
@@ -36,7 +39,7 @@ from .core import (DomainError, GridSpec, RunManifest, ScalarField,
 
 __all__ = [
     "write_snapshot", "read_snapshot", "snapshot_text", "parse_snapshot_text",
-    "write_manifest", "read_manifest", "manifest_text",
+    "write_manifest", "read_manifest", "manifest_text", "load_yaml",
     "write_trace_csv", "read_trace_csv",
 ]
 
@@ -162,6 +165,21 @@ def read_snapshot(path: str) -> ScalarField:
 
 # ── Manifests ────────────────────────────────────────────────────────────
 
+class _Loader(yaml.SafeLoader):
+    """Safe loader that also reads YAML 1.2 floats like 1e-3 or 1.0e3."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
+def load_yaml(stream):
+    """Configs, overrides and manifests: YAML text or stream -> data."""
+    return yaml.load(stream, Loader=_Loader)
+
+
 def _emit(obj, indent: int, out: list) -> None:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -210,7 +228,7 @@ def write_manifest(path: str, manifest: RunManifest) -> None:
 def read_manifest(path: str) -> RunManifest:
     with open(path, "r") as f:
         try:
-            data = yaml.safe_load(f.read())
+            data = load_yaml(f)
         except yaml.YAMLError as exc:
             raise SnapshotFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):

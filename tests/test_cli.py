@@ -16,7 +16,7 @@ import yaml
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from ipme import cli, io
+from ipme import cli, exact, io
 from ipme.core import ConfigError, GridSpec, ScalarField
 
 
@@ -438,6 +438,26 @@ grid: {{lo: [-2.0, -2.0], hi: [2.0, 2.0], n: [65, 65]}}
 """
 
 
+# one valid `exact` section (the keys after family and m) and grid per
+# family, each grid inside the family's domain
+EXACT_FAMILY_CONFIGS = {
+    "barenblatt": ("R: 1.0, quantity: rho, t: 1.0",
+                   "{lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}"),
+    "traveling-wave": ("speed: 1.5, offset: 0.2, times: [0.0, 0.25]",
+                       "{lo: [0.0, 0.0], hi: [1.0, 1.0], n: [17, 17]}"),
+    "separable-ball": ("a: 1.0, t0: 0.5, t: 1.0",
+                       "{lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}"),
+    "separable-annulus": ("a: 1.0, R1: 0.5, quantity: rho, t: 1.0",
+                          "{lo: [0.62, -0.15], hi: [0.92, 0.15], n: [9, 9]}"),
+    "neg-lambda-pos": ("a: 1.0, R: 0.3, t0: 2.0, times: [0.5, 1.0]",
+                       "{lo: [0.4, 0.4], hi: [1.2, 1.2], n: [17, 17]}"),
+    "neg-lambda-zero": ("R: 0.3, t0: 2.0, t: 1.0",
+                        "{lo: [0.4, 0.4], hi: [1.2, 1.2], n: [17, 17]}"),
+    "neg-lambda-neg": ("C: 2.5, t0: 2.0, quantity: rho, t: 1.0",
+                       "{lo: [1.1, 1.1], hi: [1.7, 1.7], n: [17, 17]}"),
+}
+
+
 @pytest.fixture(scope="module")
 def bb_snapshot_dir(tmp_path_factory):
     """Pressure snapshots of the m=2, R=1 source solution on a 65^2 box,
@@ -460,7 +480,7 @@ class TestExactCommand:
     def test_manifest_lists_all_snapshots(self, bb_snapshot_dir):
         man = yaml.safe_load((bb_snapshot_dir / "manifest.yaml").read_text())
         assert man["problem"] == "exact"
-        assert man["family"] == "barenblatt-u"
+        assert man["family"] == "barenblatt"
         assert man["snapshots"] == [f"u_{i:04d}.snap" for i in range(9)]
         assert man["times"][0] == 0.25 and man["times"][-1] == 4.0
 
@@ -534,6 +554,34 @@ grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
 """ % (tmp_path / "run"))
         assert cli.main(["exact", cfg]) == 1
         assert "t > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", list(exact.FAMILIES))
+    def test_every_family_runs_and_is_recorded_by_name(self, tmp_path,
+                                                       family):
+        section, grid = EXACT_FAMILY_CONFIGS[family]
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", "output: %s\nexact: {family: "
+                        "%s, m: 2.0, %s}\ngrid: %s\n"
+                        % (out, family, section, grid))
+        assert cli.main(["exact", cfg]) == 0
+        assert io.read_manifest(out / "manifest.yaml").data["family"] == family
+
+    @pytest.mark.parametrize("section", [
+        "{family: barenblatt, m: 2.0, times: [1.0, 0.0]}",
+        "{family: barenblatt, m: 2.0, quantity: G}",
+        "{family: separable-ball, m: 2.0, R: 0.5, t0: 2.0, times: [3.0, 1.0]}",
+    ])
+    def test_a_bad_time_or_quantity_writes_nothing(self, tmp_path, capsys,
+                                                   section):
+        # every time is sampled before the output directory is made
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", "output: %s\nexact: %s\ngrid: "
+                        "{lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}\n"
+                        % (out, section))
+        assert cli.main(["exact", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E10:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -841,13 +889,15 @@ class TestVerifyCommand:
 
     def test_injected_fault_reaches_the_exact_residuals(self, capsys):
         # pde_residual runs the solver's stencil kernel, so flipping the
-        # mixed terms breaks the ball's residual bound
+        # mixed terms breaks the ball's and the a = 0 branch's bounds
         rc = cli.main(["verify", "--suite", "exact",
                        "--fault", "stencil-sign-flip"])
         assert rc == 1
         cap = capsys.readouterr()
         assert "FAIL  exact/separable-ball-residual" in cap.out
-        assert cap.err.startswith("IPME-E1: failing cases:")
+        assert "FAIL  exact/neg-lambda-a0-residual" in cap.out
+        assert cap.err == ("IPME-E1: failing cases: exact/separable-ball-"
+                           "residual, exact/neg-lambda-a0-residual\n")
         assert cli.main(["verify", "--suite", "exact"]) == 0
 
     def test_unknown_suite_flag_rejected_by_parser(self, capsys):

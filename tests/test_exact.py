@@ -101,13 +101,15 @@ class TestSeparableBall:
 
 
 def test_residual_reproduces_pinned_c01_values():
-    # two C01 residuals, pinned bit for bit: the residual's stencil is the
-    # solver's kernel, which keeps one fixed order of operations
+    # three C01 residuals, pinned bit for bit: the residual's stencil is
+    # the solver's kernel, which keeps one fixed order of operations
     cases = (
         (exact.barenblatt(2.0, R=1.0), (-1.5, -1.5), (1.5, 1.5), 193,
          (3.1610903217238473e-07, 12240)),
         (exact.separable_ball(3.0, a=1.0), (-0.5, -0.5), (0.5, 0.5), 33,
          (0.0001258811270130611, 960)),
+        (exact.separable_annulus(2.0, a=1.0, R1=0.5), (0.62, -0.15),
+         (0.92, 0.15), 65, (0.0009647019143770308, 3969)),
     )
     for spec, lo, hi, n, want in cases:
         assert exact.pde_residual(spec, GridSpec.box(lo, hi, (n, n)),

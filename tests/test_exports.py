@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -91,6 +92,26 @@ def test_every_export_has_a_caller_or_is_an_oracle():
 def test_oracles_are_exported_and_have_no_product_caller():
     # an oracle that gains a product caller, or is deleted, leaves the list
     assert sorted(set(ORACLES) - _unused_exports(set())) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_function_is_called_outside_its_module(module):
+    # a function only its own module calls is a helper, not an export;
+    # classes are exempt, as callers use what they return without naming
+    # them, and oracles have their own rule
+    refs = {path: {name for name, _ in _references(
+        ast.parse(path.read_text(encoding="utf-8")))} for path in SOURCES}
+    mod = importlib.import_module(module)
+    lonely = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if not inspect.isfunction(obj) or name in ORACLES:
+            continue
+        home = pathlib.Path(inspect.getfile(obj)).resolve()
+        if not any(name in names for path, names in refs.items()
+                   if path.resolve() != home):
+            lonely.append(name)
+    assert lonely == []
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))

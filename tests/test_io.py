@@ -197,6 +197,16 @@ class TestManifest:
         io.write_manifest(str(path), man)
         assert io.read_manifest(str(path)).to_dict() == man.to_dict()
 
+    def test_exponent_floats_read_back_as_floats(self, tmp_path):
+        # repr writes 1e-05, 3e-06 and 1e+20 without a dot, which a YAML
+        # 1.1 reader takes for strings
+        man = RunManifest.build(Params(m=2.0, eps=1e-05), GRID3, "dirichlet",
+                                stage_diffs=[3e-06, 1e+20])
+        path = tmp_path / "run.yaml"
+        io.write_manifest(str(path), man)
+        assert "eps: 1e-05\n" in path.read_text()
+        assert io.read_manifest(str(path)).to_dict() == man.to_dict()
+
     def test_writer_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
         io.write_manifest(str(a), self.manifest())
