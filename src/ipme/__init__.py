@@ -14,13 +14,13 @@ operator and drive the regularization to zero by continuation.
 from .core import (BoundaryData, CflError, ConfigError, DomainError,
                    FitError, GridSpec, InstabilityError, IpmeError,
                    NumericError, OrderingError, Params, RangeError,
-                   RegularizationSchedule, RunManifest, ScalarField,
-                   SingularPointError, SnapshotFormatError, TruncationError,
-                   density_from_pressure, pressure_from_density)
+                   RegularizationSchedule, ScalarField, SingularPointError,
+                   SnapshotFormatError, TruncationError,
+                   density_from_pressure, pressure_from_density, run_manifest)
 
 __all__ = [
     "Params", "GridSpec", "ScalarField", "BoundaryData",
-    "RegularizationSchedule", "RunManifest",
+    "RegularizationSchedule", "run_manifest",
     "pressure_from_density", "density_from_pressure",
     "IpmeError", "DomainError", "RangeError", "SingularPointError",
     "NumericError", "CflError", "InstabilityError", "OrderingError",

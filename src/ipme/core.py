@@ -13,7 +13,7 @@ description and field container defined here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ __all__ = [
     "NumericError", "CflError", "InstabilityError", "OrderingError",
     "TruncationError", "FitError", "SnapshotFormatError", "ConfigError",
     "Params", "GridSpec", "ScalarField", "BoundaryData",
-    "RegularizationSchedule", "RunManifest",
+    "RegularizationSchedule", "run_manifest",
     "pressure_from_density", "density_from_pressure",
     "QUANTITIES",
 ]
@@ -263,9 +263,6 @@ class ScalarField:
         if np.any(~np.isfinite(self.values)):
             raise DomainError("field values must be finite")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.t, self.quantity)
-
 
 # ── Boundary data ────────────────────────────────────────────────────────
 
@@ -282,16 +279,6 @@ class BoundaryData:
     lateral: Callable[[np.ndarray, float], np.ndarray]
     kind: str = "dirichlet-function"
     time_dependent: bool = True
-
-    @staticmethod
-    def constant(value: float) -> "BoundaryData":
-        if value < 0.0:
-            raise DomainError(f"boundary value must be >= 0, got {value}")
-        return BoundaryData(
-            initial=lambda X: np.full(len(X), float(value)),
-            lateral=lambda X, t: np.full(len(X), float(value)),
-            time_dependent=False,
-        )
 
     @staticmethod
     def from_functions(u0: Callable, g: Callable,
@@ -336,32 +323,24 @@ class RegularizationSchedule:
 
 # ── Run manifest ─────────────────────────────────────────────────────────
 
-@dataclass
-class RunManifest:
+def run_manifest(params: Params, grid: GridSpec, problem_kind: str,
+                 schedule: RegularizationSchedule | None = None,
+                 **extra) -> dict:
     """Everything needed to reproduce a run, as a nested plain dict."""
-
-    data: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return self.data
-
-    @staticmethod
-    def build(params: Params, grid: GridSpec, problem_kind: str,
-              schedule: RegularizationSchedule | None = None, **extra) -> "RunManifest":
-        d = {
-            "format": "ipme-manifest v1",
-            "problem": problem_kind,
-            "params": {"m": params.m, "k": params.k, "p": params.p,
-                       "eps": params.eps, "delta": params.delta, "c": params.c},
-            "grid": {"dim": grid.dim, "n": list(grid.n), "h": list(grid.h),
-                     "origin": list(grid.origin)},
-        }
-        if schedule is not None:
-            d["schedule"] = {"eps_list": list(schedule.eps_list),
-                             "delta_list": list(schedule.delta_list),
-                             "n_list": list(schedule.n_list)}
-        d.update(extra)
-        return RunManifest(d)
+    d = {
+        "format": "ipme-manifest v1",
+        "problem": problem_kind,
+        "params": {"m": params.m, "k": params.k, "p": params.p,
+                   "eps": params.eps, "delta": params.delta, "c": params.c},
+        "grid": {"dim": grid.dim, "n": list(grid.n), "h": list(grid.h),
+                 "origin": list(grid.origin)},
+    }
+    if schedule is not None:
+        d["schedule"] = {"eps_list": list(schedule.eps_list),
+                         "delta_list": list(schedule.delta_list),
+                         "n_list": list(schedule.n_list)}
+    d.update(extra)
+    return d
 
 
 # ── Pressure <-> density ─────────────────────────────────────────────────

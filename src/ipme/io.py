@@ -34,8 +34,8 @@ import re
 import numpy as np
 import yaml
 
-from .core import (DomainError, GridSpec, RunManifest, ScalarField,
-                   SnapshotFormatError, QUANTITIES)
+from .core import (DomainError, GridSpec, ScalarField, SnapshotFormatError,
+                   QUANTITIES)
 
 __all__ = [
     "write_snapshot", "read_snapshot", "snapshot_text", "parse_snapshot_text",
@@ -208,24 +208,33 @@ def _scalar(v) -> str:
     if v is None:
         return "null"
     s = str(v)
-    # quote anything YAML could misread
-    if s == "" or any(ch in s for ch in ":#{}[],&*?|>'\"%@`") or s != s.strip():
+    # quote anything YAML could misread, and anything it reads as another
+    # scalar ('true', '1.5', 'null', '~', '0x10')
+    if s == "" or any(ch in s for ch in ":#{}[],&*?|>'\"%@`") or \
+            s != s.strip() or not _reads_back(s):
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
     return s
 
 
-def manifest_text(manifest: RunManifest) -> str:
+def _reads_back(s: str) -> bool:
+    try:
+        return load_yaml(s) == s
+    except yaml.YAMLError:
+        return False
+
+
+def manifest_text(manifest: dict) -> str:
     out: list = []
-    _emit(manifest.to_dict(), 0, out)
+    _emit(manifest, 0, out)
     return "\n".join(out) + "\n"
 
 
-def write_manifest(path: str, manifest: RunManifest) -> None:
+def write_manifest(path: str, manifest: dict) -> None:
     with open(path, "w", newline="\n") as f:
         f.write(manifest_text(manifest))
 
 
-def read_manifest(path: str) -> RunManifest:
+def read_manifest(path: str) -> dict:
     with open(path, "r") as f:
         try:
             data = load_yaml(f)
@@ -233,7 +242,7 @@ def read_manifest(path: str) -> RunManifest:
             raise SnapshotFormatError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SnapshotFormatError(f"{path}: manifest root must be a mapping")
-    return RunManifest(data)
+    return data
 
 
 # ── Traces ───────────────────────────────────────────────────────────────

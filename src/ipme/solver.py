@@ -15,10 +15,10 @@ g + 1/n and positivity floor c = 1/(2n), checks the discrete ordering
 between rungs, and records the ladder differences and the worst ordering
 excess in the manifest.
 
-The scheme is plain forward Euler, one in-place update shared by the
-stage loop (which advances its own array and reuses one stencil
-workspace per stage) and `step_explicit` (which updates a copy, so its
-input field never changes).  After each update one min and one max of
+The scheme is plain forward Euler.  The stage loop is the one code path
+here that advances a field (the 1-d oracle in `pme1d` is kept apart as
+an independent check): it updates its own array in place and reuses one
+stencil workspace per stage.  After each update one min and one max of
 the whole field refuse a pressure that is non-finite or negative beyond
 rounding.  The step runs under the two-part CFL bound
 
@@ -37,16 +37,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (BoundaryData, CflError, DomainError, GridSpec,
-                   InstabilityError, OrderingError, Params,
-                   RegularizationSchedule, RunManifest, ScalarField,
-                   TruncationError)
+from .core import (BoundaryData, DomainError, GridSpec, InstabilityError,
+                   OrderingError, Params, RegularizationSchedule,
+                   ScalarField, TruncationError, run_manifest)
 from .operators import StencilWork, rhs_core
 
 __all__ = [
-    "DirichletProblem", "CauchyProblem", "SolveReport",
-    "cfl_dt", "step_explicit", "solve_dirichlet", "solve_maximal",
-    "solve_cauchy", "barrier_check", "ball_mask", "cauchy_initial",
+    "DirichletProblem", "CauchyProblem", "SolveReport", "solve_dirichlet",
+    "solve_maximal", "solve_cauchy", "barrier_check", "ball_mask",
+    "cauchy_initial",
 ]
 
 SAFETY = 0.4
@@ -86,20 +85,22 @@ class DirichletProblem:
 class CauchyProblem:
     """Truncated whole-space problem; the box must cover |x| <= 2r.
 
-    u0 may be a vectorized callable on (N, d) points or a sample array on
-    the grid; it must vanish outside |x| <= r, and the lateral value M
-    must dominate it.
+    u0 is a vectorized callable on (N, d) points, so the collar ramp can
+    sample it on the sphere |x| = r; it must vanish outside |x| <= r, and
+    the lateral value M must dominate it.
     """
 
     grid: GridSpec
     params: Params
-    u0: Callable | np.ndarray
+    u0: Callable
     M: float
     r: float
     t_end: float = 1.0
     snapshot_times: tuple = ()
 
     def __post_init__(self):
+        if not callable(self.u0):
+            raise DomainError("u0 must be a callable on (N, d) points")
         if not (self.r > 0.0):
             raise DomainError(f"truncation radius must be positive, got {self.r}")
         if self.M < 0.0:
@@ -116,19 +117,18 @@ class CauchyProblem:
 
 @dataclass
 class SolveReport:
-    """Everything a run produced, for post-processing and regression."""
+    """Everything a run produced, for post-processing and regression.
+
+    The run's facts (stage and ladder differences, the worst ordering
+    excess, warnings) are kept once, in `manifest`."""
 
     final: ScalarField
     snapshots: list
     dt_history: np.ndarray
     max_trace: np.ndarray
     n_steps: int
-    stage_diffs: tuple = ()
-    ladder_diffs: tuple = ()
     ladder_floor: float = 0.0
-    monotonicity: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
-    manifest: RunManifest = field(default_factory=RunManifest)
+    manifest: dict = field(default_factory=dict)
 
 
 def ball_mask(grid: GridSpec, radius: float,
@@ -140,20 +140,16 @@ def ball_mask(grid: GridSpec, radius: float,
     return grid.radii(center) < radius
 
 
-def cfl_dt(u: ScalarField, params: Params) -> float:
-    """Largest stable step for the current field (may be inf for flat,
-    unregularized fields; callers cap by the time remaining)."""
-    _, bmax, g2max = rhs_core(u.values, u.grid, params)
-    return _cfl_from_bounds(u.grid, params, bmax, g2max)
-
-
 def _cfl_from_bounds(grid: GridSpec, params: Params, bmax: float,
-                     g2max: float, safety: float = SAFETY) -> float:
+                     g2max: float) -> float:
+    """Largest stable step for a field with these maxima of beta_c and
+    |Du|^2 (inf for flat, unregularized fields; the loop caps it by the
+    time remaining)."""
     h = min(grid.h)
     denom_diff = 2.0 * (params.eps * grid.dim + params.k * bmax)
     diff = h * h / denom_diff if denom_diff > 0.0 else np.inf
     adv = h / (2.0 * math.sqrt(g2max) + 1e-30)
-    return safety * min(diff, adv)
+    return SAFETY * min(diff, adv)
 
 
 def _inactive_nodes(grid: GridSpec, domain_mask: Optional[np.ndarray]) -> np.ndarray:
@@ -199,25 +195,6 @@ def _euler(vals: np.ndarray, work: StencilWork, dt: float, t_new: float,
     vals.reshape(-1)[work.span] += rhs
     stamp(vals, t_new)
     _police_values(vals)
-
-
-def step_explicit(u: ScalarField, dt: float, params: Params,
-                  boundary: BoundaryData) -> ScalarField:
-    """One forward-Euler step of the pressure u; boundary nodes are
-    stamped with g(x, t+dt).
-
-    dt above the CFL bound raises, as do NaNs or undershoots beyond
-    -1e-12 of the field scale; smaller undershoots are clipped.
-    """
-    grid = u.grid
-    work = StencilWork(grid)
-    _, bmax, g2max = rhs_core(u.values, grid, params, work)
-    bound = _cfl_from_bounds(grid, params, bmax, g2max, safety=1.0)
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(f"dt={dt} exceeds the stability bound {bound}")
-    new = u.values.copy()
-    _euler(new, work, dt, u.t + dt, _lateral_stamp(grid, boundary, None))
-    return ScalarField(grid=grid, values=new, t=u.t + dt, quantity=u.quantity)
 
 
 def _police_values(vals: np.ndarray) -> None:
@@ -313,7 +290,7 @@ def solve_dirichlet(problem: DirichletProblem,
                 f"continuation-failure: successive differences not "
                 f"decreasing ({a:.3e} -> {b:.3e})")
             break
-    manifest = RunManifest.build(
+    stage.manifest = run_manifest(
         problem.params, problem.grid, "dirichlet", schedule,
         t_end=problem.t_end,
         snapshot_times=list(problem.snapshot_times),
@@ -321,10 +298,7 @@ def solve_dirichlet(problem: DirichletProblem,
         masked=problem.domain_mask is not None,
         stage_pairs=[list(p) for p in pairs],
         stage_diffs=list(diffs),
-        warnings=list(warnings))
-    stage.stage_diffs = diffs
-    stage.warnings = warnings
-    stage.manifest = manifest
+        warnings=warnings)
     return stage
 
 
@@ -363,7 +337,7 @@ def _ladder(problem: DirichletProblem, kind: str,
         prob_n = replace(problem, params=problem.params.with_(c=0.5 / n),
                          boundary=_shifted_boundary(problem.boundary, 1.0 / n))
         rep = solve_dirichlet(prob_n, schedule, rung_monitor(1.0 / n))
-        rep.manifest.data["ladder_n"] = n
+        rep.manifest["ladder_n"] = n
         for prev_n, prev in zip(n_list, reports):
             for a, b in zip(prev.snapshots, rep.snapshots):
                 excess = float(np.max(b.values - a.values))
@@ -375,14 +349,12 @@ def _ladder(problem: DirichletProblem, kind: str,
                         f"{excess} (> {MONO_TOL}) at t={b.t}")
         reports.append(rep)
     last = reports[-1]
-    last.ladder_diffs = tuple(
-        float(np.max(np.abs(b.final.values - a.final.values)))
-        for a, b in zip(reports, reports[1:]))
     last.ladder_floor = 1.0 / n_list[-1]
-    last.monotonicity = worst
-    last.manifest.data.update(
+    last.manifest.update(
         problem=kind, n_list=list(n_list), **manifest_extra,
-        ladder_diffs=list(last.ladder_diffs), ladder_floor=last.ladder_floor,
+        ladder_diffs=[float(np.max(np.abs(b.final.values - a.final.values)))
+                      for a, b in zip(reports, reports[1:])],
+        ladder_floor=last.ladder_floor,
         monotonicity={k: float(v) for k, v in worst.items()})
     return last
 
@@ -401,12 +373,7 @@ def cauchy_initial(problem: CauchyProblem) -> np.ndarray:
     grid = problem.grid
     X = grid.points()
     rr = np.sqrt(np.sum(X * X, axis=1))
-    if callable(problem.u0):
-        u0_vals = np.asarray(problem.u0(X), dtype=float)
-    else:
-        u0_vals = np.asarray(problem.u0, dtype=float).ravel()
-        if u0_vals.size != grid.size:
-            raise DomainError("u0 sample count does not match the grid")
+    u0_vals = np.asarray(problem.u0(X), dtype=float)
     if np.any(u0_vals < 0.0):
         raise DomainError("u0 must be nonnegative")
     outside = rr > problem.r * (1.0 + 1e-12)
@@ -419,11 +386,8 @@ def cauchy_initial(problem: CauchyProblem) -> np.ndarray:
     ring = (rr > problem.r) & (rr < 2.0 * problem.r)
     if np.any(ring):
         lam = 2.0 - rr[ring] / problem.r
-        if callable(problem.u0):
-            proj = X[ring] * (problem.r / rr[ring])[:, None]
-            u0_proj = np.asarray(problem.u0(proj), dtype=float)
-        else:
-            u0_proj = np.zeros(int(np.sum(ring)))
+        proj = X[ring] * (problem.r / rr[ring])[:, None]
+        u0_proj = np.asarray(problem.u0(proj), dtype=float)
         ramp = problem.M + lam * (u0_proj - problem.M)
         vals[ring] = np.maximum(u0_vals[ring], ramp)
     return vals.reshape(grid.shape)

@@ -31,8 +31,8 @@ import numpy as np
 
 from . import exact, io
 from .core import (BoundaryData, ConfigError, GridSpec, Params,
-                   RegularizationSchedule, RunManifest, ScalarField,
-                   SnapshotFormatError)
+                   RegularizationSchedule, ScalarField, SnapshotFormatError,
+                   run_manifest)
 from .operators import (beta_c, rhs_core, rhs_full, set_fault_injection,
                         stencil_eval)
 from .solver import DirichletProblem, solve_dirichlet, solve_maximal
@@ -244,7 +244,7 @@ def _case_ladder_monotone():
     prob = DirichletProblem(grid, Params(m=2.0, eps=3e-3, delta=1e-3),
                             bd, t_end=0.1, snapshot_times=(0.05, 0.1))
     rep = solve_maximal(prob, n_list=(2, 4, 8))
-    excess = max(rep.monotonicity.values())
+    excess = max(rep.manifest["monotonicity"].values())
     if excess > 1e-8 + 1e-3:
         return False, f"ladder ordering violated by {excess:.2e}"
     return True, f"ladder monotone (worst headroom {excess:.1e})"
@@ -315,15 +315,15 @@ def _case_snapshot_roundtrip():
 
 def _case_manifest_roundtrip():
     # 1e-05, 3e-06 and 1e+20 have no dot; YAML 1.1 reads them as strings
-    man = RunManifest.build(Params(m=3.0, eps=1e-5), GridSpec.box(
+    man = run_manifest(Params(m=3.0, eps=1e-5), GridSpec.box(
         (0.0,), (1.0,), (9,)), "dirichlet",
         RegularizationSchedule((1e-2, 1e-3), (1e-2,), (1, 2)),
         note="verify", values=[1, 2.5, "x"], stage_diffs=[3e-06, 1e+20])
     text = io.manifest_text(man)
     data = io.load_yaml(text)
-    if data != man.to_dict():
+    if data != man:
         return False, "manifest values drifted under reparse"
-    if io.manifest_text(io.RunManifest(data)) != text:
+    if io.manifest_text(data) != text:
         return False, "manifest text not stable under reparse"
     return True, "manifest roundtrip stable"
 

@@ -214,8 +214,9 @@ def test_c06_ordering_preserved():
                          Params(m=2.0, eps=3e-3, delta=1e-3), bd,
                          t_end=0.1, snapshot_times=(0.05, 0.1)),
         n_list=(2, 4, 8))
-    excess = max(rep.monotonicity.values())
-    assert excess <= allowance, rep.monotonicity
+    monotonicity = rep.manifest["monotonicity"]
+    excess = max(monotonicity.values())
+    assert excess <= allowance, monotonicity
     print(f"C06 PASS 100 ordered pairs (worst excess {worst:.1e}) and "
           f"ladder monotone (excess {excess:.1e})")
 

@@ -389,6 +389,19 @@ output: %s
         assert (out / "manifest.yaml").exists()
         assert (out / "u_0000.snap").exists()
 
+    def test_breaching_run_manifest_records_the_seed(self, tmp_path, capsys):
+        # a failing run's manifest is the one a passing run would write
+        out = tmp_path / "run"
+        rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
+                       "--set", f"output={out}", "--set", "seed=3",
+                       "--set", "regression_threshold=1e-6"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E13:") and err.count("IPME-E") == 1
+        man = io.read_manifest(str(out / "manifest.yaml"))
+        assert man["seed"] == 3
+        assert man["regression_threshold"] == 1e-6
+
     def test_cauchy_requires_M_and_r(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.yaml", """\
 problem: cauchy
@@ -564,7 +577,7 @@ grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
                         "%s, m: 2.0, %s}\ngrid: %s\n"
                         % (out, family, section, grid))
         assert cli.main(["exact", cfg]) == 0
-        assert io.read_manifest(out / "manifest.yaml").data["family"] == family
+        assert io.read_manifest(out / "manifest.yaml")["family"] == family
 
     @pytest.mark.parametrize("section", [
         "{family: barenblatt, m: 2.0, times: [1.0, 0.0]}",

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 import hypothesis.extra.numpy as hnp
 
 from ipme.core import (DomainError, RangeError, Params, GridSpec, ScalarField,
-                       BoundaryData, RegularizationSchedule, RunManifest,
+                       RegularizationSchedule, run_manifest,
                        pressure_from_density, density_from_pressure)
 
 
@@ -151,12 +151,6 @@ class TestScalarField:
         assert f.values[0] == -1.0
 
 
-class TestBoundaryData:
-    def test_constant_rejects_negative(self):
-        with pytest.raises(DomainError):
-            BoundaryData.constant(-0.5)
-
-
 class TestRegularizationSchedule:
     def test_pairs_order_eps_first_then_delta(self):
         s = RegularizationSchedule(eps_list=(1e-1, 1e-2), delta_list=(1e-2, 1e-3))
@@ -200,12 +194,11 @@ class TestPressureDensityMaps:
 
 class TestRunManifest:
     def test_build_is_plain_data(self):
-        man = RunManifest.build(Params(m=2.0, eps=1e-3), GridSpec.box((0.0,), (1.0,), (5,)),
-                                "dirichlet",
-                                schedule=RegularizationSchedule(
-                                    (1e-1, 1e-2), (1e-3,), (1, 2, 4, 8, 16)),
-                                t_end=1.0)
-        d = man.to_dict()
+        d = run_manifest(Params(m=2.0, eps=1e-3), GridSpec.box((0.0,), (1.0,), (5,)),
+                         "dirichlet",
+                         schedule=RegularizationSchedule(
+                             (1e-1, 1e-2), (1e-3,), (1, 2, 4, 8, 16)),
+                         t_end=1.0)
         assert d["format"] == "ipme-manifest v1"
         assert d["problem"] == "dirichlet"
         assert d["params"]["k"] == 1.0

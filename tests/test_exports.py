@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
@@ -24,9 +25,6 @@ TESTS = sorted(p for p in ROOT.glob("tests/*.py")
 ORACLES = {
     "barrier_check": "the paper's time-Lipschitz, boundary-Hoelder and "
                      "Cauchy-V barriers, checked on the solver's output",
-    "cfl_dt": "the 2-d stability bound the step tests size dt with",
-    "step_explicit": "one forward-Euler step, pinned bit for bit against "
-                     "the stage loop",
     "cfl_dt_1d": "the 1-d stability bound the pme1d step tests size dt with",
     "ode_residual": "C08: the profile tables satisfy their ODE",
     "read_manifest": "reads back write_manifest's bytes for C11 and the "
@@ -112,6 +110,19 @@ def test_every_exported_function_is_called_outside_its_module(module):
                    if path.resolve() != home):
             lonely.append(name)
     assert lonely == []
+
+
+def test_every_name_perfbench_traces_resolves():
+    # perfbench wraps these by name; a deleted one would break only its
+    # traced runs, so the layer table is checked here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = [f"{module}.{attr}"
+               for _, module, attr in layers.FUNCTIONS + layers.CONSTRUCTORS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))

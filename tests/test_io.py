@@ -7,8 +7,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ipme.core import (GridSpec, Params, RunManifest, ScalarField,
-                       SnapshotFormatError)
+from ipme.core import (GridSpec, Params, ScalarField, SnapshotFormatError,
+                       run_manifest)
 from ipme import io
 
 GRID3 = GridSpec.box((0.0, 0.0), (1.0, 1.0), (3, 3))
@@ -188,24 +188,24 @@ class TestManifest:
 
     def manifest(self):
         params = Params(m=2.0, eps=1e-3, delta=1e-4)
-        return RunManifest.build(params, GRID3, "dirichlet", t_end=0.5,
-                                 note="quartic bump, zero lateral data")
+        return run_manifest(params, GRID3, "dirichlet", t_end=0.5,
+                            note="quartic bump, zero lateral data")
 
     def test_roundtrip_preserves_structure(self, tmp_path):
         man = self.manifest()
         path = tmp_path / "run.yaml"
         io.write_manifest(str(path), man)
-        assert io.read_manifest(str(path)).to_dict() == man.to_dict()
+        assert io.read_manifest(str(path)) == man
 
     def test_exponent_floats_read_back_as_floats(self, tmp_path):
         # repr writes 1e-05, 3e-06 and 1e+20 without a dot, which a YAML
         # 1.1 reader takes for strings
-        man = RunManifest.build(Params(m=2.0, eps=1e-05), GRID3, "dirichlet",
-                                stage_diffs=[3e-06, 1e+20])
+        man = run_manifest(Params(m=2.0, eps=1e-05), GRID3, "dirichlet",
+                           stage_diffs=[3e-06, 1e+20])
         path = tmp_path / "run.yaml"
         io.write_manifest(str(path), man)
         assert "eps: 1e-05\n" in path.read_text()
-        assert io.read_manifest(str(path)).to_dict() == man.to_dict()
+        assert io.read_manifest(str(path)) == man
 
     def test_writer_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
@@ -219,22 +219,29 @@ class TestManifest:
         assert data["format"] == "ipme-manifest v1"
         assert data["grid"]["n"] == [3, 3]
 
-    def test_awkward_strings_quoted(self):
-        man = RunManifest({"label": "a: b #c", "empty": "", "plain": "ok"})
-        data = yaml.safe_load(io.manifest_text(man))
-        assert data == man.to_dict()
+    @pytest.mark.parametrize("read", [yaml.safe_load, io.load_yaml])
+    def test_awkward_strings_quoted(self, read):
+        # the last seven read back as True, 1.5, 100000.0, None, True, None
+        # and 16 when written bare
+        strings = ["a: b #c", "", "ok", "true", "1.5", "1e5", "null", "yes",
+                   "~", "0x10"]
+        man = {f"s{i}": s for i, s in enumerate(strings)}
+        man["listed"] = strings
+        text = io.manifest_text(man)
+        assert read(text) == man
+        assert "s2: ok\n" in text and 's3: "true"\n' in text
 
     def test_empty_mapping_survives_reparse(self, tmp_path):
         # a single-rung ladder records monotonicity as an empty mapping
         man = self.manifest()
-        man.data.update(monotonicity={}, ladder_diffs=[],
-                        nested={"inner": {}, "x": 1.5})
+        man.update(monotonicity={}, ladder_diffs=[],
+                   nested={"inner": {}, "x": 1.5})
         path = tmp_path / "run.yaml"
         io.write_manifest(str(path), man)
         text = path.read_text()
         assert "monotonicity: {}\n" in text
         back = io.read_manifest(str(path))
-        assert back.to_dict() == man.to_dict()
+        assert back == man
         assert io.manifest_text(back) == text
 
     def test_non_mapping_root_rejected(self, tmp_path):

@@ -180,8 +180,9 @@ class TestInflowBoundary:
 
 # ---------------------------------------------------------------------------
 # reference: the step and the loop as they were before the in-place update,
-# kept verbatim but for names (one new ScalarField per step) to pin bit
-# identity; they call none of the functions under test
+# kept verbatim but for names and a spelled-out snapshot copy (one new
+# ScalarField per step) to pin bit identity; they call none of the
+# functions under test
 
 
 def reference_cfl(rho: np.ndarray, h: float, m: float,
@@ -255,7 +256,8 @@ def reference_solve(problem: RadialProblem, t_end: float,
             dt_min = min(dt_min, dt)
             dt_max = max(dt_max, dt)
         state.t = target
-        out.append(state.copy())
+        out.append(ScalarField(grid=state.grid, values=state.values.copy(),
+                               t=state.t, quantity=state.quantity))
         out_times.append(target)
     mass1 = reference_mass(out[-1].values, h)
     clipped = float(np.sum(clip_account))

@@ -6,13 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from ipme.core import (BoundaryData, CflError, DomainError, GridSpec,
-                       InstabilityError, OrderingError, Params,
-                       RegularizationSchedule, ScalarField, TruncationError)
+from ipme.core import (BoundaryData, DomainError, GridSpec, InstabilityError,
+                       OrderingError, Params, RegularizationSchedule,
+                       ScalarField, TruncationError)
 from ipme import operators, solver
 from ipme.solver import (CauchyProblem, DirichletProblem, ball_mask,
-                         barrier_check, cauchy_initial, cfl_dt, solve_cauchy,
-                         solve_dirichlet, solve_maximal, step_explicit)
+                         barrier_check, cauchy_initial, solve_cauchy,
+                         solve_dirichlet, solve_maximal)
 
 GRID = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (17, 17))
 PARAMS = Params(m=2.0, eps=1e-2, delta=1e-2)
@@ -25,6 +25,18 @@ def bump_boundary(height=0.5, radius=0.6, base=0.0):
         return base + height * np.maximum(1.0 - (r2 / radius**2) ** 2, 0.0)
     return BoundaryData.from_functions(
         u0=u0, g=lambda X, t: np.full(len(X), base), time_dependent=False)
+
+
+def first_dt(values):
+    """The stage loop's first step from `values` under zero lateral data:
+    the CFL bound of that field, as the horizon is longer than the step."""
+    bd = BoundaryData.from_functions(
+        u0=lambda X: values.ravel(), g=lambda X, t: np.zeros(len(X)),
+        time_dependent=False)
+    dts = solve_dirichlet(DirichletProblem(GRID, PARAMS, bd,
+                                           t_end=1.0)).dt_history
+    assert dts[0] < 1.0
+    return dts[0]
 
 
 class TestProblemValidation:
@@ -56,67 +68,31 @@ class TestProblemValidation:
 class TestCfl:
 
     def test_flat_field_bound_set_by_linear_viscosity(self):
-        u = ScalarField(grid=GRID, values=np.zeros(GRID.shape), t=0.0,
-                        quantity="u")
         h = min(GRID.h)
         want = solver.SAFETY * h * h / (2.0 * PARAMS.eps * GRID.dim)
-        assert cfl_dt(u, PARAMS) == pytest.approx(want, rel=1e-12)
+        assert first_dt(np.zeros(GRID.shape)) == pytest.approx(want,
+                                                               rel=1e-12)
 
     def test_bound_shrinks_with_field_amplitude(self):
         X = GRID.points()
         bump = 0.5 * np.maximum(
             1.0 - ((X[:, 0] ** 2 + X[:, 1] ** 2) / 0.36) ** 2, 0.0)
-        lo = ScalarField(grid=GRID, values=bump.reshape(GRID.shape),
-                         t=0.0, quantity="u")
-        hi = ScalarField(grid=GRID, values=4.0 * lo.values, t=0.0,
-                         quantity="u")
-        assert cfl_dt(hi, PARAMS) < cfl_dt(lo, PARAMS)
+        assert first_dt(4.0 * bump) < first_dt(bump)
 
 
-class TestStepExplicit:
-
-    def test_constant_interior_is_a_fixed_point(self):
-        u = ScalarField(grid=GRID, values=np.full(GRID.shape, 0.7), t=0.0,
-                        quantity="u")
-        dt = cfl_dt(u, PARAMS)
-        bd = BoundaryData.constant(0.7)
-        stepped = step_explicit(u, dt, PARAMS, bd)
-        assert np.all(stepped.values == 0.7)
-        assert stepped.t == dt
+class TestEulerStep:
 
     def test_boundary_nodes_stamped_at_new_time(self):
-        u = ScalarField(grid=GRID, values=np.full(GRID.shape, 0.7), t=0.0,
-                        quantity="u")
-        dt = cfl_dt(u, PARAMS)
+        # one step, well inside the CFL bound: the interior stays put, the
+        # lateral data are those of the step's end
         bd = BoundaryData.from_functions(
             u0=lambda X: np.full(len(X), 0.7),
             g=lambda X, t: np.full(len(X), 0.7 + 0.1 * t))
-        stepped = step_explicit(u, dt, PARAMS, bd)
+        rep = solve_dirichlet(DirichletProblem(GRID, PARAMS, bd, t_end=0.002))
+        assert rep.n_steps == 1 and rep.final.t == 0.002
         bmask = GRID.boundary_mask()
-        assert np.allclose(stepped.values[bmask], 0.7 + 0.1 * dt)
-        assert np.all(stepped.values[~bmask] == 0.7)
-
-    def test_matches_one_driver_step_bit_for_bit(self):
-        # step_explicit and the stage loop share one update, so a run of
-        # exactly one CFL step reproduces it to the last bit
-        bd = bump_boundary(base=0.05)
-        X = GRID.points()
-        u = ScalarField(grid=GRID, values=bd.initial(X).reshape(GRID.shape),
-                        t=0.0, quantity="u")
-        dt = cfl_dt(u, PARAMS)
-        rep = solve_dirichlet(DirichletProblem(GRID, PARAMS, bd, t_end=dt))
-        assert rep.n_steps == 1
-        assert np.array_equal(step_explicit(u, dt, PARAMS, bd).values,
-                              rep.final.values)
-
-    def test_input_field_is_left_unchanged(self):
-        bd = bump_boundary(base=0.05)
-        u = ScalarField(grid=GRID, values=bd.initial(GRID.points()).reshape(
-            GRID.shape), t=0.0, quantity="u")
-        keep = u.values.copy()
-        stepped = step_explicit(u, cfl_dt(u, PARAMS), PARAMS, bd)
-        assert np.array_equal(u.values, keep)
-        assert not np.shares_memory(stepped.values, u.values)
+        assert np.allclose(rep.final.values[bmask], 0.7 + 0.1 * 0.002)
+        assert np.all(rep.final.values[~bmask] == 0.7)
 
     @pytest.mark.parametrize("n", [(17, 17), (7, 6, 5)])
     def test_workspace_tail_is_never_touched(self, n):
@@ -148,24 +124,12 @@ class TestStepExplicit:
         assert all(np.all(b[run:] == 1e300) for b in bufs)
         assert np.all(work.flat_mask[run:])
 
-    def test_overlarge_step_raises(self):
-        X = GRID.points()
-        bump = 0.5 * np.maximum(
-            1.0 - ((X[:, 0] ** 2 + X[:, 1] ** 2) / 0.36) ** 2, 0.0)
-        u = ScalarField(grid=GRID, values=bump.reshape(GRID.shape), t=0.0,
-                        quantity="u")
-        with pytest.raises(CflError, match="stability bound"):
-            step_explicit(u, 10.0 * cfl_dt(u, PARAMS), PARAMS,
-                          BoundaryData.constant(0.0))
-
 
 class TestSolveDirichlet:
 
     def test_split_kernel_threads_end_with_the_stage(self, monkeypatch):
         # a grid above the split threshold: the stencil workspace's helper
-        # thread is joined when each stage ends, and the split run equals
-        # step_explicit's steps, which run both slabs on this thread, bit
-        # for bit
+        # thread is joined when each stage ends
         monkeypatch.setattr(operators, "_cores", lambda: 2)
         grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (233, 233))
         assert (grid.n[0] - 2) ** 2 >= operators.SPLIT_NODES
@@ -175,15 +139,13 @@ class TestSolveDirichlet:
             grid, PARAMS, bd, t_end=2e-4, snapshot_times=(1e-4,)))
         assert threading.active_count() == before
         assert rep.n_steps >= 2
-        u = ScalarField(grid=grid, values=bd.initial(grid.points()).reshape(
-            grid.shape), t=0.0, quantity="u")
-        for dt in rep.dt_history:
-            u = step_explicit(u, dt, PARAMS, bd)
-        assert np.array_equal(u.values, rep.final.values)
 
     def test_constant_data_preserved_exactly(self):
-        prob = DirichletProblem(GRID, PARAMS, BoundaryData.constant(0.7),
-                                t_end=0.05, snapshot_times=(0.025, 0.05))
+        bd = BoundaryData.from_functions(
+            u0=lambda X: np.full(len(X), 0.7),
+            g=lambda X, t: np.full(len(X), 0.7), time_dependent=False)
+        prob = DirichletProblem(GRID, PARAMS, bd, t_end=0.05,
+                                snapshot_times=(0.025, 0.05))
         rep = solve_dirichlet(prob)
         assert np.all(rep.final.values == 0.7)
         assert np.all(rep.max_trace == 0.7)
@@ -229,16 +191,16 @@ class TestSolveDirichlet:
         rep = solve_dirichlet(prob)
         assert np.all(rep.final.values[~mask] == 0.05)
         assert np.any(rep.final.values[mask] != 0.05)
-        assert rep.manifest.data["masked"] is True
+        assert rep.manifest["masked"] is True
 
     def test_stage_differences_recorded_per_pair(self):
         sched = RegularizationSchedule(eps_list=(1e-1, 1e-2, 1e-3),
                                        delta_list=(1e-2,))
         prob = DirichletProblem(GRID, PARAMS, bump_boundary(), t_end=0.05)
-        rep = solve_dirichlet(prob, schedule=sched)
-        assert len(rep.stage_diffs) == len(sched.pairs()) - 1
-        assert all(d > 0.0 for d in rep.stage_diffs)
-        assert rep.warnings == []
+        data = solve_dirichlet(prob, schedule=sched).manifest
+        assert len(data["stage_diffs"]) == len(sched.pairs()) - 1
+        assert all(d > 0.0 for d in data["stage_diffs"])
+        assert data["warnings"] == []
 
     def test_growing_stage_differences_warn(self):
         # the middle stage barely moves eps, the last one jumps, so the
@@ -246,13 +208,12 @@ class TestSolveDirichlet:
         sched = RegularizationSchedule(eps_list=(1e-1, 9.9e-2, 1e-3),
                                        delta_list=(1e-2,))
         prob = DirichletProblem(GRID, PARAMS, bump_boundary(), t_end=0.05)
-        rep = solve_dirichlet(prob, schedule=sched)
-        assert any("continuation-failure" in w for w in rep.warnings)
-        assert rep.manifest.data["warnings"] == rep.warnings
+        warnings = solve_dirichlet(prob, schedule=sched).manifest["warnings"]
+        assert any("continuation-failure" in w for w in warnings)
 
     def test_manifest_records_the_run(self):
         prob = DirichletProblem(GRID, PARAMS, bump_boundary(), t_end=0.05)
-        data = solve_dirichlet(prob).manifest.data
+        data = solve_dirichlet(prob).manifest
         assert data["format"] == "ipme-manifest v1"
         assert data["problem"] == "dirichlet"
         assert data["params"]["m"] == 2.0
@@ -266,13 +227,14 @@ class TestSolveMaximal:
         prob = DirichletProblem(GRID, PARAMS, bump_boundary(), t_end=0.05,
                                 snapshot_times=(0.025, 0.05))
         rep = solve_maximal(prob, n_list=(1, 2, 4))
+        data = rep.manifest
         assert rep.ladder_floor == 0.25
-        assert len(rep.ladder_diffs) == 2
+        assert len(data["ladder_diffs"]) == 2
         # rungs approach a limit from above: gaps shrink with the floor
-        assert rep.ladder_diffs[1] < rep.ladder_diffs[0]
-        assert max(rep.monotonicity.values()) <= solver.MONO_TOL
-        assert rep.manifest.data["problem"] == "maximal"
-        assert rep.manifest.data["n_list"] == [1, 2, 4]
+        assert data["ladder_diffs"][1] < data["ladder_diffs"][0]
+        assert max(data["monotonicity"].values()) <= solver.MONO_TOL
+        assert data["problem"] == "maximal"
+        assert data["n_list"] == [1, 2, 4]
 
     def test_n_list_must_increase(self):
         prob = DirichletProblem(GRID, PARAMS, bump_boundary(), t_end=0.01)
@@ -333,6 +295,14 @@ class TestCauchyInitial:
         with pytest.raises(DomainError, match="dominate"):
             cauchy_initial(prob)
 
+    def test_sampled_data_rejected(self):
+        # the collar ramp samples u0 on the sphere |x| = r, which an array
+        # of node values cannot give
+        samples = self.bump(self.GRID_C.points()).reshape(self.GRID_C.shape)
+        with pytest.raises(DomainError, match="callable"):
+            CauchyProblem(grid=self.GRID_C, params=PARAMS, u0=samples,
+                          M=0.3, r=0.5)
+
 
 class TestSolveCauchy:
 
@@ -362,22 +332,23 @@ class TestSolveCauchy:
     def test_roomy_truncation_runs_and_reports(self):
         prob = self.roomy_problem()
         rep = solve_cauchy(prob, n_list=(128, 256))
+        data = rep.manifest
         assert rep.ladder_floor == 1.0 / 256.0
-        assert len(rep.ladder_diffs) == 1
-        assert max(rep.monotonicity.values()) <= solver.MONO_TOL
+        assert len(data["ladder_diffs"]) == 1
+        assert max(data["monotonicity"].values()) <= solver.MONO_TOL
         # lateral value plus floor bounds the whole evolution
         assert float(np.max(rep.max_trace)) <= 0.05 + rep.ladder_floor + 1e-6
-        assert rep.manifest.data["problem"] == "cauchy"
-        assert rep.manifest.data["M"] == 0.05
-        assert rep.manifest.data["truncation_radius"] == 0.3
+        assert data["problem"] == "cauchy"
+        assert data["M"] == 0.05
+        assert data["truncation_radius"] == 0.3
         assert barrier_check(rep, "cauchy-V", prob)
 
     def test_manifest_records_ladder_diffs_and_ordering(self):
         rep = solve_cauchy(self.roomy_problem(), n_list=(128, 256))
-        data = rep.manifest.data
-        assert data["ladder_diffs"] == list(rep.ladder_diffs)
-        assert len(data["ladder_diffs"]) == 1
-        assert data["monotonicity"] == rep.monotonicity
+        data = rep.manifest
+        gap = float(np.max(np.abs(rep.final.values - solve_cauchy(
+            self.roomy_problem(), n_list=(128,)).final.values)))
+        assert data["ladder_diffs"] == [gap]
         assert list(data["monotonicity"]) == ["u^256 <= u^128"]
 
     def test_n_list_must_increase(self):
@@ -601,9 +572,3 @@ class TestStageMatchesReference:
                 run(*args)
             messages.append(str(info.value))
         assert messages == [message, message]
-        # and in the step that stamps them, not once they reach the interior
-        u = ScalarField(grid=GRID, values=bd.initial(GRID.points()).reshape(
-            GRID.shape), t=0.0, quantity="u")
-        with pytest.raises(InstabilityError) as info:
-            step_explicit(u, cfl_dt(u, PARAMS), PARAMS, bd)
-        assert str(info.value) == message
