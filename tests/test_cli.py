@@ -402,6 +402,25 @@ output: %s
         assert man["seed"] == 3
         assert man["regression_threshold"] == 1e-6
 
+    def test_breaching_and_passing_manifests_hold_the_same_keys(self,
+                                                                 tmp_path):
+        # the breach is raised after the write, so the two manifests list
+        # the same keys in the same order and differ only in the threshold
+        # and in the config they embed
+        mans = []
+        for name, thr, rc in (("pass", "0.01", 0), ("fail", "1e-6", 1)):
+            out = tmp_path / name
+            assert cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
+                             "--set", f"output={out}", "--set", "seed=3",
+                             "--set", f"regression_threshold={thr}"]) == rc
+            mans.append(io.read_manifest(str(out / "manifest.yaml")))
+        passing, failing = mans
+        assert list(failing) == list(passing)
+        assert [k for k in passing if passing[k] != failing[k]] == [
+            "regression_threshold", "config"]
+        assert failing["error_stat"] == passing["error_stat"]
+        assert failing["seed"] == passing["seed"] == 3
+
     def test_cauchy_requires_M_and_r(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.yaml", """\
 problem: cauchy

@@ -152,6 +152,20 @@ class TestSolveDirichlet:
         assert all(np.all(s.values == 0.7) for s in rep.snapshots)
         assert rep.n_steps >= 1
 
+    def test_snapshots_do_not_alias_the_running_field(self):
+        # the loop updates one array in place, so each snapshot must be
+        # its own copy: the last one equals the final field without
+        # sharing its memory, and the earlier one keeps its own time
+        prob = DirichletProblem(GRID, PARAMS, bump_boundary(base=0.05),
+                                t_end=0.05, snapshot_times=(0.01, 0.05))
+        rep = solve_dirichlet(prob)
+        first, last = rep.snapshots
+        assert np.array_equal(last.values, rep.final.values)
+        assert not np.shares_memory(last.values, rep.final.values)
+        assert not np.shares_memory(first.values, last.values)
+        assert np.any(first.values != last.values)
+        assert rep.max_trace[0] == float(np.max(first.values))
+
     def test_snapshots_land_exactly_on_requested_times(self):
         prob = DirichletProblem(GRID, PARAMS, bump_boundary(), t_end=0.05,
                                 snapshot_times=(0.013, 0.027, 0.05))
@@ -294,6 +308,13 @@ class TestCauchyInitial:
                              M=0.1, r=0.5)
         with pytest.raises(DomainError, match="dominate"):
             cauchy_initial(prob)
+
+    @pytest.mark.parametrize("u0", [0.3, [0.0, 0.1, 0.0]],
+                             ids=["constant", "list"])
+    def test_non_callable_data_rejected(self, u0):
+        with pytest.raises(DomainError, match="callable"):
+            CauchyProblem(grid=self.GRID_C, params=PARAMS, u0=u0, M=0.3,
+                          r=0.5)
 
     def test_sampled_data_rejected(self):
         # the collar ramp samples u0 on the sphere |x| = r, which an array
