@@ -11,6 +11,13 @@ path, and reject unknown keys.  Exit codes: 0 success, 2 continuation
 warning, 1 error; diagnostics go to standard error as one
 "IPME-E<code>:" line.  Outputs (snapshots, manifests, CSV) are fully
 deterministic: no wall-clock or unseeded randomness is ever recorded.
+
+Each command imports only the modules it runs: importing this module
+loads `core`, `io` and `operators`, and `solve`, `exact`, `asym` and
+`verify` import `solver`, `exact`, `asymptotics` and `verify` when they
+start (an unknown `--suite` imports `verify` to name the known suites).
+Every interpreter compiles what it imports when no bytecode is cached,
+so `ipme exact` never pays for the solver or the suites.
 """
 
 from __future__ import annotations
@@ -24,12 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 import yaml
 
-from . import asymptotics, exact, io, verify
+from . import io
 from .operators import FAULT_MODES
 from .core import (BoundaryData, ConfigError, DomainError, GridSpec,
                    IpmeError, NumericError, Params, RegularizationSchedule)
-from .solver import (CauchyProblem, DirichletProblem, ball_mask,
-                     solve_cauchy, solve_dirichlet, solve_maximal)
 
 __all__ = ["main", "load_config"]
 
@@ -236,6 +241,8 @@ def _exact_companion(data: dict, m: float) -> tuple:
 
     The preset is read as an `exact` section; `radius` of the ball preset
     is the ball radius R."""
+    from . import exact
+
     kind = data.get("kind")
     if kind not in exact.FAMILIES:
         return None, 0.0
@@ -250,6 +257,8 @@ def _exact_companion(data: dict, m: float) -> tuple:
 def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     """Initial/lateral data from the preset; returns (BoundaryData,
     companion spec or None, time offset)."""
+    from . import exact
+
     data = _require(cfg, "data")
     kind = data.get("kind")
     if kind not in DATA_KINDS:
@@ -307,6 +316,8 @@ def _domain_mask(cfg: dict, grid: GridSpec):
         return None
     if dom.get("kind") != "ball":
         raise ConfigError(f"unknown domain kind {dom.get('kind')!r}")
+    from .solver import ball_mask
+
     return ball_mask(grid, _finite(dom, "radius"), dom.get("center"))
 
 
@@ -324,6 +335,10 @@ def _write_run(outdir: str, snapshots, manifest: dict, cfg: dict) -> None:
 
 
 def cmd_solve(cfg: dict) -> int:
+    from . import exact
+    from .solver import (CauchyProblem, DirichletProblem, solve_cauchy,
+                         solve_dirichlet, solve_maximal)
+
     problem_kind = cfg.get("problem", "dirichlet")
     if problem_kind not in ("dirichlet", "maximal", "cauchy"):
         raise ConfigError(f"unknown problem kind {problem_kind!r}")
@@ -336,6 +351,15 @@ def cmd_solve(cfg: dict) -> int:
     if problem_kind == "cauchy" and ("M" not in cc or "r" not in cc):
         raise ConfigError("cauchy.M and cauchy.r are required")
     bdata, spec, t_off = _build_data(cfg, grid, params)
+    thr = cfg.get("regression_threshold")
+    if thr is not None and (problem_kind == "cauchy" or spec is None):
+        # a gate with no statistic to check would pass every run
+        companions = [k for k in DATA_KINDS if k in exact.FAMILIES]
+        raise ConfigError(
+            f"regression_threshold needs an error statistic, which a "
+            f"{problem_kind} run of {cfg['data']['kind']!r} data does not "
+            f"record; only dirichlet and maximal runs of "
+            f"{', '.join(companions)} data do")
     outdir = _require(cfg, "output")
     failure = None
 
@@ -360,7 +384,6 @@ def cmd_solve(cfg: dict) -> int:
                 report.final.values - report.ladder_floor - U)))
             rel = err / max(float(np.max(U)), 1e-300)
             report.manifest["error_stat"] = {"abs": err, "rel": rel}
-            thr = cfg.get("regression_threshold")
             if thr is not None:
                 report.manifest["regression_threshold"] = float(thr)
                 if not rel <= float(thr):
@@ -378,6 +401,8 @@ def cmd_solve(cfg: dict) -> int:
 
 def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
     """The spec of an `exact` section: the one reader of the family keys."""
+    from . import exact
+
     family = ex.get("family")
     if family not in exact.FAMILIES:
         raise ConfigError(f"unknown exact family {family!r}; known: "
@@ -409,6 +434,8 @@ def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
 
 
 def cmd_exact(cfg: dict) -> int:
+    from . import exact
+
     ex = _require(cfg, "exact")
     grid = _build_grid(cfg)
     spec = _build_exact_spec(ex)
@@ -437,6 +464,8 @@ def cmd_exact(cfg: dict) -> int:
 
 def cmd_verify(cfg: dict, suites: Sequence[str],
                fault: Optional[str]) -> int:
+    from . import verify
+
     vcfg = cfg.get("verify") or {}
     names = list(suites) or list(vcfg.get("suites") or [])
     fault = fault or vcfg.get("fault")
@@ -466,6 +495,8 @@ ASYM_TASKS = ("support", "rate", "giant", "barenblatt", "benilan")
 
 
 def cmd_asym(cfg: dict) -> int:
+    from . import asymptotics
+
     acfg = cfg.get("asym") or {}
     tasks = list(acfg.get("tasks") or ["support", "rate"])
     for task in tasks:
@@ -551,6 +582,17 @@ def cmd_asym(cfg: dict) -> int:
     return 0
 
 
+def _suite(name: str) -> str:
+    """argparse type of `--suite`: a known verify suite, else a usage
+    error; `verify` is imported only when the flag is given."""
+    from . import verify
+
+    if name not in verify.SUITES:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite {name!r}; known: {', '.join(verify.SUITES)}")
+    return name
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ipme",
@@ -567,7 +609,7 @@ def _parser() -> argparse.ArgumentParser:
                        help="override a scalar config leaf (repeatable)")
         if name == "verify":
             p.add_argument("--suite", dest="suites", action="append",
-                           default=[], choices=list(verify.suite_names()),
+                           default=[], type=_suite, metavar="NAME",
                            help="run only the named suite (repeatable)")
             p.add_argument("--fault", default=None,
                            help="fault-injection mode (sensitivity hook): "

@@ -19,9 +19,10 @@ those of formatting value by value.  `write_snapshot` streams the rows
 that `snapshot_text` joins.
 
 Manifests are a small deterministic YAML subset (nested mappings, scalars,
-flat lists) emitted with sorted structure fixed by the writer.  They read
-back value for value with `load_yaml`, the package's one YAML reader; a
-YAML 1.1 reader (`yaml.safe_load`) takes floats like 1e-05 for strings.
+and lists of scalars or of such lists, written as flow sequences) emitted
+with sorted structure fixed by the writer.  They read back value for value
+with `load_yaml`, the package's one YAML reader; a YAML 1.1 reader
+(`yaml.safe_load`) takes floats like 1e-05 for strings.
 Traces are RFC-4180 CSV.
 """
 
@@ -190,12 +191,18 @@ def _emit(obj, indent: int, out: list) -> None:
             elif isinstance(val, dict):
                 out.append(f"{pad}{key}:")
                 _emit(val, indent + 1, out)
-            elif isinstance(val, (list, tuple)):
-                out.append(f"{pad}{key}: [{', '.join(_scalar(v) for v in val)}]")
             else:
-                out.append(f"{pad}{key}: {_scalar(val)}")
+                out.append(f"{pad}{key}: {_flow(val)}")
     else:
         raise DomainError("manifest root must be a mapping")
+
+
+def _flow(v) -> str:
+    """A scalar, or a list of them nested to any depth as a YAML flow
+    sequence."""
+    if isinstance(v, (list, tuple)):
+        return f"[{', '.join(_flow(x) for x in v)}]"
+    return _scalar(v)
 
 
 def _scalar(v) -> str:

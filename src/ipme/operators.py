@@ -45,20 +45,22 @@ or more usable cores, the workspace cuts the run into two slabs of whole
 rows of axis 0 (each reads one ghost row of the other).  Inside a `with`
 block the calling thread computes the first slab and one helper thread
 the second; numpy releases the GIL inside the ufuncs, and the slab maxima
-are combined afterwards.  Every operation is elementwise, so split and
-unsplit results are identical.  The threshold sits just above the
-measured crossover of one 2-d call on a 2-core Xeon (numpy 2.4; medians
-of calls alternated in one process): one slab against two took 0.32
-against 0.53 ms at 129^2 nodes, 0.62 against 0.68 ms at 161^2, 0.66
-against 0.71 ms at 177^2, 1.01 against 0.86 ms at 193^2, 2.59 against
-1.48 ms at 257^2 and 5.57 against 2.70 ms at 385^2.
+are combined afterwards.  The helper is created when a two-slab
+workspace enters its `with` block and shut down when the block ends;
+`concurrent.futures` is imported only then, so a run on one-slab grids
+never loads it.  Every operation is elementwise, so split and unsplit
+results are identical.  The threshold sits just above the measured
+crossover of one 2-d call on a 2-core Xeon (numpy 2.4; medians of calls
+alternated in one process): one slab against two took 0.32 against 0.53
+ms at 129^2 nodes, 0.62 against 0.68 ms at 161^2, 0.66 against 0.71 ms
+at 177^2, 1.01 against 0.86 ms at 193^2, 2.59 against 1.48 ms at 257^2
+and 5.57 against 2.70 ms at 385^2.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -345,6 +347,8 @@ class StencilWork:
 
     def __enter__(self) -> "StencilWork":
         if len(self.slabs) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             self._helper = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="ipme-slab")
         return self

@@ -37,7 +37,7 @@ from .operators import (beta_c, rhs_core, rhs_full, set_fault_injection,
                         stencil_eval)
 from .solver import DirichletProblem, solve_dirichlet, solve_maximal
 
-__all__ = ["SUITES", "run_suites", "suite_names"]
+__all__ = ["SUITES", "run_suites"]
 
 
 # ── operators ────────────────────────────────────────────────────────────
@@ -318,7 +318,8 @@ def _case_manifest_roundtrip():
     man = run_manifest(Params(m=3.0, eps=1e-5), GridSpec.box(
         (0.0,), (1.0,), (9,)), "dirichlet",
         RegularizationSchedule((1e-2, 1e-3), (1e-2,), (1, 2)),
-        note="verify", values=[1, 2.5, "x"], stage_diffs=[3e-06, 1e+20])
+        note="verify", values=[1, 2.5, "x"], stage_diffs=[3e-06, 1e+20],
+        stage_pairs=[[1e-2, 1e-2], [1e-3, 3e-06]])
     text = io.manifest_text(man)
     data = io.load_yaml(text)
     if data != man:
@@ -385,10 +386,6 @@ SUITES = {
         ("reject-bad-quantity", _case_reject_bad_quantity),
     ],
 }
-
-
-def suite_names() -> tuple:
-    return tuple(SUITES)
 
 
 def run_suites(names: Optional[Sequence[str]] = None,

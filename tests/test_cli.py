@@ -1,12 +1,16 @@
 """Command-line surface: config parsing, --set overrides, the four
 subcommands, exit codes, and the IPME-E diagnostic channel.
 
-Everything drives `cli.main(argv)` in-process; outputs land in pytest
-tmp dirs and diagnostics are read back through capsys.
+Everything drives `cli.main(argv)` in-process, except the import-graph
+checks, which need a fresh interpreter; outputs land in pytest tmp dirs
+and diagnostics are read back through capsys.
 """
 
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -16,7 +20,7 @@ import yaml
 from hypothesis import (HealthCheck, example, given, settings,
                         strategies as st)
 
-from ipme import cli, exact, io
+from ipme import cli, exact, io, solver
 from ipme.core import ConfigError, GridSpec, ScalarField
 
 
@@ -250,14 +254,16 @@ output: %s
 
     def test_nan_error_statistic_fails_the_gate(self, tmp_path, capsys,
                                                 monkeypatch):
-        # a statistic that is not a number is never within a threshold
-        solve = cli.solve_dirichlet
+        # a statistic that is not a number is never within a threshold;
+        # `cmd_solve` imports the solver when it runs, so the module's
+        # attribute is the one to patch
+        solve = solver.solve_dirichlet
 
         def poisoned(*args, **kwargs):
             report = solve(*args, **kwargs)
             report.final.values[1, 1] = np.nan
             return report
-        monkeypatch.setattr(cli, "solve_dirichlet", poisoned)
+        monkeypatch.setattr(solver, "solve_dirichlet", poisoned)
         out = tmp_path / "run"
         rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
                        "--set", f"output={out}"])
@@ -420,6 +426,40 @@ output: %s
             "regression_threshold", "config"]
         assert failing["error_stat"] == passing["error_stat"]
         assert failing["seed"] == passing["seed"] == 3
+
+    @pytest.mark.parametrize("body", [
+        """\
+problem: dirichlet
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
+data: {kind: bump, height: 0.5, radius: 0.4}
+""",
+        # the data preset has an exact companion, but a Cauchy run never
+        # compares with it
+        """\
+problem: cauchy
+eps: 1.0e-4
+delta: 1.0e-2
+grid: {lo: [-0.62, -0.62], hi: [0.62, 0.62], n: [33, 33]}
+data: {kind: barenblatt, R: 0.1, t_offset: 1.0}
+cauchy: {M: 0.05, r: 0.3}
+schedule: {n_list: [128]}
+"""], ids=["dirichlet-bump", "cauchy-barenblatt"])
+    def test_threshold_without_error_statistic_is_rejected(
+            self, tmp_path, capsys, body):
+        # a run that records no error_stat cannot be gated by a threshold;
+        # it is refused before the solve, so nothing is written
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "t.yaml", body + f"""\
+m: 2.0
+t_end: 0.01
+regression_threshold: 1.0e-12
+output: {out}
+""")
+        assert cli.main(["solve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("IPME-E") == 1 and err.startswith("IPME-E50:")
+        assert "regression_threshold" in err
+        assert not out.exists()
 
     def test_cauchy_requires_M_and_r(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.yaml", """\
@@ -933,8 +973,11 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--suite", "exact"]) == 0
 
     def test_unknown_suite_flag_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        assert "operators, exact, comparison, scaling, io" in \
+            capsys.readouterr().err
 
     def test_unknown_suite_in_config(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "v.yaml", "verify: {suites: [nope]}\n")
@@ -1096,3 +1139,36 @@ asym: {snapshots: %s, tasks: [support]}
         assert err.startswith("IPME-E40:") and err.count("IPME-E") == 1
         assert "time must be finite, got nan" in err
         assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# import graph: each command imports only what it runs
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
+COMMAND_MODULES = {"ipme.solver", "ipme.exact", "ipme.asymptotics",
+                   "ipme.verify", "ipme.pme1d", "concurrent.futures"}
+
+
+def _modules_loaded_by(code):
+    """The names in sys.modules after `code` runs in a fresh interpreter
+    that imports `ipme` from this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c",
+                           code + "\nimport sys; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+class TestImportGraph:
+    def test_importing_the_cli_loads_no_command_module(self):
+        loaded = _modules_loaded_by("import ipme.cli")
+        assert {"ipme.core", "ipme.io", "ipme.operators"} <= loaded
+        assert not loaded & COMMAND_MODULES
+
+    def test_exact_command_loads_neither_solver_nor_suites(self, tmp_path):
+        cfg = write_cfg(tmp_path / "bb.yaml",
+                        EXACT_BB_YAML.format(out=tmp_path / "bb"))
+        loaded = _modules_loaded_by(
+            f"import ipme.cli\nassert ipme.cli.main(['exact', {cfg!r}]) == 0")
+        assert "ipme.exact" in loaded
+        assert not loaded & {"ipme.solver", "ipme.verify"}

@@ -207,6 +207,17 @@ class TestManifest:
         assert "eps: 1e-05\n" in path.read_text()
         assert io.read_manifest(str(path)) == man
 
+    def test_nested_lists_read_back_as_lists(self, tmp_path):
+        # a solve records its (eps, delta) stage pairs as a list of pairs
+        man = run_manifest(Params(m=2.0), GRID3, "dirichlet",
+                           stage_pairs=[[0.1, 0.01], [0.01, 0.01]])
+        path = tmp_path / "run.yaml"
+        io.write_manifest(str(path), man)
+        assert "stage_pairs: [[0.1, 0.01], [0.01, 0.01]]\n" in \
+            path.read_text()
+        assert io.read_manifest(str(path))["stage_pairs"] == [
+            [0.1, 0.01], [0.01, 0.01]]
+
     def test_writer_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.yaml", tmp_path / "b.yaml"
         io.write_manifest(str(a), self.manifest())
