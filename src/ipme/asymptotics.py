@@ -204,8 +204,8 @@ def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
     if ball_radius is None:
         return FriendlyGiantResult(times=times, errors=None,
                                    stabilization_diffs=diffs, is_ball=False)
-    spec = exact.separable_ball(params.m, R=ball_radius, t0=0.0,
-                                x0=center if center is not None else ())
+    spec = exact.spec("separable-ball", params.m, R=ball_radius,
+                      x0=center if center is not None else ())
     X = grid.points()
     U = exact.evaluate_u(spec, X, 1.0).reshape(grid.shape)
     errors = np.array([float(np.max(np.abs(s - U))) for s in scaled])
@@ -227,8 +227,8 @@ def barenblatt_convergence(snapshots: Sequence[ScalarField], R_estimate: float,
     """
     if not snapshots:
         raise DomainError("need at least one snapshot")
-    spec = exact.barenblatt(params.m, R=R_estimate,
-                            x0=center if center is not None else ())
+    spec = exact.spec("barenblatt", params.m, R=R_estimate,
+                      x0=center if center is not None else ())
     grid = snapshots[0].grid
     X = grid.points()
     keep = np.ones(grid.shape, dtype=bool)

@@ -87,7 +87,8 @@ RANGES = {
     "cauchy.M": _NONNEGATIVE, "cauchy.r": _POSITIVE,
     "exact.m": _ABOVE_ONE, "exact.speed": _POSITIVE, "exact.R1": _NONNEGATIVE,
     "asym.m": _ABOVE_ONE, "asym.ball_radius": _POSITIVE,
-    "asym.R_estimate": _POSITIVE,
+    "asym.R_estimate": _POSITIVE, "asym.threshold": _NONNEGATIVE,
+    "asym.floor": _NONNEGATIVE, "asym.r_max": _POSITIVE,
 }
 
 DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
@@ -239,19 +240,24 @@ def _build_schedule(cfg: dict) -> Optional[RegularizationSchedule]:
 def _exact_companion(data: dict, m: float) -> tuple:
     """(spec, t_offset) of the data preset's exact solution, if it has one.
 
-    The preset is read as an `exact` section; `radius` of the ball preset
-    is the ball radius R."""
+    The preset's keys other than `kind` and `t_offset` are its family's
+    keys; the ball preset names its radius `radius`, the family's R, with
+    a default of 1.0."""
     from . import exact
 
     kind = data.get("kind")
     if kind not in exact.FAMILIES:
         return None, 0.0
-    t_off = 0.0 if kind == "traveling-wave" else _finite(data, "t_offset", 1.0)
-    return _build_exact_spec({
-        "family": kind, "m": m,
-        "R": _finite(data, "radius" if kind == "separable-ball" else "R", 1.0),
-        "speed": _finite(data, "speed", 1.0),
-        "offset": _finite(data, "offset", 0.0)}), t_off
+    keys = {k: v for k, v in data.items() if k != "kind"}
+    # a time shift of the wave is a change of its offset, so the wave
+    # preset takes no t_offset
+    t_off = 0.0 if kind == "traveling-wave" else float(
+        keys.pop("t_offset", 1.0))
+    if kind == "separable-ball":
+        if "R" in keys:
+            raise ConfigError("separable-ball data take 'radius', not 'R'")
+        keys["R"] = keys.pop("radius", 1.0)
+    return exact.spec(kind, m, **keys), t_off
 
 
 def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
@@ -296,15 +302,11 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
         g_fn = lambda X, t: np.full(len(X), bval)  # noqa: E731
         time_dep = False
     else:
-        if spec is None and kind not in ("constant", "linear"):
+        if spec is None:
             raise ConfigError(f"boundary kind 'exact' needs a data preset "
                               f"with an exact companion, not {kind!r}")
-        if spec is None:
-            g_fn = lambda X, t: u0_fn(X)  # noqa: E731
-            time_dep = False
-        else:
-            g_fn = lambda X, t: exact.evaluate_u(spec, X, t_off + t)  # noqa: E731
-            time_dep = True
+        g_fn = lambda X, t: exact.evaluate_u(spec, X, t_off + t)  # noqa: E731
+        time_dep = True
     return (BoundaryData.from_functions(u0=u0_fn, g=g_fn,
                                         time_dependent=time_dep),
             spec, t_off)
@@ -399,38 +401,17 @@ def cmd_solve(cfg: dict) -> int:
     return 2 if report.manifest["warnings"] else 0
 
 
+# the `exact` leaves that choose the run rather than the family member
+_EXACT_RUN_KEYS = ("family", "m", "quantity", "t", "times")
+
+
 def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
-    """The spec of an `exact` section: the one reader of the family keys."""
+    """The spec of an `exact` section, whose other leaves are the family's
+    keys."""
     from . import exact
 
-    family = ex.get("family")
-    if family not in exact.FAMILIES:
-        raise ConfigError(f"unknown exact family {family!r}; known: "
-                          f"{', '.join(exact.FAMILIES)}")
-
-    def num(key, default=None):
-        return _finite(ex, key, default)
-
-    m = num("m")
-    if family == "barenblatt":
-        return exact.barenblatt(m, R=num("R", 1.0))
-    if family == "traveling-wave":
-        return exact.traveling_wave(m, c=num("speed", 1.0),
-                                    a=num("offset", 0.0))
-    if family == "separable-ball":
-        if "R" in ex:
-            return exact.separable_ball(m, R=num("R"), t0=num("t0", 0.0))
-        return exact.separable_ball(m, a=num("a", 1.0), t0=num("t0", 0.0))
-    if family == "separable-annulus":
-        return exact.separable_annulus(m, a=num("a", 1.0), R1=num("R1"),
-                                       t0=num("t0", 0.0))
-    if family == "neg-lambda-pos":
-        return exact.neg_lambda_a_pos(m, a=num("a", 1.0), R=num("R"),
-                                      t0=num("t0"))
-    if family == "neg-lambda-zero":
-        return exact.neg_lambda_a_zero(m, R=num("R"), t0=num("t0"))
-    return exact.neg_lambda_a_neg(m, a=num("a", -1.0), C=num("C"),
-                                  t0=num("t0"))
+    keys = {k: v for k, v in ex.items() if k not in _EXACT_RUN_KEYS}
+    return exact.spec(ex.get("family"), _finite(ex, "m"), **keys)
 
 
 def cmd_exact(cfg: dict) -> int:
@@ -524,11 +505,16 @@ def cmd_asym(cfg: dict) -> int:
     os.makedirs(outdir, exist_ok=True)
     summary: dict = {"format": "ipme-asym v1", "tasks": tasks}
 
+    write_trace = "support" in tasks or "rate" in tasks
+    R_est = acfg.get("R_estimate")
+    # one support trace serves the written trace, the rate and the
+    # barenblatt task's front scale when no R_estimate is given
     trace = None
-    if "support" in tasks or "rate" in tasks:
+    if write_trace or ("barenblatt" in tasks and R_est is None):
         trace = asymptotics.track_support(
             snaps, threshold=acfg.get("threshold"), center=center,
             r_max=r_max, floor=floor)
+    if write_trace:
         header, rows = asymptotics.trace_rows(trace)
         io.write_trace_csv(os.path.join(outdir, "support_trace.csv"),
                            header, rows)
@@ -560,13 +546,9 @@ def cmd_asym(cfg: dict) -> int:
         if fg.errors is not None:
             summary["giant"]["final_error"] = float(fg.errors[-1])
     if "barenblatt" in tasks:
-        R_est = acfg.get("R_estimate")
         if R_est is None:
             if fit is None:
-                tr = asymptotics.track_support(
-                    snaps, threshold=acfg.get("threshold"), center=center,
-                    r_max=r_max, floor=floor)
-                fit = asymptotics.fit_rate(tr.times, tr.r_outer)
+                fit = asymptotics.fit_rate(trace.times, trace.r_outer)
             R_est = fit.amplitude
         ts, errs = asymptotics.barenblatt_convergence(
             snaps, float(R_est), params, floor=floor, center=center,

@@ -2,8 +2,12 @@
 
 Families
 --------
-`FAMILIES` maps each config name (`exact.family`, the spec's kind) to its
-evaluators:
+`FAMILIES` maps each config name (`exact.family`, the spec's kind) to one
+row, a `Family`: the pressure evaluator, the closed-form density or None,
+and the family's config keys with their defaults (REQUIRED where the
+config must give the key).  `spec(family, m, **keys)` checks keys against
+the row, fills in the defaults and builds the `ExactSolutionSpec`, whose
+fields carry the same key names.  The families are:
 
 * barenblatt: source solutions, density and pressure form.
 * traveling-wave: planar traveling waves.
@@ -52,17 +56,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (DomainError, GridSpec, NumericError, Params, RangeError,
-                   ScalarField, density_from_pressure)
+from .core import (ConfigError, DomainError, GridSpec, NumericError, Params,
+                   RangeError, ScalarField, density_from_pressure)
 from .operators import quad_form_field
 
 __all__ = [
-    "ExactSolutionSpec", "ProfileTable", "FAMILIES",
-    "barenblatt", "traveling_wave", "separable_ball", "separable_annulus",
-    "neg_lambda_a_pos", "neg_lambda_a_zero", "neg_lambda_a_neg",
+    "ExactSolutionSpec", "ProfileTable", "FAMILIES", "spec",
     "build_H_profile", "build_I_profile", "build_K_profile",
     "evaluate_u", "evaluate_rho", "sample_field", "pde_residual",
     "ode_residual", "endpoint_A",
@@ -78,90 +81,76 @@ def k_slope(p: float) -> float:
 
 @dataclass(frozen=True)
 class ExactSolutionSpec:
-    """Parameters selecting one member of one exact family.
+    """Parameters selecting one member of one exact family; `spec` builds it.
 
-    `kind` is a key of `FAMILIES`.  Not every field is meaningful for
-    every kind; the factory functions below fill in the consistent
-    combinations and the constructor rejects inconsistent ones.  The sign
-    of the separation constant lambda is the kind's: positive for the
-    separable kinds, negative for neg-lambda.
+    `kind` is a key of `FAMILIES`.  The other fields carry the config names
+    of the family keys, each field one meaning; a field that the kind's row
+    does not list keeps its zero default.  The constructor checks each
+    family's ranges.  The sign of the separation constant lambda is the
+    kind's: positive for the separable kinds, negative for neg-lambda.
     """
 
     kind: str
     params: Params
     R: float = 0.0
-    c_speed: float = 0.0
-    a_const: float = 0.0
-    C_const: float = 0.0
-    x0: tuple = ()
+    speed: float = 0.0
+    offset: float = 0.0
+    a: float = 0.0
+    R1: float = 0.0
+    C: float = 0.0
     t0: float = 0.0
+    x0: tuple = ()
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise DomainError(f"unknown exact-solution kind {self.kind!r}")
         if self.kind == "barenblatt" and not (self.R > 0.0):
             raise DomainError("barenblatt needs R > 0")
-        if self.kind == "traveling-wave" and not (self.c_speed > 0.0):
-            raise DomainError("traveling-wave needs c_speed > 0")
+        if self.kind == "traveling-wave" and not (self.speed > 0.0):
+            raise DomainError("traveling-wave needs speed > 0")
         if self.kind in ("separable-ball", "separable-annulus") and \
-                not (self.a_const > 0.0):
-            raise DomainError("H_p branch needs a_const > 0")
-        if self.kind == "neg-lambda-pos" and not (self.a_const > 0.0):
-            raise DomainError("neg-lambda-pos needs a_const > 0")
-        if self.kind == "neg-lambda-neg" and not (self.a_const < 0.0):
-            raise DomainError("neg-lambda-neg needs a_const < 0")
+                not (self.a > 0.0):
+            raise DomainError("H_p branch needs a > 0")
+        if self.kind == "separable-annulus" and not (self.R1 >= 0.0):
+            raise DomainError("separable-annulus needs R1 >= 0")
+        if self.kind == "neg-lambda-pos" and not (self.a > 0.0):
+            raise DomainError("neg-lambda-pos needs a > 0")
+        if self.kind == "neg-lambda-neg" and not (self.a < 0.0):
+            raise DomainError("neg-lambda-neg needs a < 0")
 
 
-def barenblatt(m: float, R: float, x0=()) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="barenblatt", params=Params(m=m),
-                             R=float(R), x0=tuple(x0))
+def spec(family: str, m: float, **keys) -> ExactSolutionSpec:
+    """The member of `family` that `keys` select, `m` its exponent.
 
-
-def traveling_wave(m: float, c: float, a: float = 0.0) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="traveling-wave", params=Params(m=m),
-                             c_speed=float(c), C_const=float(a))
-
-
-def separable_ball(m: float, a: float | None = None, R: float | None = None,
-                   t0: float = 0.0, x0=()) -> ExactSolutionSpec:
-    """Ball solution; give either the integration constant a or the ball
-    radius R (the other is derived from k_slope * R = A_p)."""
-    p = 1.0 / m
-    if (a is None) == (R is None):
-        raise DomainError("give exactly one of a or R")
-    if a is None:
-        a = ball_a_from_radius(float(R), p)
-    else:
-        R = ball_radius_from_a(float(a), p)
-    return ExactSolutionSpec(kind="separable-ball", params=Params(m=m),
-                             R=float(R), a_const=float(a), t0=float(t0),
-                             x0=tuple(x0))
-
-
-def separable_annulus(m: float, a: float, R1: float,
-                      t0: float = 0.0) -> ExactSolutionSpec:
-    if R1 < 0.0:
-        raise DomainError("inner radius must be >= 0")
-    return ExactSolutionSpec(kind="separable-annulus", params=Params(m=m),
-                             R=float(R1), a_const=float(a), t0=float(t0))
-
-
-def neg_lambda_a_pos(m: float, a: float, R: float,
-                     t0: float) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="neg-lambda-pos", params=Params(m=m),
-                             R=float(R), a_const=float(a), t0=float(t0))
-
-
-def neg_lambda_a_zero(m: float, R: float, t0: float) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="neg-lambda-zero", params=Params(m=m),
-                             R=float(R), t0=float(t0))
-
-
-def neg_lambda_a_neg(m: float, a: float, C: float,
-                     t0: float) -> ExactSolutionSpec:
-    return ExactSolutionSpec(kind="neg-lambda-neg", params=Params(m=m),
-                             a_const=float(a), C_const=float(C),
-                             t0=float(t0))
+    A key that the family's row does not list, or a required key left out,
+    is a ConfigError; the row's defaults fill in the rest.  The ball takes
+    its radius R, or else its constant a, not both, and derives the other
+    from k_slope * R = A_p.
+    """
+    row = FAMILIES.get(family)
+    if row is None:
+        raise ConfigError(f"unknown exact family {family!r}; known: "
+                          f"{', '.join(FAMILIES)}")
+    vals = {**row.keys, **keys}
+    for key, val in vals.items():
+        if key not in row.keys:
+            raise ConfigError(
+                f"exact family {family!r} takes no key {key!r}; its keys: "
+                f"{', '.join(k for k in row.keys if k != 'x0')}")
+        if val is REQUIRED:
+            raise ConfigError(f"exact family {family!r} needs the key {key!r}")
+    fields = {key: tuple(val) if key == "x0" else float(val)
+              for key, val in vals.items() if val is not None}
+    params = Params(m=m)
+    if family == "separable-ball":
+        if "R" in keys and "a" in keys:
+            raise ConfigError("exact family 'separable-ball' takes R or a, "
+                              "not both")
+        if "R" in keys:
+            fields["a"] = ball_a_from_radius(fields["R"], params.p)
+        else:
+            fields["R"] = ball_radius_from_a(fields["a"], params.p)
+    return ExactSolutionSpec(kind=family, params=params, **fields)
 
 
 # ── Point handling ───────────────────────────────────────────────────────
@@ -223,19 +212,20 @@ def barenblatt_u(x, t: float, spec: ExactSolutionSpec):
 # ── Traveling waves ──────────────────────────────────────────────────────
 
 def traveling_wave_u(x, t: float, spec: ExactSolutionSpec):
-    """Pressure wave u = c [a + c t - x1]_+ with front at x1 = a + c t."""
-    c = spec.c_speed
+    """Pressure wave u = c [a + c t - x1]_+ with front at x1 = a + c t
+    (c the speed, a the offset)."""
+    c = spec.speed
     X, scalar = _as_points(x)
-    vals = c * np.maximum(spec.C_const + c * t - X[:, 0], 0.0)
+    vals = c * np.maximum(spec.offset + c * t - X[:, 0], 0.0)
     return _ret(vals, scalar)
 
 
 def traveling_wave_rho(x, t: float, spec: ExactSolutionSpec):
     """Density companion rho = [((m-1)/m) c (a + c t - x1)_+]^(1/(m-1))."""
     m = spec.params.m
-    c = spec.c_speed
+    c = spec.speed
     X, scalar = _as_points(x)
-    core = np.maximum(spec.C_const + c * t - X[:, 0], 0.0)
+    core = np.maximum(spec.offset + c * t - X[:, 0], 0.0)
     vals = ((m - 1.0) / m * c * core) ** (1.0 / (m - 1.0))
     return _ret(vals, scalar)
 
@@ -530,12 +520,12 @@ def _ball_profile(x, t: float, spec: ExactSolutionSpec) -> tuple:
         raise DomainError(f"ball solution needs t > t0={spec.t0}, got {t}")
     p = spec.params.p
     ks = k_slope(p)
-    A = endpoint_A(spec.a_const, p)
+    A = endpoint_A(spec.a, p)
     if abs(ks * spec.R - A) > 1e-8 * max(1.0, A):
         raise DomainError(
-            f"ball radius {spec.R} inconsistent with a={spec.a_const}: "
+            f"ball radius {spec.R} inconsistent with a={spec.a}: "
             f"k_slope*R must equal the endpoint value {A}")
-    tab = build_H_profile(spec.a_const, p)
+    tab = build_H_profile(spec.a, p)
     X, scalar = _as_points(x)
     r = _radii(X, spec.x0)
     y = ks * (spec.R - r)
@@ -569,9 +559,9 @@ def separable_annulus_u(x, t: float, spec: ExactSolutionSpec):
     if t <= spec.t0:
         raise DomainError(f"annulus solution needs t > t0={spec.t0}, got {t}")
     m, p = spec.params.m, spec.params.p
-    tab = build_H_profile(spec.a_const, p)
+    tab = build_H_profile(spec.a, p)
     ks = k_slope(p)
-    R1 = spec.R
+    R1 = spec.R1
     R2 = R1 + tab.y_max / ks
     X, scalar = _as_points(x)
     r = _radii(X, spec.x0)
@@ -608,11 +598,11 @@ def neg_lambda_u(x, t: float, spec: ExactSolutionSpec):
         if np.any(y < -1e-12):
             raise DomainError("a>0 blow-up branch is defined for |x| >= R")
     else:
-        kind, y = "K", ks * r + spec.C_const
+        kind, y = "K", ks * r + spec.C
         if np.any(y < -1e-12):
             raise DomainError("a<0 blow-up branch needs k_slope*|x| + C >= 0")
     y = np.maximum(y, 0.0)
-    tab = _table_covering(kind, spec.a_const, p,
+    tab = _table_covering(kind, spec.a, p,
                           float(np.max(y)) if y.size else 1.0)
     g = tab.invert(y)
     vals = m / ((m - 1.0) ** 2 * dt) * g ** ((m - 1.0) / m)
@@ -621,25 +611,46 @@ def neg_lambda_u(x, t: float, spec: ExactSolutionSpec):
 
 # ── Uniform evaluation interface ─────────────────────────────────────────
 
-# pressure evaluator and, where one exists, closed-form density; the
-# other densities are transformed from the pressure
+# the default of a family key that the config must give
+REQUIRED = "required"
+
+
+class Family(NamedTuple):
+    """One row of `FAMILIES`: the pressure evaluator, the closed-form
+    density or None (the density is then transformed from the pressure),
+    and the config keys with their defaults.  A default is a number,
+    REQUIRED, or None for the ball's R, which `spec` derives from a."""
+
+    u: Callable
+    rho: Callable | None
+    keys: dict
+
+
+# `x0`, the centre of the two radial families that take one, is a key of
+# Python callers only: the config schema has no such leaf
 FAMILIES = {
-    "barenblatt": (barenblatt_u, barenblatt_rho),
-    "traveling-wave": (traveling_wave_u, traveling_wave_rho),
-    "separable-ball": (separable_ball_u, separable_ball_rho),
-    "separable-annulus": (separable_annulus_u, None),
-    "neg-lambda-pos": (neg_lambda_u, None),
-    "neg-lambda-zero": (neg_lambda_u, None),
-    "neg-lambda-neg": (neg_lambda_u, None),
+    "barenblatt": Family(barenblatt_u, barenblatt_rho, {"R": 1.0, "x0": ()}),
+    "traveling-wave": Family(traveling_wave_u, traveling_wave_rho,
+                             {"speed": 1.0, "offset": 0.0}),
+    "separable-ball": Family(separable_ball_u, separable_ball_rho,
+                             {"R": None, "a": 1.0, "t0": 0.0, "x0": ()}),
+    "separable-annulus": Family(separable_annulus_u, None,
+                                {"a": 1.0, "R1": REQUIRED, "t0": 0.0}),
+    "neg-lambda-pos": Family(neg_lambda_u, None,
+                             {"a": 1.0, "R": REQUIRED, "t0": REQUIRED}),
+    "neg-lambda-zero": Family(neg_lambda_u, None,
+                              {"R": REQUIRED, "t0": REQUIRED}),
+    "neg-lambda-neg": Family(neg_lambda_u, None,
+                             {"a": -1.0, "C": REQUIRED, "t0": REQUIRED}),
 }
 
 
 def evaluate_u(spec: ExactSolutionSpec, x, t: float):
-    return FAMILIES[spec.kind][0](x, t, spec)
+    return FAMILIES[spec.kind].u(x, t, spec)
 
 
 def evaluate_rho(spec: ExactSolutionSpec, x, t: float):
-    rho = FAMILIES[spec.kind][1]
+    rho = FAMILIES[spec.kind].rho
     if rho is None:
         return density_from_pressure(evaluate_u(spec, x, t), spec.params.m)
     return rho(x, t, spec)

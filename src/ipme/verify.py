@@ -124,7 +124,7 @@ def _case_field_quadratic():
 def _case_traveling_wave_operator():
     # on the wave's wet set u = c(a + ct - x1) gives L[u] = 0 and
     # rhs = |Du|^2 = c^2 exactly (linear in space)
-    spec = exact.traveling_wave(m=2.0, c=1.5, a=0.5)
+    spec = exact.spec("traveling-wave", 2.0, speed=1.5, offset=0.5)
     grid = GridSpec.box((0.0, 0.0), (0.4, 0.4), (9, 9))
     u = exact.sample_field(spec, grid, 0.0)
     par = Params(m=2.0, eps=0.0, delta=0.0, c=0.0)
@@ -138,7 +138,7 @@ def _case_traveling_wave_operator():
 # ── exact ────────────────────────────────────────────────────────────────
 
 def _case_barenblatt_value():
-    spec = exact.barenblatt(m=2.0, R=1.0)
+    spec = exact.spec("barenblatt", 2.0, R=1.0)
     got = float(exact.evaluate_u(spec, np.array([[0.0, 0.0]]), 1.0)[0])
     if abs(got - 1.0 / 6.0) > 1e-15:
         return False, f"u(0,1) = {got}, want 1/6"
@@ -156,23 +156,23 @@ def _residual_case(spec, lo, hi, t=1.0, bound=0.05):
 
 
 def _case_barenblatt_residual():
-    return _residual_case(exact.barenblatt(m=2.0, R=1.0),
+    return _residual_case(exact.spec("barenblatt", 2.0, R=1.0),
                           (-1.5, -1.5), (1.5, 1.5), bound=0.02)
 
 
 def _case_wave_residual():
-    return _residual_case(exact.traveling_wave(m=2.0, c=1.0, a=0.3),
-                          (0.0, 0.0), (1.0, 1.0), t=0.25, bound=0.02)
+    spec = exact.spec("traveling-wave", 2.0, speed=1.0, offset=0.3)
+    return _residual_case(spec, (0.0, 0.0), (1.0, 1.0), t=0.25, bound=0.02)
 
 
 def _case_ball_residual():
-    spec = exact.separable_ball(m=2.0, a=1.0)
+    spec = exact.spec("separable-ball", 2.0, a=1.0)
     return _residual_case(spec, (-0.7, -0.7), (0.7, 0.7), t=1.0, bound=0.05)
 
 
 def _case_neg_lambda_zero_residual():
     # about 2e-6 clean and 3e-2 under a stencil sign flip
-    spec = exact.neg_lambda_a_zero(m=2.0, R=0.5, t0=2.0)
+    spec = exact.spec("neg-lambda-zero", 2.0, R=0.5, t0=2.0)
     return _residual_case(spec, (0.6, 0.6), (1.4, 1.4), t=1.0, bound=1e-3)
 
 
@@ -236,7 +236,7 @@ def _case_ordered_pair():
 
 
 def _case_ladder_monotone():
-    spec = exact.barenblatt(m=2.0, R=1.0)
+    spec = exact.spec("barenblatt", 2.0, R=1.0)
     grid = GridSpec.box((-1.5, -1.5), (1.5, 1.5), (33, 33))
     bd = BoundaryData.from_functions(
         u0=lambda X: exact.evaluate_u(spec, X, 1.0),

@@ -90,7 +90,7 @@ def fg_run():
     c = FG_CENTER
     half = 0.5078125
     grid = GridSpec.box((-half, -half), (half, half), (131, 131))
-    spec = exact.separable_ball(m, R=FG_RADIUS, t0=0.0, x0=(c, c))
+    spec = exact.spec("separable-ball", m, R=FG_RADIUS, t0=0.0, x0=(c, c))
     mask = ball_mask(grid, FG_RADIUS, center=(c, c))
     boundary = BoundaryData.from_functions(
         u0=lambda X: exact.evaluate_u(spec, X, 0.25),

@@ -31,11 +31,11 @@ def test_c01_exact_solution_residuals_converge_at_second_order():
     report = []
     for m in (1.5, 2.0, 3.0):
         cases = {
-            "source": (exact.barenblatt(m, R=1.0),
+            "source": (exact.spec("barenblatt", m, R=1.0),
                        (-1.5, -1.5), (1.5, 1.5), 1.0),
-            "wave": (exact.traveling_wave(m, c=1.0, a=0.3),
+            "wave": (exact.spec("traveling-wave", m, speed=1.0, offset=0.3),
                      (0.0, 0.0), (1.0, 1.0), 0.25),
-            "ball": (exact.separable_ball(m, a=1.0),
+            "ball": (exact.spec("separable-ball", m, a=1.0),
                      (-0.5, -0.5), (0.5, 0.5), 1.0),
         }
         for name, (spec, lo, hi, t) in cases.items():
@@ -205,7 +205,7 @@ def test_c06_ordering_preserved():
             for a, b in zip(reps[0].snapshots, reps[1].snapshots)))
     assert worst <= allowance, worst
 
-    spec = exact.barenblatt(m=2.0, R=1.0)
+    spec = exact.spec("barenblatt", 2.0, R=1.0)
     bd = BoundaryData.from_functions(
         u0=lambda X: exact.evaluate_u(spec, X, 1.0),
         g=lambda X, t: exact.evaluate_u(spec, X, 1.0 + t))
@@ -227,7 +227,7 @@ def test_c06_ordering_preserved():
 
 def test_c07_scaling_equivariance():
     m, lam = 2.0, 2.0
-    spec = exact.traveling_wave(m, c=1.0, a=0.3)
+    spec = exact.spec("traveling-wave", m, speed=1.0, offset=0.3)
     base_par = Params(m=m, eps=1e-2, delta=1e-2, c=1e-2)
     n, t_end = 33, 0.25
     grid = GridSpec.box((0.0, 0.0), (1.0, 1.0), (n, n))

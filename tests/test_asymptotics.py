@@ -13,8 +13,8 @@ from ipme.asymptotics import (barenblatt_convergence, benilan_crandall_check,
 M = 2.0
 PARAMS = Params(m=M, eps=1e-3, delta=1e-5)
 GRID = GridSpec.box((-2.0, -2.0), (2.0, 2.0), (65, 65))
-BALL = exact.separable_ball(M, R=1.2, t0=0.0, x0=(0.0, 0.0))
-BB = exact.barenblatt(M, R=0.5)
+BALL = exact.spec("separable-ball", M, R=1.2, t0=0.0, x0=(0.0, 0.0))
+BB = exact.spec("barenblatt", M, R=0.5)
 
 
 def snapshot(spec, grid, t, quantity="u"):

@@ -461,6 +461,52 @@ output: {out}
         assert "regression_threshold" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("data", [
+        "{kind: linear, slope: 1.0}", "{kind: constant, value: 0.3}"],
+        ids=["linear", "constant"])
+    def test_exact_boundary_needs_a_companion(self, tmp_path, capsys, data):
+        # u = s (x1 - lo) + s^2 t solves the equation, so holding the
+        # initial linear data on the boundary would run another problem
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "b.yaml", f"""\
+problem: dirichlet
+m: 2.0
+t_end: 0.2
+grid: {{lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}}
+data: {data}
+boundary: {{kind: exact}}
+output: {out}
+""")
+        assert cli.main(["solve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("IPME-E") == 1 and err.startswith("IPME-E50:")
+        assert "exact companion" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("data,key", [
+        ("{kind: barenblatt, R: 1.0, height: 0.5}", "height"),
+        ("{kind: traveling-wave, speed: 1.0, t_offset: 1.0}", "t_offset"),
+        ("{kind: separable-ball, radius: 0.5, slope: 1.0}", "slope"),
+        ("{kind: separable-ball, R: 0.5}", "R")],
+        ids=["barenblatt-height", "wave-t_offset", "ball-slope", "ball-R"])
+    def test_companion_data_take_only_their_family_keys(
+            self, tmp_path, capsys, data, key):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "d.yaml", f"""\
+problem: dirichlet
+m: 2.0
+t_end: 0.01
+grid: {{lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}}
+data: {data}
+boundary: {{kind: exact}}
+output: {out}
+""")
+        assert cli.main(["solve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("IPME-E") == 1 and err.startswith("IPME-E50:")
+        assert repr(key) in err
+        assert not out.exists()
+
     def test_cauchy_requires_M_and_r(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.yaml", """\
 problem: cauchy
@@ -637,6 +683,58 @@ grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
                         % (out, family, section, grid))
         assert cli.main(["exact", cfg]) == 0
         assert io.read_manifest(out / "manifest.yaml")["family"] == family
+
+    @pytest.mark.parametrize("family,key", [
+        ("barenblatt", "C: 3"), ("barenblatt", "t0: 5"),
+        ("traveling-wave", "R: 9"), ("traveling-wave", "a: 2"),
+        ("separable-ball", "speed: 1.0"), ("separable-annulus", "R: 0.7"),
+        ("neg-lambda-pos", "C: 1.0"), ("neg-lambda-zero", "a: 1.0"),
+        ("neg-lambda-neg", "R1: 0.3")])
+    def test_a_key_the_family_does_not_take_writes_nothing(
+            self, tmp_path, capsys, family, key):
+        section, grid = EXACT_FAMILY_CONFIGS[family]
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", "output: %s\nexact: {family: "
+                        "%s, m: 2.0, %s, %s}\ngrid: %s\n"
+                        % (out, family, section, key, grid))
+        assert cli.main(["exact", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("IPME-E") == 1 and err.startswith("IPME-E50:")
+        assert repr(key.split(":")[0]) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,missing", [
+        ("separable-annulus", "R1"), ("neg-lambda-pos", "R"),
+        ("neg-lambda-zero", "t0"), ("neg-lambda-neg", "C")])
+    def test_a_missing_required_key_writes_nothing(self, tmp_path, capsys,
+                                                   family, missing):
+        section, grid = EXACT_FAMILY_CONFIGS[family]
+        section = ", ".join(item for item in section.split(", ")
+                            if not item.startswith(missing + ":"))
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", "output: %s\nexact: {family: "
+                        "%s, m: 2.0, %s}\ngrid: %s\n"
+                        % (out, family, section, grid))
+        assert cli.main(["exact", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("IPME-E") == 1 and err.startswith("IPME-E50:")
+        assert repr(missing) in err
+        assert not out.exists()
+
+    def test_ball_takes_R_or_a_not_both(self, tmp_path, capsys):
+        # `a` was once dropped without a word, while the manifest's
+        # embedded config still showed it
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", """\
+output: %s
+exact: {family: separable-ball, m: 2.0, R: 0.5, a: 7.0}
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
+""" % out)
+        assert cli.main(["exact", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.count("IPME-E") == 1 and err.startswith("IPME-E50:")
+        assert "R or a, not both" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section", [
         "{family: barenblatt, m: 2.0, times: [1.0, 0.0]}",
@@ -862,6 +960,9 @@ UNREAD_OUT_OF_RANGE = [
     ("data.speed", "0", "be positive"),
     ("exact.m", "1", "exceed 1"),
     ("asym.R_estimate", "-2.0", "be positive"),
+    ("asym.threshold", "-1", "be >= 0"),
+    ("asym.floor", "-5", "be >= 0"),
+    ("asym.r_max", "0", "be positive"),
 ]
 
 

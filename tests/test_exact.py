@@ -5,20 +5,58 @@ import sys
 import numpy as np
 import pytest
 
-from ipme.core import GridSpec, DomainError, density_from_pressure
+from ipme.core import (ConfigError, GridSpec, DomainError,
+                       density_from_pressure)
 from ipme import exact
+
+
+class TestSpec:
+    def test_defaults_fill_the_row(self):
+        spec = exact.spec("traveling-wave", 2.0)
+        assert (spec.speed, spec.offset) == (1.0, 0.0)
+        spec = exact.spec("neg-lambda-neg", 2.0, C=2.5, t0=2.0)
+        assert (spec.a, spec.C, spec.t0) == (-1.0, 2.5, 2.0)
+
+    def test_fields_carry_the_config_names(self):
+        # the annulus keeps its inner radius in R1, the wave its offset
+        # in offset: no field holds two families' meanings
+        spec = exact.spec("separable-annulus", 2.0, R1=0.5)
+        assert (spec.R1, spec.R, spec.a) == (0.5, 0.0, 1.0)
+        spec = exact.spec("traveling-wave", 2, speed=3, offset=1)
+        assert (spec.speed, spec.offset, spec.C) == (3.0, 1.0, 0.0)
+        assert type(spec.speed) is float
+
+    def test_ball_derives_R_from_a_or_a_from_R(self):
+        by_a = exact.spec("separable-ball", 2.0)
+        assert by_a.a == 1.0
+        assert by_a.R == exact.ball_radius_from_a(1.0, 0.5)
+        by_R = exact.spec("separable-ball", 2.0, R=0.5)
+        assert by_R.a == exact.ball_a_from_radius(0.5, 0.5)
+        with pytest.raises(ConfigError, match="R or a, not both"):
+            exact.spec("separable-ball", 2.0, R=0.5, a=7.0)
+
+    @pytest.mark.parametrize("family,keys,word", [
+        ("barenblatt", {"C": 3.0}, "'C'"),
+        ("traveling-wave", {"x0": (0.0, 0.0)}, "'x0'"),
+        ("separable-annulus", {}, "needs the key 'R1'"),
+        ("neg-lambda-zero", {"R": 0.3}, "needs the key 't0'"),
+        ("wavelet", {}, "unknown exact family 'wavelet'")])
+    def test_keys_outside_the_row_are_config_errors(self, family, keys,
+                                                     word):
+        with pytest.raises(ConfigError, match=word):
+            exact.spec(family, 2.0, **keys)
 
 
 class TestBarenblatt:
     def test_origin_pressure_value(self):
         # u(0, 1) = R^2 / (2 (m+1) t) with m = 2, R = 1
-        spec = exact.barenblatt(2.0, R=1.0)
+        spec = exact.spec("barenblatt", 2.0, R=1.0)
         val = float(exact.evaluate_u(spec, np.zeros((1, 2)), 1.0)[0])
         assert val == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
     def test_front_position_scales(self, m):
-        spec = exact.barenblatt(m, R=1.0)
+        spec = exact.spec("barenblatt", m, R=1.0)
         b = 1.0 / (m + 1.0)
         for t in (1.0, 4.0):
             r_front = t**b
@@ -28,7 +66,7 @@ class TestBarenblatt:
             assert exact.evaluate_u(spec, x_out, t)[0] == 0.0
 
     def test_density_consistent_with_pressure(self):
-        spec = exact.barenblatt(2.5, R=1.2, x0=(0.3, -0.1))
+        spec = exact.spec("barenblatt", 2.5, R=1.2, x0=(0.3, -0.1))
         X = np.random.default_rng(0).uniform(-1.0, 1.0, size=(50, 2))
         u = exact.evaluate_u(spec, X, 2.0)
         rho = exact.evaluate_rho(spec, X, 2.0)
@@ -36,7 +74,7 @@ class TestBarenblatt:
                                    rtol=1e-12, atol=1e-15)
 
     def test_residual_second_order(self):
-        spec = exact.barenblatt(2.0, R=1.0)
+        spec = exact.spec("barenblatt", 2.0, R=1.0)
         res = []
         for n in (49, 97):
             g = GridSpec.box((-1.5, -1.5), (1.5, 1.5), (n, n))
@@ -48,7 +86,7 @@ class TestBarenblatt:
 
 class TestTravelingWave:
     def test_machine_precision_residual(self):
-        spec = exact.traveling_wave(2.0, c=1.0, a=0.3)
+        spec = exact.spec("traveling-wave", 2.0, speed=1.0, offset=0.3)
         g = GridSpec.box((0.0, 0.0), (1.0, 1.0), (33, 33))
         r, cnt = exact.pde_residual(spec, g, 0.25)
         assert cnt > 0
@@ -56,7 +94,7 @@ class TestTravelingWave:
 
     def test_profile_is_linear_behind_front(self):
         c, a = 0.7, 0.2
-        spec = exact.traveling_wave(2.0, c=c, a=a)
+        spec = exact.spec("traveling-wave", 2.0, speed=c, offset=a)
         t = 0.5
         x = np.array([[0.1, 0.4], [0.3, 0.9]])
         want = c * np.maximum(a + c * t - x[:, 0], 0.0)
@@ -65,7 +103,7 @@ class TestTravelingWave:
 
 class TestSeparableBall:
     def test_pressure_decays_like_inverse_time(self):
-        spec = exact.separable_ball(2.0, a=1.0)
+        spec = exact.spec("separable-ball", 2.0, a=1.0)
         X = np.random.default_rng(1).uniform(-0.5, 0.5, size=(20, 2))
         u1 = exact.evaluate_u(spec, X, 1.0)
         u2 = exact.evaluate_u(spec, X, 2.0)
@@ -93,7 +131,7 @@ class TestSeparableBall:
             assert exact.ball_radius_from_a(a, p) == pytest.approx(1.2, abs=1e-9)
 
     def test_residual_small_on_interior_cap(self):
-        spec = exact.separable_ball(2.0, a=1.0)
+        spec = exact.spec("separable-ball", 2.0, a=1.0)
         g = GridSpec.box((-0.5, -0.5), (0.5, 0.5), (65, 65))
         r, cnt = exact.pde_residual(spec, g, 1.0)
         assert cnt > 0
@@ -104,11 +142,11 @@ def test_residual_reproduces_pinned_c01_values():
     # three C01 residuals, pinned bit for bit: the residual's stencil is
     # the solver's kernel, which keeps one fixed order of operations
     cases = (
-        (exact.barenblatt(2.0, R=1.0), (-1.5, -1.5), (1.5, 1.5), 193,
+        (exact.spec("barenblatt", 2.0, R=1.0), (-1.5, -1.5), (1.5, 1.5), 193,
          (3.1610903217238473e-07, 12240)),
-        (exact.separable_ball(3.0, a=1.0), (-0.5, -0.5), (0.5, 0.5), 33,
-         (0.0001258811270130611, 960)),
-        (exact.separable_annulus(2.0, a=1.0, R1=0.5), (0.62, -0.15),
+        (exact.spec("separable-ball", 3.0, a=1.0), (-0.5, -0.5), (0.5, 0.5),
+         33, (0.0001258811270130611, 960)),
+        (exact.spec("separable-annulus", 2.0, a=1.0, R1=0.5), (0.62, -0.15),
          (0.92, 0.15), 65, (0.0009647019143770308, 3969)),
     )
     for spec, lo, hi, n, want in cases:
@@ -118,12 +156,12 @@ def test_residual_reproduces_pinned_c01_values():
 
 class TestSeparableAnnulus:
     def test_rejects_points_outside_annulus(self):
-        spec = exact.separable_annulus(2.0, a=1.0, R1=0.5, t0=0.0)
+        spec = exact.spec("separable-annulus", 2.0, a=1.0, R1=0.5, t0=0.0)
         with pytest.raises(DomainError):
             exact.evaluate_u(spec, np.array([[0.1, 0.0]]), 1.0)
 
     def test_vanishes_at_inner_edge(self):
-        spec = exact.separable_annulus(2.0, a=1.0, R1=0.5, t0=0.0)
+        spec = exact.spec("separable-annulus", 2.0, a=1.0, R1=0.5, t0=0.0)
         u = exact.evaluate_u(spec, np.array([[0.5, 0.0]]), 1.0)
         assert u[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -131,11 +169,11 @@ class TestSeparableAnnulus:
 class TestNegativeRateFamilies:
     def test_all_three_signs_have_small_residual(self):
         boxes = {
-            "pos": (exact.neg_lambda_a_pos(2.0, a=1.0, R=0.3, t0=2.0),
+            "pos": (exact.spec("neg-lambda-pos", 2.0, a=1.0, R=0.3, t0=2.0),
                     (0.4, 0.4), (1.2, 1.2)),
-            "zero": (exact.neg_lambda_a_zero(2.0, R=0.3, t0=2.0),
+            "zero": (exact.spec("neg-lambda-zero", 2.0, R=0.3, t0=2.0),
                      (0.4, 0.4), (1.2, 1.2)),
-            "neg": (exact.neg_lambda_a_neg(2.0, a=-1.0, C=2.5, t0=2.0),
+            "neg": (exact.spec("neg-lambda-neg", 2.0, a=-1.0, C=2.5, t0=2.0),
                     (1.1, 1.1), (1.7, 1.7)),
         }
         for name, (spec, lo, hi) in boxes.items():
@@ -218,7 +256,7 @@ class TestProfileTables:
 
 class TestSampling:
     def test_sample_field_shape_and_quantity(self):
-        spec = exact.barenblatt(2.0, R=1.0)
+        spec = exact.spec("barenblatt", 2.0, R=1.0)
         g = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (17, 17))
         f_u = exact.sample_field(spec, g, 1.0, quantity="u")
         f_rho = exact.sample_field(spec, g, 1.0, quantity="rho")
@@ -231,7 +269,7 @@ class TestSampling:
     @pytest.mark.parametrize("x0", [(0.25,), (0.25, 0.0, 0.0)])
     def test_center_needs_one_coordinate_per_axis(self, x0):
         # a one-entry center would otherwise broadcast over both axes
-        spec = exact.barenblatt(2.0, R=1.0, x0=x0)
+        spec = exact.spec("barenblatt", 2.0, R=1.0, x0=x0)
         g = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (9, 9))
         with pytest.raises(DomainError, match="center must have 2"):
             exact.sample_field(spec, g, 1.0)
@@ -240,7 +278,7 @@ class TestSampling:
         # the node at the bump apex has an exactly vanishing centered
         # gradient; the unregularized quotient is undefined there and the
         # residual mask must skip it
-        spec = exact.barenblatt(2.0, R=1.0)
+        spec = exact.spec("barenblatt", 2.0, R=1.0)
         g = GridSpec.box((-1.5, -1.5), (1.5, 1.5), (49, 49))
         _, cnt = exact.pde_residual(spec, g, 1.0, threshold_frac=0.0)
         wet = int(np.sum(exact.sample_field(spec, g, 1.0).values[g.interior()] > 0))

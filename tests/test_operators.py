@@ -3,7 +3,6 @@ import sys
 import threading
 import time
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -531,81 +530,10 @@ class TestRowSlabs:
         assert calls >= 2
 
 
-# ── Division kernel ──────────────────────────────────────────────────────
-# `_terms` and `_rhs_slab` as they were before the constant divisors that
-# are powers of two became multiplies by their reciprocals, kept verbatim
-# but for names.  They run on the slabs of a workspace of their own
-# through `_division_slab`, which gives back the fields the old slab had:
-# h, and cross entries without their scaling.
-
-def _division_accumulate(acc, term, first):
-    if first:
-        np.add(term, 0.0, out=acc)
-    else:
-        acc += term
-
-
-def _division_terms(vals, s):
-    h, tmp, two_c0 = s.h, s.tmp, s.rhs
-    np.multiply(vals[s.c0], 2.0, out=two_c0)
-    for i, gi in enumerate(s.grad):
-        up, dn = vals[s.up[i]], vals[s.dn[i]]
-        np.subtract(up, dn, out=gi)
-        gi /= 2.0 * h[i]
-        np.subtract(up, two_c0, out=tmp)
-        tmp += dn
-        tmp /= h[i] * h[i]
-        _division_accumulate(s.lap, tmp, i == 0)
-        tmp *= gi
-        tmp *= gi
-        _division_accumulate(s.num, tmp, i == 0)
-        if i == 0:
-            np.multiply(gi, gi, out=s.g2)
-        else:
-            np.multiply(gi, gi, out=tmp)
-            s.g2 += tmp
-    sgn = ops._cross_sign()
-    for i, j, pp, pm, mp, mm in s.cross:
-        np.subtract(vals[pp], vals[pm], out=tmp)
-        tmp -= vals[mp]
-        tmp += vals[mm]
-        if sgn != 1.0:
-            tmp *= sgn
-        tmp /= 4.0 * h[i] * h[j]
-        tmp *= 2.0
-        tmp *= s.grad[i]
-        tmp *= s.grad[j]
-        s.num += tmp
-
-
-def _division_rhs_slab(vals, s, params):
-    s = _division_slab(s)
-    _division_terms(vals, s)
-    ratio = ops._quotient(s.num, s.g2, s.g2_in, params.delta, out=s.tmp)
-    b = s.grad[0]
-    ops._beta_into(vals[s.c0], params.c, b, s.rhs, s.mask)
-    maxima = float(s.b_in.max()), float(s.g2_in.max())
-    b *= params.k
-    b *= ratio
-    np.multiply(s.lap, params.eps, out=s.rhs)
-    s.rhs += b
-    s.rhs += s.g2
-    return maxima
-
-
-def _division_slab(s):
-    old = SimpleNamespace(**vars(s))
-    old.h = s.grid_h
-    old.cross = [entry[:6] for entry in s.cross]
-    return old
-
-
-def _division_rhs_core(vals, grid, params, work):
-    for s in work.slabs:
-        s.grid_h = grid.h
-    bmax, g2max = np.max(work.run(_division_rhs_slab, vals, params), axis=0)
-    return work.rhs, float(bmax), float(g2max)
-
+# ── Reciprocal scaling ───────────────────────────────────────────────────
+# The workspace kernel multiplies by 1/c where a constant divisor c is a
+# power of two; the reference kernel above divides everywhere, so the two
+# must still agree bit for bit.
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
@@ -641,7 +569,7 @@ def _pin_data(grid, kind):
 def _pinned(vals, grid, params, fault=None):
     try:
         ops.set_fault_injection(fault)
-        want = _division_rhs_core(vals, grid, params, ops.StencilWork(grid))
+        want = _ref_rhs_core(vals, grid, params)
         got = ops.rhs_core(vals, grid, params, ops.StencilWork(grid))
     finally:
         ops.set_fault_injection(None)
@@ -649,8 +577,8 @@ def _pinned(vals, grid, params, fault=None):
 
 
 class TestReciprocalScaling:
-    """The kernel with multiplies by exact reciprocals against the kernel
-    that divided, bit for bit."""
+    """The kernel with multiplies by exact reciprocals against the
+    reference kernel, which divides, bit for bit."""
 
     @pytest.mark.parametrize("fault", [None, "stencil-sign-flip"])
     @pytest.mark.parametrize("kind,delta,c", [
@@ -674,7 +602,7 @@ class TestReciprocalScaling:
         vals = np.ones(grid.shape)
         params = Params(m=2.0, eps=1e-2, delta=0.0)
         with pytest.raises(SingularPointError) as want:
-            _division_rhs_core(vals, grid, params, ops.StencilWork(grid))
+            _ref_rhs_core(vals, grid, params)
         with pytest.raises(SingularPointError) as got:
             ops.rhs_core(vals, grid, params)
         assert str(got.value) == str(want.value)
@@ -689,8 +617,7 @@ class TestReciprocalScaling:
             with ops.StencilWork(grid) as work:
                 assert len(work.slabs) == 2
                 got = ops.rhs_core(vals, grid, params, work)
-            with ops.StencilWork(grid) as work:
-                want = _division_rhs_core(vals, grid, params, work)
+            want = _ref_rhs_core(vals, grid, params)
         finally:
             ops.set_fault_injection(None)
         _assert_same_bits(got, want)

@@ -118,7 +118,7 @@ class TestConservation:
 class TestSelfSimilarReproduction:
     @pytest.mark.parametrize("m", [2.0, 3.0])
     def test_source_solution_evolves_onto_itself(self, m):
-        spec = exact.barenblatt(m, R=0.8)
+        spec = exact.spec("barenblatt", m, R=0.8)
         g = line_grid(513, L=1.5)
         x = g.axes()[0].reshape(-1, 1)
         rho0 = exact.evaluate_rho(spec, x, 1.0)
