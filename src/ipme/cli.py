@@ -91,9 +91,13 @@ RANGES = {
     "asym.floor": _NONNEGATIVE, "asym.r_max": _POSITIVE,
 }
 
-DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
-              "separable-ball")
-BOUNDARY_KINDS = ("zero", "constant", "exact")
+# each preset kind and the keys it reads besides `kind`; a companion
+# preset (None here) reads its exact family's keys, which `exact.spec`
+# checks
+DATA_KINDS = {"constant": ("value",), "bump": ("height", "radius"),
+              "linear": ("slope",), "barenblatt": None,
+              "traveling-wave": None, "separable-ball": None}
+BOUNDARY_KINDS = {"zero": (), "constant": ("value",), "exact": ()}
 
 
 def _leaves(cfg: dict, schema: dict, path: str = ""):
@@ -260,6 +264,16 @@ def _exact_companion(data: dict, m: float) -> tuple:
     return exact.spec(kind, m, **keys), t_off
 
 
+def _only_keys(section: dict, name: str, kind: str, keys: tuple) -> None:
+    """A ConfigError for the first key of `section` that its kind does
+    not read, as `exact.spec` rejects one for a family."""
+    extra = [k for k in section if k != "kind" and k not in keys]
+    if extra:
+        known = f"; its keys: {', '.join(keys)}" if keys else ""
+        raise ConfigError(f"{name} kind {kind!r} takes no key "
+                          f"{extra[0]!r}{known}")
+
+
 def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     """Initial/lateral data from the preset; returns (BoundaryData,
     companion spec or None, time offset)."""
@@ -270,6 +284,8 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     if kind not in DATA_KINDS:
         raise ConfigError(f"unknown data kind {kind!r}; "
                           f"known: {', '.join(DATA_KINDS)}")
+    if DATA_KINDS[kind] is not None:
+        _only_keys(data, "data", kind, DATA_KINDS[kind])
     spec, t_off = _exact_companion(data, params.m)
 
     if kind == "constant":
@@ -294,6 +310,7 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     if bkind not in BOUNDARY_KINDS:
         raise ConfigError(f"unknown boundary kind {bkind!r}; "
                           f"known: {', '.join(BOUNDARY_KINDS)}")
+    _only_keys(bc, "boundary", bkind, BOUNDARY_KINDS[bkind])
     if bkind == "zero":
         g_fn = lambda X, t: np.zeros(len(X))  # noqa: E731
         time_dep = False
@@ -424,6 +441,9 @@ def cmd_exact(cfg: dict) -> int:
     times = ex.get("times")
     if times is None:
         times = [_finite(ex, "t", 1.0)]
+    elif "t" in ex:
+        raise ConfigError("exact.t and exact.times exclude each other; "
+                          "give one of them")
     elif not times:
         raise ConfigError("exact.times must list at least one time")
     outdir = _require(cfg, "output")

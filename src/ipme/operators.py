@@ -32,8 +32,12 @@ from node (1, 1, ..., 1) to the last interior node, and the same run
 shifted by a sum of +-strides for each neighbour.  So every ufunc walks
 one contiguous stretch of memory instead of the rows of a strided view.
 The run also passes over the boundary nodes of axes >= 1 (two per row
-in 2-d); those positions are computed and ignored.  The returned arrays,
-the maxima and the delta == 0 check read only the interior views.  The
+in 2-d); those positions are computed and ignored.  The returned arrays
+and the delta == 0 check read only the interior views.  The maxima of
+beta_c(u) and |Du|^2 reduce the whole run, after +0.0 is written into
+its boundary positions through strided views (of two nodes per row in
+2-d): every interior value is at least +0.0, so the maxima do not
+change, and a contiguous reduction costs half of a strided one.  The
 time stepper adds the whole run of rhs into the field at once
 (`StencilWork.span`): that is sound because every ignored run position
 is a held node, which the lateral stamp overwrites before any check
@@ -248,18 +252,21 @@ def _scaling(c: float) -> tuple:
 
 class _Slab:
     """Interior rows [r0, r1) as one contiguous run of the flattened
-    field, from node (1+r0, 1, ..., 1) to the last interior node of row
-    r1: slices of the flat field for the centre and every stencil
-    neighbour (the run shifted by a sum of +-strides), the scalings by
-    the constant divisors 2 h_i, h_i^2 and 4 h_i h_j, the matching
-    contiguous views of the workspace buffers, and the interior views of
-    the rows whose maxima the kernel reads."""
+    field, from node (1+r0, 1, ..., 1) to the node before the next
+    slab's first (the last slab: to the last interior node): slices of
+    the flat field for the centre and every stencil neighbour (the run
+    shifted by a sum of +-strides), the scalings by the constant divisors
+    2 h_i, h_i^2 and 4 h_i h_j, the matching contiguous views of the
+    workspace buffers, the interior view of g2 that the delta == 0 check
+    reads, and `edges`: strided views of the b and g2 buffers that cover
+    exactly the run positions on box-boundary nodes."""
 
     def __init__(self, work: "StencilWork", r0: int, r1: int):
         n, strides, h = work.grid.n, work.strides, work.grid.h
+        rows = n[0] - 2
         first = (1 + r0) * strides[0] + sum(strides[1:])
-        last = r1 * strides[0] + sum((k - 2) * st
-                                     for k, st in zip(n[1:], strides[1:]))
+        last = first + (r1 - r0) * strides[0] - 1 if r1 < rows else \
+            sum((k - 2) * st for k, st in zip(n, strides))
 
         def at(shift):
             return slice(first + shift, last + 1 + shift)
@@ -279,9 +286,29 @@ class _Slab:
         self.num, self.g2, self.lap, self.tmp, self.rhs, self.mask = (
             a[run] for a in (work.flat_num, work.flat_g2, work.flat_lap,
                              work.flat_tmp, work.flat_rhs, work.flat_mask))
-        rows = slice(r0, r1)
-        self.b_in = work.interior(work.flat_grad[0])[rows]
-        self.g2_in = work.g2[rows]
+        self.g2_in = work.g2[r0:r1]
+
+        # a buffer reshaped to (n0 - 2, n1, ..., n_{d-1}) holds node
+        # (r + 1, j1 + 1, ...) at [r, j1, ...], so the run's box-boundary
+        # positions are those with j_a >= n_a - 2 on some axis a >= 1.  The
+        # last slab's run stops at [rows - 1, n1 - 3, ..., n_{d-1} - 3], so
+        # its last row is taken axis by axis up to that node.
+        def edge(head, a):
+            # below the index prefix `head`: j_a >= n_a - 2, any other j
+            return head + (slice(None),) * (a - len(head)) + \
+                (slice(n[a] - 2, None),)
+
+        d = len(n)
+        whole = (slice(r0, r1 - 1 if r1 == rows else r1),)
+        picks = [edge(whole, a) for a in range(1, d)]
+        head = (rows - 1,)
+        for axis in range(1, d - 1) if r1 == rows else ():
+            picks += [edge(head + (slice(0, n[axis] - 3),), a)
+                      for a in range(axis + 1, d)]
+            head += (n[axis] - 3,)
+        self.edges = [view for buf in (work.flat_grad[0], work.flat_g2)
+                      for view in (buf.reshape((rows,) + n[1:])[p]
+                                   for p in picks) if view.size]
 
 
 class StencilWork:
@@ -294,15 +321,17 @@ class StencilWork:
     (1, ..., 1).  Every kernel operation runs over one contiguous run
     per slab, so run positions that fall on boundary nodes of axes >= 1
     (two per row in 2-d) are computed too and ignored: they never reach
-    a returned array, a maximum or the singularity check, and they raise
-    nothing.  The buffers are the `flat_*` attributes; `num`, `g2`, `lap`
-    and `rhs` are the interior views of theirs, shape
+    a returned array or the singularity check, they raise nothing, and
+    they reach the two maxima only as the +0.0 that `_rhs_slab` writes
+    there first.  The buffers are the `flat_*` attributes; `num`, `g2`,
+    `lap` and `rhs` are the interior views of theirs, shape
     (n0 - 2, ..., n_{d-1} - 2).
 
-    The slabs together write one contiguous run: `span` is the slice of
-    the flat field from node (1, ..., 1) to the last interior node, and
-    `span_rhs` the buffer positions that hold it.  The tail of each
-    buffer past that run is never written.  Every ignored position of
+    Each slab's run ends where the next one begins, so the slabs
+    together write every position of one contiguous run: `span` is the
+    slice of the flat field from node (1, ..., 1) to the last interior
+    node, and `span_rhs` the buffer positions that hold it.  The tail of
+    each buffer past that run is never written.  Every ignored position of
     the run is a box-boundary node, so a caller that adds `span_rhs`
     into `span` touches only interior nodes and nodes it must overwrite
     with lateral data before reading the field.
@@ -446,13 +475,17 @@ def _quotient(num: np.ndarray, g2: np.ndarray, g2_in: np.ndarray,
 def _rhs_slab(vals: np.ndarray, s: _Slab, params: Params) -> tuple:
     """rhs = (eps lap + (k beta_c(u)) ratio) + g2 on one slab, into its
     rhs buffer; returns the maxima of beta_c(u) and g2 over the slab's
-    interior nodes."""
+    interior nodes, which are those over the run once +0.0 is written
+    into its box-boundary positions of b and g2 (every interior b and
+    g2 is at least +0.0 or NaN)."""
     _terms(vals, s)
     ratio = s.lap if _FAULT_MODE == "plain-laplacian" else \
         _quotient(s.num, s.g2, s.g2_in, params.delta, out=s.tmp)
     b = s.grad[0]
     _beta_into(vals[s.c0], params.c, b, s.rhs, s.mask)
-    maxima = float(s.b_in.max()), float(s.g2_in.max())
+    for edge in s.edges:
+        edge.fill(0.0)
+    maxima = float(b.max()), float(s.g2.max())
     b *= params.k
     b *= ratio
     np.multiply(s.lap, params.eps, out=s.rhs)

@@ -10,15 +10,13 @@ It deliberately shares nothing with the main scheme: density instead of
 pressure, conservative second difference of rho^m instead of the expanded
 operator, so the two codes cannot share a bug.
 
-There is one update, `_advance`: it steps a plain density array in place
-on a `_Work`, which holds the workspaces and stencil views of that array
-and resolves once what every step reads (h^2, the safety-scaled h^2,
-m - 1, the edge kind and the constant edge values; a callable edge is
-still called on every step).  `pme1d_solve` runs it on one array for the
-whole solve, computes the step's diffusivity once for both its dt and
-the update's stability check, and builds `ScalarField`s only for the
-initial state and the snapshots; `pme1d_step` runs it on a copy of its
-input field, with a workspace of its own.
+There is one loop, `_march`: it steps a plain density array in place
+and resolves once per call every array, ufunc, bound method and
+constant its steps read, so a step makes a fixed sequence of numpy calls
+and no Python call but to a callable edge.  `pme1d_solve` runs it over
+the snapshot times and builds `ScalarField`s only for the initial state
+and the snapshots; `pme1d_step` runs it for exactly one step of the
+given dt, on a copy of its input field.
 """
 
 from __future__ import annotations
@@ -106,89 +104,98 @@ def cfl_dt_1d(rho: np.ndarray, h: float, m: float,
     return safety * h * h / (2.0 * diffusivity)
 
 
-class _Work:
-    """What the 1-d update of one density array `rho` on spacing h needs,
-    resolved once: the workspaces w = rho^m (size n) and `lap` (size
-    n-2), the stencil views w[1:-1], w[2:], w[:-2] and rho[1:-1], the
-    scalar operands m, 2 and dt/h^2 as 0-d arrays (a Python float operand
-    costs numpy a conversion on every call; the arithmetic is the same),
-    and the per-step constants: h*h, SAFETY*h*h (in that order, as the
-    bound was written), m - 1, whether the left edge is the symmetry
-    edge, and each held edge as a float, or as the callable to call on
-    every step."""
+def _march(problem: RadialProblem, rho: np.ndarray, t: float,
+           targets: Sequence[float], clip_account: list,
+           fixed_dt: Optional[float] = None) -> tuple:
+    """The explicit conservative update of rho_t = (rho^m)_rr, looped in
+    place on the density array `rho` from time t through each of the
+    sorted `targets`.  Returns (a copy of rho at each target, the number
+    of steps, the least and the largest dt).
 
-    def __init__(self, rho: np.ndarray, problem: RadialProblem, h: float):
-        self.rho = rho
-        self.w = np.empty_like(rho)
-        self.lap = np.empty(rho.size - 2)
-        self.w_mid, self.w_up, self.w_dn = self.w[1:-1], self.w[2:], \
-            self.w[:-2]
-        self.rho_mid = rho[1:-1]
-        self.m, self.two, self.scale = np.array(problem.m), np.array(2.0), \
-            np.array(0.0)
-        self.h, self.hh, self.safety_hh = h, h * h, SAFETY * h * h
-        self.m_scalar, self.m_minus_1 = problem.m, problem.m - 1.0
-        self.symmetric = problem.boundary == "symmetry-at-0"
-        self.left, self.right = (
-            spec if callable(spec) else problem._edge(which, 0.0)
-            for which, spec in (("left", problem.left),
-                                ("right", problem.right)))
+    Each step takes SAFETY times the stability bound h^2/(2 D), with
+    D = m max(rho)^(m-1), cut to land on the next target, until t is
+    within 1e-14 max(1, target) of it.  With `fixed_dt` the loop takes
+    exactly one step of that dt to the one target t + fixed_dt.  A dt
+    above the bound is a CflError.  The edges are set after the interior
+    update, a callable edge called at the step's new time, so the least
+    and the largest value cover the finiteness test, the undershoot clip
+    (its mass appended to `clip_account`) and the next step's D.
 
-    def diffusivity(self, rho_max: float) -> float:
-        """m rho_max^(m-1), the largest diffusivity of the step."""
-        return self.m_scalar * rho_max ** self.m_minus_1
-
-
-def _edge_at(spec, t: float) -> float:
-    return float(spec(t)) if callable(spec) else spec
-
-
-def _advance(work: _Work, t_new: float, dt: float, diffusivity: float,
-             clip_account: Optional[list]) -> float:
-    """The explicit conservative update, in place: `work.rho`, whose
-    largest diffusivity is `diffusivity`, advances by dt to t_new.
-    Returns the new maximum of rho.
-
-    dt above the stability bound h^2/(2 diffusivity) is a CflError.  The
-    edges are set before the checks, so the least and the largest value
-    cover the finiteness test, the undershoot clip and the next stability
-    bound.  The symmetry edge is computed on Python floats, which take the
-    same IEEE operations in the same order as numpy scalars would.
+    Everything the steps read (arrays, ufuncs, bound methods, constants)
+    is resolved before the first, so every step makes the same numpy
+    calls in the same order and calls no Python function but a callable
+    edge.  The symmetry edge is computed on Python floats, which take
+    the same IEEE operations in the same order as numpy scalars would.
     """
-    bound = work.hh / (2.0 * diffusivity) if diffusivity > 0.0 else math.inf
-    if dt > bound * (1.0 + 1e-12):
-        raise CflError(f"dt={dt} exceeds the 1-d stability bound {bound}")
-    scale = dt / work.hh
-    rho, w, lap = work.rho, work.w, work.lap
-    # the output array is passed by position, which numpy parses faster
-    np.power(rho, work.m, w)
-    # (w[2:] - 2 w[1:-1]) + w[:-2], in this order, scaled by dt/h^2
-    np.multiply(work.w_mid, work.two, lap)
-    np.subtract(work.w_up, lap, lap)
-    np.add(lap, work.w_dn, lap)
-    work.scale[()] = scale
-    np.multiply(lap, work.scale, lap)
-    np.add(work.rho_mid, lap, work.rho_mid)
-    if work.symmetric:
-        rho[0] = rho.item(0) + scale * (2.0 * w.item(1) - 2.0 * w.item(0))
-    else:
-        rho[0] = _edge_at(work.left, t_new)
-    rho[-1] = _edge_at(work.right, t_new)
+    h = problem.grid.h[0]
+    hh, safety_hh = h * h, SAFETY * h * h
+    m, m_minus_1 = problem.m, problem.m - 1.0
+    symmetric = problem.boundary == "symmetry-at-0"
+    # a held edge as (float, None), a callable one as (None, callable)
+    (left, left_fn), (right, right_fn) = (
+        (None, spec) if callable(spec) else (problem._edge(which, 0.0), None)
+        for which, spec in (("left", problem.left), ("right", problem.right)))
+    # the workspaces w = rho^m and lap, their stencil views, and the
+    # scalar operands as 0-d arrays (a Python float operand costs numpy a
+    # conversion on every call; the arithmetic is the same)
+    w, lap = np.empty_like(rho), np.empty(rho.size - 2)
+    w_mid, w_up, w_dn, rho_mid = w[1:-1], w[2:], w[:-2], rho[1:-1]
+    m_arr, two, scale_arr = np.array(m), np.array(2.0), np.array(0.0)
+    power, multiply, subtract, add = np.power, np.multiply, np.subtract, \
+        np.add
     # argmin/argmax take a NaN for the extreme, as min/max reductions do,
     # at a fourth of their cost on 513 nodes; of a tie of -0.0 and +0.0
     # they may pick the other zero, which takes the same branches of
-    # `< 0.0` here and of `diffusivity > 0.0`
-    low, top = rho.item(rho.argmin()), rho.item(rho.argmax())
-    if not (math.isfinite(low) and math.isfinite(top)):
-        raise InstabilityError("non-finite density during 1-d stepping")
-    if low < 0.0:
-        negative = rho < 0.0
-        clipped = -float(np.sum(rho[negative])) * work.h
-        if clip_account is not None:
-            clip_account.append(clipped)
-        rho[negative] = 0.0
-        top = max(top, 0.0)
-    return top
+    # `< 0.0` and of `twice > 0.0`
+    argmin, argmax, item, w_item = rho.argmin, rho.argmax, rho.item, w.item
+    isfinite, inf, fixed = math.isfinite, math.inf, fixed_dt is not None
+    rho_max = float(np.max(rho))
+    out, n_steps, dt_min, dt_max = [], 0, inf, 0.0
+    for target in targets:
+        stop = target - 1e-14 * max(1.0, target)
+        while t < stop or fixed and not n_steps:
+            twice = 2.0 * (m * rho_max ** m_minus_1)
+            bound = cap = inf
+            if twice > 0.0:
+                bound, cap = hh / twice, safety_hh / twice
+            rest = target - t
+            dt = fixed_dt if fixed else (rest if rest < cap else cap)
+            if dt > bound * (1.0 + 1e-12):
+                raise CflError(
+                    f"dt={dt} exceeds the 1-d stability bound {bound}")
+            t_new, scale = t + dt, dt / hh
+            # the output array is passed by position, which numpy parses
+            # faster; lap = ((w[2:] - 2 w[1:-1]) + w[:-2]) dt/h^2
+            power(rho, m_arr, w)
+            multiply(w_mid, two, lap)
+            subtract(w_up, lap, lap)
+            add(lap, w_dn, lap)
+            scale_arr[()] = scale
+            multiply(lap, scale_arr, lap)
+            add(rho_mid, lap, rho_mid)
+            if symmetric:
+                rho[0] = item(0) + scale * (2.0 * w_item(1) - 2.0 * w_item(0))
+            else:
+                rho[0] = left if left_fn is None else float(left_fn(t_new))
+            rho[-1] = right if right_fn is None else float(right_fn(t_new))
+            low, rho_max = item(argmin()), item(argmax())
+            if not (isfinite(low) and isfinite(rho_max)):
+                raise InstabilityError("non-finite density during 1-d "
+                                       "stepping")
+            if low < 0.0:
+                negative = rho < 0.0
+                clip_account.append(-float(np.sum(rho[negative])) * h)
+                rho[negative] = 0.0
+                rho_max = max(rho_max, 0.0)
+            t = t_new
+            n_steps += 1
+            if dt < dt_min:
+                dt_min = dt
+            if dt > dt_max:
+                dt_max = dt
+        t = target
+        out.append(rho.copy())
+    return out, n_steps, dt_min, dt_max
 
 
 def pme1d_step(state: ScalarField, dt: float, problem: RadialProblem,
@@ -197,14 +204,14 @@ def pme1d_step(state: ScalarField, dt: float, problem: RadialProblem,
 
     dt must respect the stability bound; tiny negative undershoots are
     clipped to zero with the clipped mass accumulated in `clip_account`
-    (callers enforce the <= 1e-12 relative budget).  The update runs on a
-    copy, so `state` is left unchanged.
+    (callers enforce the <= 1e-12 relative budget).  The step is the
+    solve's loop held to one step of dt, on a copy, so `state` is left
+    unchanged.
     """
-    rho = state.values.ravel().copy()
-    work = _Work(rho, problem, state.grid.h[0])
-    _advance(work, state.t + dt, dt, work.diffusivity(float(np.max(rho))),
-             clip_account)
-    return ScalarField(grid=state.grid, values=rho, t=state.t + dt,
+    t_new = state.t + dt
+    values = _march(problem, state.values.ravel().copy(), state.t, (t_new,),
+                    [] if clip_account is None else clip_account, dt)[0][0]
+    return ScalarField(grid=state.grid, values=values, t=t_new,
                        quantity="rho")
 
 
@@ -222,9 +229,9 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
 
     The times must be finite with 0 < snapshot times <= t_end; anything
     else is a DomainError before the first step.  The loop advances one
-    density array in place (the update of `pme1d_step`, on workspaces
-    made once per solve), so fields are built only for the initial state
-    and the snapshots.
+    density array in place (`_march`, which `pme1d_step` runs for one
+    step), so fields are built only for the initial state and the
+    snapshots.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise DomainError(f"t_end must be finite and positive, got {t_end}")
@@ -243,30 +250,11 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
     rho[-1] = problem._edge("right", 0.0)
     h = problem.grid.h[0]
     mass0 = _mass(rho, h)
-    work = _Work(rho, problem, h)
-    rho_max = float(np.max(rho))
     clip_account: list = []
-    out, out_times = [], []
-    t = 0.0
-    n_steps = 0
-    dt_min, dt_max = np.inf, 0.0
-    for target in snaps:
-        stop = target - 1e-14 * max(1.0, target)
-        while t < stop:
-            diffusivity = work.diffusivity(rho_max)
-            dt = min(work.safety_hh / (2.0 * diffusivity), target - t) \
-                if diffusivity > 0.0 else target - t
-            rho_max = _advance(work, t + dt, dt, diffusivity, clip_account)
-            t += dt
-            n_steps += 1
-            if dt < dt_min:
-                dt_min = dt
-            if dt > dt_max:
-                dt_max = dt
-        t = target
-        out.append(ScalarField(grid=problem.grid, values=rho.copy(), t=t,
-                               quantity="rho"))
-        out_times.append(target)
+    arrays, n_steps, dt_min, dt_max = _march(problem, rho, 0.0, snaps,
+                                             clip_account)
+    out = [ScalarField(grid=problem.grid, values=a, t=t, quantity="rho")
+           for a, t in zip(arrays, snaps)]
     mass1 = _mass(out[-1].values, h)
     clipped = float(np.sum(clip_account))
     # with no positive initial mass there is no budget: any clip fails
@@ -274,7 +262,7 @@ def pme1d_solve(problem: RadialProblem, t_end: float,
         raise InstabilityError(
             f"clipped mass {clipped} exceeds 1e-12 of the total {mass0}")
     drift = abs(mass1 - mass0) / mass0 if mass0 > 0.0 else abs(mass1)
-    return Pme1dResult(snapshots=out, times=np.asarray(out_times),
+    return Pme1dResult(snapshots=out, times=np.asarray(snaps),
                        mass_drift=drift, clipped_mass=clipped,
                        n_steps=n_steps,
                        dt_min=float(dt_min) if n_steps else 0.0,

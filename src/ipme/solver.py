@@ -182,13 +182,13 @@ def _euler(vals: np.ndarray, work: StencilWork, dt: float, t_new: float,
     there in place), the lateral data are stamped at t_new, then the
     whole field is checked by `_police_values`.
 
-    The scaling and the add run over the one contiguous run the kernel
-    wrote (`work.span_rhs` into `work.span`), never over the buffer tail
-    past it.  On the strided interior views the same work took 27 against
-    8 us at 129^2 and 253 against 90 us at 385^2 (timeit medians, 2-core
-    host, numpy 2.4).  The run's ignored positions are box-boundary
-    nodes, all held, and `stamp` overwrites each of them before
-    `_police_values` reads the field.
+    The scaling and the add run over the one contiguous run whose every
+    position the kernel's slabs wrote (`work.span_rhs` into `work.span`),
+    never over the buffer tail past it.  On the strided interior views
+    the same work took 27 against 8 us at 129^2 and 253 against 90 us at
+    385^2 (timeit medians, 2-core host, numpy 2.4).  The run's ignored
+    positions are box-boundary nodes, all held, and `stamp` overwrites
+    each of them before `_police_values` reads the field.
     """
     rhs = work.span_rhs
     rhs *= dt

@@ -205,6 +205,56 @@ output: %s
             assert man["regression_threshold"] == thr
             assert man["error_stat"]["rel"] <= thr
 
+    @pytest.mark.parametrize("data,boundary,key", [
+        ("{kind: constant, value: 0.3, t_offset: 2.0}", "{kind: zero}",
+         "t_offset"),
+        ("{kind: bump, height: 0.5, radius: 0.6, slope: 2.0, speed: 5.0}",
+         "{kind: zero, value: 3.0}", "slope"),
+        ("{kind: linear, slope: 1.0, radius: 0.2}", "{kind: zero}", "radius"),
+        ("{kind: bump, height: 0.5, radius: 0.6}", "{kind: zero, value: 3.0}",
+         "value"),
+        ("{kind: barenblatt, R: 1.2, t_offset: 1.0}",
+         "{kind: exact, value: 0.1}", "value")],
+        ids=["constant", "bump", "linear", "zero", "exact"])
+    def test_a_key_the_kind_does_not_read_writes_nothing(
+            self, tmp_path, capsys, data, boundary, key):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "k.yaml", """\
+problem: dirichlet
+m: 2.0
+t_end: 0.01
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
+data: %s
+boundary: %s
+output: %s
+""" % (data, boundary, out))
+        assert cli.main(["solve", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E50:") and err.count("\n") == 1
+        assert f"takes no key {key!r}" in err
+        assert not out.exists()
+
+    def test_the_keys_each_kind_reads_are_accepted(self, tmp_path):
+        # the constant boundary reads `value`, the one key its schema
+        # section allows, so it has no unread key to reject
+        for i, (data, boundary) in enumerate([
+                ("{kind: constant, value: 0.3}",
+                 "{kind: constant, value: 0.3}"),
+                ("{kind: bump, height: 0.5, radius: 0.6}", "{kind: zero}"),
+                ("{kind: linear, slope: 1.0}", "{kind: constant}")]):
+            out = tmp_path / f"run{i}"
+            cfg = write_cfg(tmp_path / f"k{i}.yaml", """\
+problem: dirichlet
+m: 2.0
+t_end: 0.001
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [9, 9]}
+data: %s
+boundary: %s
+output: %s
+""" % (data, boundary, out))
+            assert cli.main(["solve", cfg]) == 0
+            assert (out / "manifest.yaml").exists()
+
     @pytest.mark.parametrize("override", [
         "t_end=.inf", "eps=.nan", "eps=.inf", "delta=.nan", "delta=.inf",
         "c=.nan", "c=.inf"])
@@ -662,6 +712,21 @@ grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
         assert cli.main(["exact", cfg]) == 1
         assert capsys.readouterr().err == (
             "IPME-E50: exact.times must list at least one time\n")
+        assert not out.exists()
+
+    def test_t_and_times_exclude_each_other(self, tmp_path, capsys):
+        # `t` was once dropped without a word, while the manifest's
+        # embedded config still showed it
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "e.yaml", """\
+output: %s
+exact: {family: barenblatt, m: 2.0, t: 5.0, times: [1.0]}
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
+""" % out)
+        assert cli.main(["exact", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("IPME-E50:") and err.count("\n") == 1
+        assert "exact.t" in err and "exact.times" in err
         assert not out.exists()
 
     def test_barenblatt_needs_positive_time(self, tmp_path, capsys):

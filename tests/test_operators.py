@@ -651,3 +651,78 @@ class TestReciprocalScaling:
         assert [f for f, _ in s.by_2h] == [np.multiply, np.divide]
         assert [f for f, _ in s.by_hh] == [np.multiply, np.divide]
         assert s.cross[0][-1] == (np.divide, 4.0 * (1 / 32) * (1 / 24))
+
+
+# ── Maxima over the run ──────────────────────────────────────────────────
+# `_rhs_slab` reduces both maxima over the whole contiguous run, after +0.0
+# is written into the run positions on box-boundary nodes.
+
+RUN_GRIDS = {
+    "1d": GridSpec.box((-1.0,), (1.0,), (33,)),
+    "2d": GridSpec.box((-1.0, -1.0), (1.0, 1.0), (33, 29)),
+    "3d": GridSpec.box((-1.0,) * 3, (1.0,) * 3, (11, 9, 8)),
+}
+
+
+def _loud_boundary(grid):
+    # small interior data, and box-boundary values of random sign ten to a
+    # hundred times larger: the boundary holds the largest |u|, and the
+    # wrap-around differences at the ignored run positions are the
+    # steepest of the field
+    rng = np.random.default_rng(grid.size)
+    vals = rng.random(grid.shape)
+    edge = grid.boundary_mask()
+    vals[edge] = rng.choice([-1.0, 1.0], edge.sum()) \
+        * rng.uniform(10.0, 100.0, edge.sum())
+    return vals
+
+
+class TestRunMaxima:
+    @pytest.mark.parametrize("fault", [None, *ops.FAULT_MODES])
+    @pytest.mark.parametrize("c", [0.0, 0.3])
+    @pytest.mark.parametrize("slabs", [1, 2])
+    @pytest.mark.parametrize("name", list(RUN_GRIDS))
+    def test_maxima_are_those_of_the_interior(self, name, slabs, c, fault,
+                                              two_cores, monkeypatch):
+        grid = RUN_GRIDS[name]
+        vals = _loud_boundary(grid)
+        params = Params(m=2.0, eps=1e-2, delta=1e-3, c=c)
+        monkeypatch.setattr(ops, "SPLIT_NODES", 1 if slabs == 2 else 10**9)
+        raw = ops.StencilWork(grid)
+        assert len(raw.slabs) == slabs
+        # the data must catch a run maximum taken without the zeros
+        raw.run(ops._terms, vals)
+        run = slice(0, raw.span.stop - raw.offset)
+        if grid.dim > 1:
+            assert raw.flat_g2[run].max() > raw.g2.max()
+            assert np.abs(vals).max() > np.abs(vals[grid.interior()]).max()
+        want = _ref_rhs_core(vals, grid, params)[1:]
+        try:
+            ops.set_fault_injection(fault)
+            with ops.StencilWork(grid) as work:
+                got = ops.rhs_core(vals, grid, params, work)[1:]
+        finally:
+            ops.set_fault_injection(None)
+        assert got == want
+        assert want == (float(np.max(_ref_beta_or_abs(
+            vals[grid.interior()], c))), float(np.max(raw.g2)))
+
+
+class TestSpanIsWritten:
+    @pytest.mark.parametrize("n,split_nodes", [
+        ((257, 257), ops.SPLIT_NODES), ((9, 5), 1), ((7, 6, 5), 1),
+        ((4, 3), 1)], ids=["257sq", "9x5", "7x6x5", "4x3"])
+    def test_two_slabs_write_every_span_position(self, n, split_nodes,
+                                                 two_cores, monkeypatch):
+        # the stepper adds all of span_rhs into the field; a position no
+        # slab writes keeps what np.empty left there
+        monkeypatch.setattr(ops, "SPLIT_NODES", split_nodes)
+        grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(0.0,) * len(n))
+        vals = np.random.default_rng(3).random(grid.shape)
+        params = Params(m=2.0, eps=1e-3, delta=1e-3)
+        with ops.StencilWork(grid) as work:
+            assert len(work.slabs) == 2
+            work.flat_rhs[:] = np.nan
+            ops.rhs_core(vals, grid, params, work)
+        assert np.isfinite(work.span_rhs).all()
+        assert np.isnan(work.flat_rhs[work.span_rhs.size:]).all()

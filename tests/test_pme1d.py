@@ -428,3 +428,49 @@ class TestStep:
         with pytest.raises(InstabilityError, match="non-finite"):
             pme1d_solve(_line_bump(2.0, left=lambda t: 0.1 if t == 0.0
                                    else float("nan"), right=0.0), t_end=0.01)
+
+
+class TestSharedLoop:
+    """`pme1d_step` is the solve's loop held to one step of the given dt."""
+
+    @staticmethod
+    def _recording(calls):
+        def edge(t):
+            calls.append(t)
+            return 0.0
+        return _half_line_bump(2.0, right=edge)
+
+    @pytest.mark.parametrize("t0,dt", [(0.0, 1e-16), (3.0, 2e-14),
+                                       (3.0, 0.0)])
+    def test_a_step_below_the_landing_tolerance_is_still_taken(self, t0, dt):
+        # the solve stops within 1e-14 max(1, t) of a target; a step of
+        # such a dt must not be mistaken for having arrived
+        assert dt < 1e-14 * max(1.0, t0)
+        calls, ref_calls = [], []
+        prob = self._recording(calls)
+        start = ScalarField(grid=prob.grid, values=prob.initial.copy(),
+                            t=t0, quantity="rho")
+        got = pme1d_step(start, dt, prob)
+        want = reference_step(start, dt, self._recording(ref_calls))
+        assert np.array_equal(got.values, want.values)
+        assert got.t == want.t == t0 + dt
+        assert calls == ref_calls == [t0 + dt]
+
+    def test_above_the_bound_raises_before_the_edge_is_called(self):
+        calls = []
+        prob = self._recording(calls)
+        start = ScalarField(grid=prob.grid, values=prob.initial.copy(),
+                            t=0.5, quantity="rho")
+        before = start.values.copy()
+        bound = cfl_dt_1d(start.values, prob.grid.h[0], 2.0, safety=1.0)
+        with pytest.raises(CflError, match="stability bound"):
+            pme1d_step(start, 1.01 * bound, prob)
+        assert calls == []
+        assert np.array_equal(start.values, before)
+
+    def test_radial_oracle_line_problem_step_count(self):
+        # the benchmark's seed-0 radial-oracle oracle: 513 nodes of [0, 1],
+        # symmetry at 0, to t = 0.15
+        res = pme1d_solve(_half_line_bump(2.0, n=513, right=0.0),
+                          t_end=0.15, snapshot_times=(0.15,))
+        assert res.n_steps == 127_413
