@@ -69,9 +69,11 @@ SCHEMA = {
 }
 
 # the range each leaf's readers (Params, the problem classes, ball_mask,
-# the schedule, the exact families) enforce, and the nonnegative data and
-# lateral values a pressure solve needs; `_check_keys` applies it to every
-# leaf present, read or not, and to each entry of a list leaf
+# the schedule, the exact families) enforce, the nonnegative data and
+# lateral values a pressure solve needs, and a positive regression
+# threshold (no error statistic is within one <= 0); `_check_keys`
+# applies it to every leaf present, read or not, and to each entry of a
+# list leaf
 _ABOVE_ONE = ("exceed 1", lambda v: v > 1.0)
 _POSITIVE = ("be positive", lambda v: v > 0.0)
 _NONNEGATIVE = ("be >= 0", lambda v: v >= 0.0)
@@ -89,6 +91,7 @@ RANGES = {
     "asym.m": _ABOVE_ONE, "asym.ball_radius": _POSITIVE,
     "asym.R_estimate": _POSITIVE, "asym.threshold": _NONNEGATIVE,
     "asym.floor": _NONNEGATIVE, "asym.r_max": _POSITIVE,
+    "regression_threshold": _POSITIVE,
 }
 
 # each preset kind and the keys it reads besides `kind`; a companion

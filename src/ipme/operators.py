@@ -38,11 +38,25 @@ beta_c(u) and |Du|^2 reduce the whole run, after +0.0 is written into
 its boundary positions through strided views (of two nodes per row in
 2-d): every interior value is at least +0.0, so the maxima do not
 change, and a contiguous reduction costs half of a strided one.  The
-time stepper adds the whole run of rhs into the field at once
-(`StencilWork.span`): that is sound because every ignored run position
-is a held node, which the lateral stamp overwrites before any check
-reads the field.  Buffer positions past the last interior node are
-never written, by the kernel or the stepper.
+time stepper adds each slab's run of rhs into the field on the slab's
+own thread (`solver._advance`): that is sound because every ignored run
+position is a held node, which the same slab stamps with lateral data
+before it reduces the part of the field it owns, its cover.  Buffer
+positions past the last interior node are never written, by the kernel
+or the stepper.
+
+Every buffer starts on a 64-byte cache line (slices of one
+over-allocated np.empty), and a second slab starts at the row nearest
+the middle whose run start, row * n1 * ... * n_{d-1} positions into
+each buffer, is a multiple of 8 doubles (`_cut`: row 192 of 383 at
+385^2, 128 of 255 at 257^2), so every ufunc writes runs that start on a
+line and the two threads never share one at the cut.  Before, malloc
+put the buffers 16 to 48 bytes off a line (and the second 385^2 run a
+further 56): one slab took 0.122 against 0.147 ms at 129^2 now, and
+two slabs 1.03 against 1.13 ms at 385^2 (medians of calls alternated
+between the two versions, 2-core Xeon, numpy 2.4).  With the buffers
+aligned but the cut left at rows // 2, two slabs still took 1.14 ms at
+385^2.
 
 On grids with at least SPLIT_NODES = 40,000 interior nodes, and with two
 or more usable cores, the workspace cuts the run into two slabs of whole
@@ -53,12 +67,20 @@ are combined afterwards.  The helper is created when a two-slab
 workspace enters its `with` block and shut down when the block ends;
 `concurrent.futures` is imported only then, so a run on one-slab grids
 never loads it.  Every operation is elementwise, so split and unsplit
-results are identical.  The threshold sits just above the measured
-crossover of one 2-d call on a 2-core Xeon (numpy 2.4; medians of calls
-alternated in one process): one slab against two took 0.32 against 0.53
-ms at 129^2 nodes, 0.62 against 0.68 ms at 161^2, 0.66 against 0.71 ms
-at 177^2, 1.01 against 0.86 ms at 193^2, 2.59 against 1.48 ms at 257^2
-and 5.57 against 2.70 ms at 385^2.
+results are identical.  The threshold sits at the measured crossover of
+one whole 2-d time step (the kernel and the stepper's slab update, two
+hand-offs to the helper) on a 2-core Xeon (numpy 2.4; medians of steps
+alternated in one process).  One slab against two took:
+
+    nodes    kernel (ms)     whole step (ms)
+    129^2    0.12 / 0.27     0.14 / 0.34
+    161^2    0.25 / 0.27     0.27 / 0.33
+    177^2    0.30 / 0.30     0.33 / 0.36
+    193^2    0.38 / 0.36     0.40 / 0.42
+    203^2    0.43 / 0.38     0.46 / 0.45
+    209^2    0.47 / 0.40     0.50 / 0.46
+    257^2    0.67 / 0.43     0.72 / 0.52
+    385^2    2.35 / 1.03     2.44 / 1.12
 """
 
 from __future__ import annotations
@@ -250,6 +272,26 @@ def _scaling(c: float) -> tuple:
     return np.divide, c
 
 
+def _aligned(count: int, size: int, dtype=float) -> list:
+    """`count` arrays of `size` elements, each starting on a 64-byte
+    cache line: slices of one np.empty, whole lines apart."""
+    line = 64 // np.dtype(dtype).itemsize
+    step = -(-size // line) * line
+    block = np.empty(count * step + line, dtype)
+    skip = -block.ctypes.data % 64 // block.itemsize
+    return [block[skip + i * step:skip + i * step + size]
+            for i in range(count)]
+
+
+def _cut(rows: int, stride: int) -> int:
+    """The interior row at which a second slab starts: of rows 1 to
+    rows - 1, the one nearest the middle whose run starts on a 64-byte
+    line of every float buffer (row * stride a multiple of 8), or the
+    middle row rows // 2 where none does."""
+    return min(range(1, rows),
+               key=lambda r: (r * stride % 8 != 0, abs(2 * r - rows)))
+
+
 class _Slab:
     """Interior rows [r0, r1) as one contiguous run of the flattened
     field, from node (1+r0, 1, ..., 1) to the node before the next
@@ -258,15 +300,18 @@ class _Slab:
     shifted by a sum of +-strides), the scalings by the constant divisors
     2 h_i, h_i^2 and 4 h_i h_j, the matching contiguous views of the
     workspace buffers, the interior view of g2 that the delta == 0 check
-    reads, and `edges`: strided views of the b and g2 buffers that cover
-    exactly the run positions on box-boundary nodes."""
+    reads, `edges`: strided views of the b and g2 buffers that cover
+    exactly the run positions on box-boundary nodes, and `cover`: the
+    slice of the flat field the slab owns (see `StencilWork`)."""
 
     def __init__(self, work: "StencilWork", r0: int, r1: int):
         n, strides, h = work.grid.n, work.strides, work.grid.h
         rows = n[0] - 2
         first = (1 + r0) * strides[0] + sum(strides[1:])
-        last = first + (r1 - r0) * strides[0] - 1 if r1 < rows else \
+        stop = first + (r1 - r0) * strides[0] if r1 < rows else math.prod(n)
+        last = stop - 1 if r1 < rows else \
             sum((k - 2) * st for k, st in zip(n, strides))
+        self.cover = slice(first if r0 else 0, stop)
 
         def at(shift):
             return slice(first + shift, last + 1 + shift)
@@ -328,13 +373,20 @@ class StencilWork:
     (n0 - 2, ..., n_{d-1} - 2).
 
     Each slab's run ends where the next one begins, so the slabs
-    together write every position of one contiguous run: `span` is the
-    slice of the flat field from node (1, ..., 1) to the last interior
-    node, and `span_rhs` the buffer positions that hold it.  The tail of
-    each buffer past that run is never written.  Every ignored position of
-    the run is a box-boundary node, so a caller that adds `span_rhs`
-    into `span` touches only interior nodes and nodes it must overwrite
-    with lateral data before reading the field.
+    together write every position of one contiguous run, from node
+    (1, ..., 1) to the last interior node; the tail of each buffer past
+    it is never written.  Each slab also owns a `cover`: the flat field
+    positions from the start of its run (0 for the first slab) to the
+    start of the next one's (the end of the field for the last).  The
+    covers tile the field and each holds its slab's run, and every
+    ignored run position is a box-boundary node, so a caller that adds
+    a slab's rhs into its run and then overwrites the held nodes of its
+    cover with lateral data writes nothing outside that cover.
+
+    Every buffer starts on a 64-byte line, and with two slabs the cut
+    row (`_cut`) puts the second slab's run start on a line of every
+    float buffer too, where some row near the middle does; the boolean
+    mask is aligned at its first position.
 
     Grids with at least SPLIT_NODES interior nodes on a machine with two
     or more usable cores get two row slabs, other grids one.  Inside a
@@ -354,17 +406,13 @@ class StencilWork:
         self.strides = tuple(math.prod(n[i + 1:]) for i in range(grid.dim))
         self.offset = sum(self.strides)
         size = rows * self.strides[0]
-        self.flat_grad = [np.empty(size) for _ in range(grid.dim)]
-        self.flat_num, self.flat_g2, self.flat_lap, self.flat_tmp, \
-            self.flat_rhs = (np.empty(size) for _ in range(5))
-        self.flat_mask = np.empty(size, dtype=bool)
+        *self.flat_grad, self.flat_num, self.flat_g2, self.flat_lap, \
+            self.flat_tmp, self.flat_rhs = _aligned(grid.dim + 5, size)
+        self.flat_mask, = _aligned(1, size, bool)
         self.num, self.g2, self.lap, self.rhs = (
             self.interior(a) for a in (self.flat_num, self.flat_g2,
                                        self.flat_lap, self.flat_rhs))
-        last = sum((k - 2) * st for k, st in zip(n, self.strides))
-        self.span = slice(self.offset, last + 1)
-        self.span_rhs = self.flat_rhs[:last + 1 - self.offset]
-        cuts = (0, rows // 2, rows) if split else (0, rows)
+        cuts = (0, _cut(rows, self.strides[0]), rows) if split else (0, rows)
         self.slabs = [_Slab(self, a, b) for a, b in zip(cuts, cuts[1:])]
         self._helper = None
 

@@ -302,6 +302,20 @@ output: %s
             "IPME-E10: regression_threshold must be finite, got nan\n")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_threshold_is_an_input_error(self, value, tmp_path,
+                                                     capsys):
+        # no statistic is within a threshold <= 0, so the run is refused
+        # before the solve, and nothing is written
+        rc = cli.main(["solve", str(CONFIGS / "regression_tw.yaml"),
+                       "--set", f"output={tmp_path / 'run'}",
+                       "--set", f"regression_threshold={value}"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"IPME-E10: regression_threshold must be positive, "
+            f"got {value}\n")
+        assert not (tmp_path / "run").exists()
+
     def test_nan_error_statistic_fails_the_gate(self, tmp_path, capsys,
                                                 monkeypatch):
         # a statistic that is not a number is never within a threshold;

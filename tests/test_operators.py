@@ -464,6 +464,16 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(ops, "_cores", lambda: 2)
 
 
+# (n, SPLIT_NODES): one and two slabs in 1-d, 2-d and 3-d; None keeps the
+# threshold, which splits those grids on its own
+COVER_GRIDS = [((33,), 10**9), ((33,), 1), ((9, 5), 10**9), ((9, 5), 1),
+               ((4, 3), 1), ((385, 385), None), ((7, 6, 5), 10**9),
+               ((7, 6, 5), 1)]
+ALIGN_GRIDS = [((33,), 10**9), ((41,), 1), ((129, 129), 10**9),
+               ((19, 5), 1), ((385, 385), None), ((9, 8, 7), 10**9),
+               ((7, 6, 5), 1), ((37, 37, 37), None)]
+
+
 class TestRowSlabs:
     @pytest.mark.parametrize("rows", [231, 232])
     def test_split_equals_unsplit(self, rows, two_cores, monkeypatch):
@@ -473,6 +483,10 @@ class TestRowSlabs:
         params = Params(m=2.0, eps=1e-3, delta=1e-3, c=0.1)
         with ops.StencilWork(grid) as work:
             assert len(work.slabs) == 2
+            # the cut sits on a cache line: 112 of 229 rows of 177 nodes,
+            # 115 of 230 rows of 176
+            cut = (work.slabs[1].c0.start - work.offset) // grid.n[1]
+            assert cut == (112 if rows == 231 else 115)
             two = ops.rhs_core(vals, grid, params, work)
         monkeypatch.setattr(ops, "SPLIT_NODES", grid.size)
         work = ops.StencilWork(grid)
@@ -481,6 +495,47 @@ class TestRowSlabs:
         assert _bitwise_equal(one[0], two[0])
         assert one[1:] == two[1:]
         assert _bitwise_equal(one[0], _ref_rhs_core(vals, grid, params)[0])
+
+    @pytest.mark.parametrize("rows,stride,cut", [
+        (383, 385, 192), (255, 257, 128), (201, 203, 104), (230, 176, 115),
+        (7, 5, 3), (2, 9, 1)])
+    def test_cut_row(self, rows, stride, cut):
+        # the aligned row nearest the middle, else the middle row
+        assert ops._cut(rows, stride) == cut
+
+    @pytest.mark.parametrize("n,split_nodes", COVER_GRIDS,
+                             ids=[str(n) for n, _ in COVER_GRIDS])
+    def test_covers_tile_the_field(self, n, split_nodes, two_cores,
+                                   monkeypatch):
+        # the stepper's slab advance writes and reads only its cover, so the
+        # covers must be disjoint, tile the flat field, and each hold its
+        # run: the second starts where its run starts, not at its row
+        if split_nodes is not None:
+            monkeypatch.setattr(ops, "SPLIT_NODES", split_nodes)
+        grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(0.0,) * len(n))
+        work = ops.StencilWork(grid)
+        covers = [s.cover for s in work.slabs]
+        assert covers[0].start == 0 and covers[-1].stop == grid.size
+        assert all(a.stop == b.start for a, b in zip(covers, covers[1:]))
+        for s in work.slabs:
+            assert s.cover.start <= s.c0.start < s.c0.stop <= s.cover.stop
+        assert all(s.cover.start == s.c0.start for s in work.slabs[1:])
+
+    @pytest.mark.parametrize("n,split_nodes", ALIGN_GRIDS,
+                             ids=[str(n) for n, _ in ALIGN_GRIDS])
+    def test_run_starts_are_cache_line_aligned(self, n, split_nodes,
+                                               two_cores, monkeypatch):
+        # every float buffer's run of every slab starts on a 64-byte line;
+        # the bool mask at its first position
+        if split_nodes is not None:
+            monkeypatch.setattr(ops, "SPLIT_NODES", split_nodes)
+        grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(0.0,) * len(n))
+        work = ops.StencilWork(grid)
+        assert len(work.slabs) == (1 if split_nodes == 10**9 else 2)
+        for s in work.slabs:
+            for buf in s.grad + [s.num, s.g2, s.lap, s.tmp, s.rhs]:
+                assert buf.ctypes.data % 64 == 0
+        assert work.flat_mask.ctypes.data % 64 == 0
 
     def test_split_needs_size_and_two_cores(self, monkeypatch):
         small = GridSpec.box((0.0, 0.0), (1.0, 1.0), (129, 129))
@@ -692,7 +747,7 @@ class TestRunMaxima:
         assert len(raw.slabs) == slabs
         # the data must catch a run maximum taken without the zeros
         raw.run(ops._terms, vals)
-        run = slice(0, raw.span.stop - raw.offset)
+        run = slice(0, raw.slabs[-1].c0.stop - raw.offset)
         if grid.dim > 1:
             assert raw.flat_g2[run].max() > raw.g2.max()
             assert np.abs(vals).max() > np.abs(vals[grid.interior()]).max()
@@ -714,8 +769,9 @@ class TestSpanIsWritten:
         ((4, 3), 1)], ids=["257sq", "9x5", "7x6x5", "4x3"])
     def test_two_slabs_write_every_span_position(self, n, split_nodes,
                                                  two_cores, monkeypatch):
-        # the stepper adds all of span_rhs into the field; a position no
-        # slab writes keeps what np.empty left there
+        # the span runs from node (1, ..., 1) to the last interior node;
+        # the slab runs tile it, and the stepper adds each run's rhs into
+        # the field, so a position no slab writes keeps what np.empty left
         monkeypatch.setattr(ops, "SPLIT_NODES", split_nodes)
         grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(0.0,) * len(n))
         vals = np.random.default_rng(3).random(grid.shape)
@@ -724,5 +780,11 @@ class TestSpanIsWritten:
             assert len(work.slabs) == 2
             work.flat_rhs[:] = np.nan
             ops.rhs_core(vals, grid, params, work)
-        assert np.isfinite(work.span_rhs).all()
-        assert np.isnan(work.flat_rhs[work.span_rhs.size:]).all()
+        first, second = (s.c0 for s in work.slabs)
+        assert first.start == np.ravel_multi_index((1,) * len(n), n)
+        assert first.stop == second.start
+        assert second.stop == np.ravel_multi_index(
+            tuple(k - 2 for k in n), n) + 1
+        span = second.stop - first.start
+        assert np.isfinite(work.flat_rhs[:span]).all()
+        assert np.isnan(work.flat_rhs[span:]).all()

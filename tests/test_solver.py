@@ -1,7 +1,9 @@
 """Time-stepping battery: CFL policing, lateral-data handling, the
 continuation and ladder drivers, truncation monitoring, and barriers."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from ipme.solver import (CauchyProblem, DirichletProblem, ball_mask,
                          solve_dirichlet, solve_maximal)
 
 GRID = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (17, 17))
+# 201^2 interior nodes: just above SPLIT_NODES, so two slabs
+SPLIT_GRID = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (203, 203))
 PARAMS = Params(m=2.0, eps=1e-2, delta=1e-2)
 
 
@@ -96,9 +100,10 @@ class TestEulerStep:
 
     @pytest.mark.parametrize("n", [(17, 17), (7, 6, 5)])
     def test_workspace_tail_is_never_touched(self, n):
-        # the flat buffers are np.empty and the kernel writes none of their
-        # positions past the last interior node (2 in 2-d, 12 here in 3-d);
-        # a step that scaled them would overflow this tail
+        # the flat buffers are np.empty and neither the kernel nor the
+        # advance writes their positions past the last interior node (2 in
+        # 2-d, 12 here in 3-d); an advance that scaled them would overflow
+        # this tail
         grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(-0.3,) * len(n))
         work = operators.StencilWork(grid)
         run = (np.ravel_multi_index(tuple(k - 2 for k in n), n)
@@ -118,9 +123,12 @@ class TestEulerStep:
             rhs = operators.rhs_core(vals, grid, PARAMS, work)[0]
             want = vals.copy()
             want[grid.interior()] += rhs * dt
-            solver._euler(vals, work, dt, dt,
-                          solver._lateral_stamp(grid, bd, None))
+            held = np.flatnonzero(grid.boundary_mask())
+            g = bd.lateral(grid.points()[held], dt)
+            extrema = work.run(solver._advance, vals, dt, g,
+                               solver._holds(work, held))
         assert np.array_equal(vals, want)
+        assert extrema == [(vals.max(), vals.min())]
         assert all(np.all(b[run:] == 1e300) for b in bufs)
         assert np.all(work.flat_mask[run:])
 
@@ -326,6 +334,21 @@ class TestCauchyInitial:
 
 
 class TestSolveCauchy:
+
+    def test_truncation_mid_stage_leaves_no_thread(self, monkeypatch):
+        # a two-slab stage whose monitor raises at its first snapshot,
+        # before t_end: every node is wet, so the bump reaches 1.5 r at
+        # once; the slab helper must end with the stage
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        prob = CauchyProblem(
+            grid=SPLIT_GRID, params=PARAMS, M=1.0, r=0.5, t_end=2e-4,
+            u0=lambda X: (np.sum(X * X, axis=1) <= 0.25).astype(float),
+            snapshot_times=(1e-4,))
+        assert len(operators.StencilWork(SPLIT_GRID).slabs) == 2
+        before = threading.active_count()
+        with pytest.raises(TruncationError, match="t=0.0001;"):
+            solve_cauchy(prob, n_list=(1,))
+        assert threading.active_count() == before
 
     def test_crowded_truncation_trips_the_monitor(self):
         # moat foot and bump front merge quickly when the dead band is
@@ -538,8 +561,18 @@ def stage_case(name):
         grid = GridSpec.box((-1.0,) * 3, (1.0,) * 3, (9, 8, 7))
         return (grid, PARAMS, bump_boundary(base=0.01), 0.02, (0.01,), None)
     if name == "split":
-        grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (203, 203))
-        return (grid, PARAMS, bump_boundary(base=0.05), 2e-4, (1e-4,), None)
+        return (SPLIT_GRID, PARAMS, bump_boundary(base=0.05), 2e-4, (1e-4,),
+                None)
+    if name.startswith("split-"):
+        # the data of a one-slab case on the two-slab grid, over a few
+        # steps; a mask is the same ball
+        base = {"split-ball-mask": "ball-mask",
+                "split-time-dependent": "time-dependent",
+                "split-clipped": "clipped-undershoot"}[name]
+        _, params, bd, _, _, mask = stage_case(base)
+        if mask is not None:
+            mask = ball_mask(SPLIT_GRID, 0.8)
+        return SPLIT_GRID, params, bd, 2e-4, (1e-4,), mask
     raise KeyError(name)
 
 
@@ -552,15 +585,16 @@ class TestStageMatchesReference:
 
     @pytest.mark.parametrize("name", [
         "ball-mask", "time-dependent", "delta-zero", "clipped-undershoot",
-        "clipped-box-undershoot", "1-d", "3-d", "split"])
+        "clipped-box-undershoot", "1-d", "3-d", "split", "split-ball-mask",
+        "split-time-dependent", "split-clipped"])
     def test_bit_identical_to_reference_loop(self, name, monkeypatch):
         monkeypatch.setattr(operators, "_cores", lambda: 2)
         case = stage_case(name)
         grid = case[0]
-        if name == "split":
+        split = name.startswith("split")
+        if split:
             assert (grid.n[0] - 2) * (grid.n[1] - 2) >= operators.SPLIT_NODES
-        assert len(operators.StencilWork(grid).slabs) == \
-            (2 if name == "split" else 1)
+        assert len(operators.StencilWork(grid).slabs) == (2 if split else 1)
         got = solver._run_stage(*case)
         want = reference_run_stage(*case)
         assert got.n_steps == want.n_steps >= 2
@@ -570,12 +604,13 @@ class TestStageMatchesReference:
         for a, b in zip(got.snapshots, want.snapshots):
             assert a.t == b.t and same_bits(a.values, b.values)
         assert same_bits(got.final.values, want.final.values)
-        if name.startswith("clipped"):
+        if "clipped" in name:
             # the clip ran: every snapshot holds zeros, and inside the box
             # boundary only where masked nodes are held
             assert all(np.min(s.values) == 0.0 for s in want.snapshots)
             interior = want.final.values[grid.interior()]
-            assert (np.min(interior) == 0.0) == (name == "clipped-undershoot")
+            assert (np.min(interior) == 0.0) == \
+                (name != "clipped-box-undershoot")
 
     @pytest.mark.parametrize("bad,message", [
         (np.nan, "non-finite values during time stepping"),
@@ -591,5 +626,54 @@ class TestStageMatchesReference:
         for run in (solver._run_stage, reference_run_stage):
             with pytest.raises(InstabilityError) as info:
                 run(*args)
+            messages.append(str(info.value))
+        assert messages == [message, message]
+
+    def test_split_stage_under_frequent_thread_switches(self, monkeypatch):
+        # both slab threads write the one field, each only inside its
+        # cover; with the interpreter switching threads every microsecond
+        # a write that strayed into the other cover would change bits
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        case = stage_case("split-time-dependent")
+        want = reference_run_stage(*case)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = 0
+            deadline = time.monotonic() + 1.0
+            while runs < 2 or time.monotonic() < deadline:
+                got = solver._run_stage(*case)
+                assert same_bits(got.final.values, want.final.values)
+                assert same_bits(got.dt_history, want.dt_history)
+                runs += 1
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("bad,message", [
+        (np.nan, "non-finite values during time stepping"),
+        (-0.1, "negative value -0.1 beyond tolerance during stepping")])
+    def test_bad_values_in_the_helper_cover_raise_alike(self, bad, message,
+                                                        monkeypatch):
+        # the bad lateral values sit only in the second slab's cover, which
+        # the helper thread stamps and reduces; the error, and its text,
+        # are those of one slab, and the helper ends with the stage
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        bd = BoundaryData.from_functions(
+            u0=bump_boundary(base=0.05).initial,
+            g=lambda X, t: np.where((X[:, 0] > 0.9) & (t > 0.0), bad, 0.05))
+        args = (SPLIT_GRID, PARAMS, bd, 2e-4, (), None)
+        work = operators.StencilWork(SPLIT_GRID)
+        assert len(work.slabs) == 2
+        X = SPLIT_GRID.points()
+        bad_nodes = np.flatnonzero(SPLIT_GRID.boundary_mask().ravel()
+                                   & (X[:, 0] > 0.9))
+        assert bad_nodes.min() >= work.slabs[1].cover.start
+        messages = []
+        for split_nodes in (operators.SPLIT_NODES, 10**9):
+            monkeypatch.setattr(operators, "SPLIT_NODES", split_nodes)
+            before = threading.active_count()
+            with pytest.raises(InstabilityError) as info:
+                solver._run_stage(*args)
+            assert threading.active_count() == before
             messages.append(str(info.value))
         assert messages == [message, message]
