@@ -2,7 +2,7 @@
 
     ipme solve  CONFIG [--set key=value ...]
     ipme exact  CONFIG [--set key=value ...]
-    ipme verify [CONFIG] [--suite NAME ...] [--fault MODE]
+    ipme verify [--suite NAME ...] [--fault MODE]
     ipme asym   CONFIG [--set key=value ...]
 
 Configs are YAML mappings validated against a fixed schema; `--set`
@@ -65,7 +65,6 @@ SCHEMA = {
     "asym": {"snapshots": str, "tasks": [str], "threshold": _NUM,
              "r_max": _NUM, "floor": _NUM, "center": [_NUM],
              "ball_radius": _NUM, "R_estimate": _NUM, "m": _NUM},
-    "verify": {"suites": [str], "fault": str},
 }
 
 # the range each leaf's readers (Params, the problem classes, ball_mask,
@@ -101,6 +100,12 @@ DATA_KINDS = {"constant": ("value",), "bump": ("height", "radius"),
               "linear": ("slope",), "barenblatt": None,
               "traveling-wave": None, "separable-ball": None}
 BOUNDARY_KINDS = {"zero": (), "constant": ("value",), "exact": ()}
+
+# the sections and leaves each problem kind never reads: a cauchy run
+# takes its lateral value cauchy.M on the whole box, and only the maximal
+# and cauchy ladders read schedule.n_list
+UNREAD = {"dirichlet": ("cauchy", "schedule.n_list"), "maximal": ("cauchy",),
+          "cauchy": ("domain", "boundary")}
 
 
 def _leaves(cfg: dict, schema: dict, path: str = ""):
@@ -144,10 +149,8 @@ def _check_keys(cfg: dict) -> None:
             raise DomainError(f"{here} must {rule[0]}, got {val}")
 
 
-def load_config(path: Optional[str]) -> dict:
-    """Parse and schema-check a YAML config; None or missing body -> {}."""
-    if path is None:
-        return {}
+def load_config(path: str) -> dict:
+    """Parse and schema-check a YAML config; an empty body -> {}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = io.load_yaml(fh)
@@ -389,28 +392,33 @@ def cmd_solve(cfg: dict) -> int:
         prob = CauchyProblem(grid, params, bdata.initial,
                              M=_finite(cc, "M"), r=_finite(cc, "r"),
                              t_end=t_end, snapshot_times=snaps)
-        report = solve_cauchy(prob, schedule)
     else:
         prob = DirichletProblem(grid, params, bdata, t_end=t_end,
                                 snapshot_times=snaps,
                                 domain_mask=_domain_mask(cfg, grid))
-        if problem_kind == "maximal":
-            report = solve_maximal(prob, schedule=schedule)
-        else:
-            report = solve_dirichlet(prob, schedule)
+    for path in UNREAD[problem_kind]:
+        section, _, leaf = path.partition(".")
+        if section in cfg and (not leaf or leaf in cfg[section]):
+            raise ConfigError(f"a {problem_kind} run reads no {path!r}")
 
-        if spec is not None:
-            U = exact.evaluate_u(spec, grid.points(),
-                                 t_off + t_end).reshape(grid.shape)
-            err = float(np.max(np.abs(
-                report.final.values - report.ladder_floor - U)))
-            rel = err / max(float(np.max(U)), 1e-300)
-            report.manifest["error_stat"] = {"abs": err, "rel": rel}
-            if thr is not None:
-                report.manifest["regression_threshold"] = float(thr)
-                if not rel <= float(thr):
-                    failure = (f"regression error statistic {rel:.6f} "
-                               f"exceeds threshold {thr}")
+    if problem_kind == "cauchy":
+        report = solve_cauchy(prob, schedule)
+    elif problem_kind == "maximal":
+        report = solve_maximal(prob, schedule=schedule)
+    else:
+        report = solve_dirichlet(prob, schedule)
+    if problem_kind != "cauchy" and spec is not None:
+        U = exact.evaluate_u(spec, grid.points(),
+                             t_off + t_end).reshape(grid.shape)
+        err = float(np.max(np.abs(
+            report.final.values - report.ladder_floor - U)))
+        rel = err / max(float(np.max(U)), 1e-300)
+        report.manifest["error_stat"] = {"abs": err, "rel": rel}
+        if thr is not None:
+            report.manifest["regression_threshold"] = float(thr)
+            if not rel <= float(thr):
+                failure = (f"regression error statistic {rel:.6f} "
+                           f"exceeds threshold {thr}")
 
     if "seed" in cfg:
         report.manifest["seed"] = int(cfg["seed"])
@@ -466,14 +474,10 @@ def cmd_exact(cfg: dict) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, suites: Sequence[str],
-               fault: Optional[str]) -> int:
+def cmd_verify(suites: Sequence[str], fault: Optional[str]) -> int:
     from . import verify
 
-    vcfg = cfg.get("verify") or {}
-    names = list(suites) or list(vcfg.get("suites") or [])
-    fault = fault or vcfg.get("fault")
-    rows, all_ok = verify.run_suites(names or None, fault=fault)
+    rows, all_ok = verify.run_suites(suites, fault=fault)
     width = max(len(f"{s}/{c}") for s, c, _, _ in rows)
     for s, c, ok, detail in rows:
         print(f"{'PASS' if ok else 'FAIL'}  {f'{s}/{c}':{width}}  {detail}")
@@ -495,7 +499,14 @@ def _read_snapshot_dir(path: str) -> list:
     return [io.read_snapshot(os.path.join(path, n)) for n in names]
 
 
-ASYM_TASKS = ("support", "rate", "giant", "barenblatt", "benilan")
+# each asym task and the leaves it reads besides snapshots, tasks and
+# floor; the barenblatt task also reads threshold when it fits its own
+# front scale
+ASYM_TASKS = {"support": ("threshold", "center", "r_max"),
+              "rate": ("threshold", "center", "r_max"),
+              "giant": ("m", "ball_radius", "center"),
+              "barenblatt": ("m", "R_estimate", "center", "r_max"),
+              "benilan": ()}
 
 
 def cmd_asym(cfg: dict) -> int:
@@ -524,30 +535,36 @@ def cmd_asym(cfg: dict) -> int:
         if r_max is not None and not np.any(radii <= r_max):
             raise DomainError(f"r_max={r_max} keeps no node of the "
                               f"snapshot grid")
-    outdir = _require(cfg, "output")
-    os.makedirs(outdir, exist_ok=True)
-    summary: dict = {"format": "ipme-asym v1", "tasks": tasks}
-
     write_trace = "support" in tasks or "rate" in tasks
     R_est = acfg.get("R_estimate")
     # one support trace serves the written trace, the rate and the
     # barenblatt task's front scale when no R_estimate is given
+    need_trace = write_trace or ("barenblatt" in tasks and R_est is None)
+    outdir = _require(cfg, "output")
+    read = {"snapshots", "tasks", "floor"}.union(
+        *(ASYM_TASKS[task] for task in tasks))
+    for key in acfg:
+        if key not in read and not (key == "threshold" and need_trace):
+            raise ConfigError(f"asym.{key} is read by none of the tasks "
+                              f"{', '.join(tasks)}")
+    summary: dict = {"format": "ipme-asym v1", "tasks": tasks}
+    # every output is computed before the first is written: CSV name ->
+    # (header, rows)
+    csvs = {}
+
     trace = None
-    if write_trace or ("barenblatt" in tasks and R_est is None):
+    if need_trace:
         trace = asymptotics.track_support(
             snaps, threshold=acfg.get("threshold"), center=center,
             r_max=r_max, floor=floor)
     if write_trace:
-        header, rows = asymptotics.trace_rows(trace)
-        io.write_trace_csv(os.path.join(outdir, "support_trace.csv"),
-                           header, rows)
+        csvs["support_trace.csv"] = asymptotics.trace_rows(trace)
         summary["support"] = {"threshold": trace.threshold,
                               "degenerate": trace.degenerate}
     fit = None
     if "rate" in tasks:
         fit = asymptotics.fit_rate(trace.times, trace.r_outer)
-        io.write_trace_csv(
-            os.path.join(outdir, "rate_fit.csv"),
+        csvs["rate_fit.csv"] = (
             ["rate", "amplitude", "residual", "t_lo", "t_hi", "n_used"],
             [[fit.rate, fit.amplitude, fit.residual,
               fit.window[0], fit.window[1], fit.n_used]])
@@ -563,8 +580,8 @@ def cmd_asym(cfg: dict) -> int:
             err = "" if fg.errors is None else fg.errors[i]
             diff = fg.stabilization_diffs[i - 1] if i > 0 else ""
             rows.append([t, err, diff])
-        io.write_trace_csv(os.path.join(outdir, "giant_curve.csv"),
-                           ["t", "error", "stabilization_diff"], rows)
+        csvs["giant_curve.csv"] = (["t", "error", "stabilization_diff"],
+                                   rows)
         summary["giant"] = {"is_ball": fg.is_ball}
         if fg.errors is not None:
             summary["giant"]["final_error"] = float(fg.errors[-1])
@@ -576,13 +593,16 @@ def cmd_asym(cfg: dict) -> int:
         ts, errs = asymptotics.barenblatt_convergence(
             snaps, float(R_est), params, floor=floor, center=center,
             r_max=r_max)
-        io.write_trace_csv(os.path.join(outdir, "barenblatt_curve.csv"),
-                           ["t", "e"], [[t, e] for t, e in zip(ts, errs)])
+        csvs["barenblatt_curve.csv"] = (["t", "e"],
+                                        [[t, e] for t, e in zip(ts, errs)])
         summary["barenblatt"] = {"R_estimate": float(R_est),
                                  "final_e": float(errs[-1])}
     if "benilan" in tasks:
         worst = asymptotics.benilan_crandall_check(snaps, floor=floor)
         summary["benilan"] = {"worst": worst}
+    os.makedirs(outdir, exist_ok=True)
+    for name, (header, rows) in csvs.items():
+        io.write_trace_csv(os.path.join(outdir, name), header, rows)
     io.write_manifest(os.path.join(outdir, "asym_summary.yaml"), summary)
     return 0
 
@@ -604,35 +624,32 @@ def _parser() -> argparse.ArgumentParser:
         description="Pressure-form porous-medium / infinity-Laplacian "
                     "experiment driver")
     sub = ap.add_subparsers(dest="subcommand", required=True)
-    for name, needs_config in (("solve", True), ("exact", True),
-                               ("verify", False), ("asym", True)):
+    for name in ("solve", "exact", "asym"):
         p = sub.add_parser(name)
-        p.add_argument("config", nargs=None if needs_config else "?",
-                       help="YAML config file")
+        p.add_argument("config", help="YAML config file")
         p.add_argument("--set", dest="overrides", action="append",
                        default=[], metavar="KEY=VALUE",
                        help="override a scalar config leaf (repeatable)")
-        if name == "verify":
-            p.add_argument("--suite", dest="suites", action="append",
-                           default=[], type=_suite, metavar="NAME",
-                           help="run only the named suite (repeatable)")
-            p.add_argument("--fault", default=None,
-                           help="fault-injection mode (sensitivity hook): "
-                                + ", ".join(FAULT_MODES))
+    p = sub.add_parser("verify")
+    p.add_argument("--suite", dest="suites", action="append", default=[],
+                   type=_suite, metavar="NAME",
+                   help="run only the named suite (repeatable)")
+    p.add_argument("--fault", default=None,
+                   help="fault-injection mode (sensitivity hook): "
+                        + ", ".join(FAULT_MODES))
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        cfg = load_config(args.config)
-        cfg = apply_overrides(cfg, args.overrides)
+        if args.subcommand == "verify":
+            return cmd_verify(args.suites, args.fault)
+        cfg = apply_overrides(load_config(args.config), args.overrides)
         if args.subcommand == "solve":
             return cmd_solve(cfg)
         if args.subcommand == "exact":
             return cmd_exact(cfg)
-        if args.subcommand == "verify":
-            return cmd_verify(cfg, args.suites, args.fault)
         return cmd_asym(cfg)
     except IpmeError as e:
         print(f"IPME-E{e.code}: {e}", file=sys.stderr)

@@ -18,11 +18,9 @@ own text, and every line is the repr of its own value: the bytes are
 those of formatting value by value.  `write_snapshot` streams the rows
 that `snapshot_text` joins.
 
-Manifests are a small deterministic YAML subset (nested mappings, scalars,
-and lists of scalars or of such lists, written as flow sequences) emitted
-with sorted structure fixed by the writer.  They read back value for value
-with `load_yaml`, the package's one YAML reader; a YAML 1.1 reader
-(`yaml.safe_load`) takes floats like 1e-05 for strings.
+Manifests are YAML written by PyYAML's safe dumper: block mappings in
+insertion order, lists as flow sequences.  They read back value for value
+with `load_yaml`, the package's one YAML reader, and with `yaml.safe_load`.
 Traces are RFC-4180 CSV.
 """
 
@@ -166,14 +164,26 @@ def read_snapshot(path: str) -> ScalarField:
 
 # ── Manifests ────────────────────────────────────────────────────────────
 
+# YAML 1.2 floats with no dot (1e-3, 1E+5), which YAML 1.1 reads as strings
+_FLOAT_12 = re.compile(
+    r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
 class _Loader(yaml.SafeLoader):
     """Safe loader that also reads YAML 1.2 floats like 1e-3 or 1.0e3."""
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"))
+class _Dumper(getattr(yaml, "CSafeDumper", yaml.SafeDumper)):
+    """Safe dumper that writes lists as flow sequences and quotes every
+    string `_Loader` would read as a float."""
+
+
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver("tag:yaml.org,2002:float", _FLOAT_12,
+                               list("-+.0123456789"))
+for _seq in (list, tuple):
+    _Dumper.add_representer(_seq, lambda dumper, v: dumper.represent_sequence(
+        "tag:yaml.org,2002:seq", v, flow_style=True))
 
 
 def load_yaml(stream):
@@ -181,59 +191,14 @@ def load_yaml(stream):
     return yaml.load(stream, Loader=_Loader)
 
 
-def _emit(obj, indent: int, out: list) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        for key, val in obj.items():
-            if isinstance(val, dict) and not val:
-                # a bare `key:` would read back as null
-                out.append(f"{pad}{key}: {{}}")
-            elif isinstance(val, dict):
-                out.append(f"{pad}{key}:")
-                _emit(val, indent + 1, out)
-            else:
-                out.append(f"{pad}{key}: {_flow(val)}")
-    else:
-        raise DomainError("manifest root must be a mapping")
-
-
-def _flow(v) -> str:
-    """A scalar, or a list of them nested to any depth as a YAML flow
-    sequence."""
-    if isinstance(v, (list, tuple)):
-        return f"[{', '.join(_flow(x) for x in v)}]"
-    return _scalar(v)
-
-
-def _scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    if v is None:
-        return "null"
-    s = str(v)
-    # quote anything YAML could misread, and anything it reads as another
-    # scalar ('true', '1.5', 'null', '~', '0x10')
-    if s == "" or any(ch in s for ch in ":#{}[],&*?|>'\"%@`") or \
-            s != s.strip() or not _reads_back(s):
-        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return s
-
-
-def _reads_back(s: str) -> bool:
-    try:
-        return load_yaml(s) == s
-    except yaml.YAMLError:
-        return False
-
-
 def manifest_text(manifest: dict) -> str:
-    out: list = []
-    _emit(manifest, 0, out)
-    return "\n".join(out) + "\n"
+    """Block mappings in insertion order, flow sequences, PyYAML's float
+    text (1.0e-05, .nan, -.inf) and no line wrapping."""
+    if not isinstance(manifest, dict):
+        raise DomainError("manifest root must be a mapping")
+    # the C emitter takes only an int width
+    return yaml.dump(manifest, Dumper=_Dumper, sort_keys=False,
+                     width=2 ** 31 - 1)
 
 
 def write_manifest(path: str, manifest: dict) -> None:

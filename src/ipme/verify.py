@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
+import yaml
 
 from . import exact, io
 from .core import (BoundaryData, ConfigError, GridSpec, Params,
@@ -314,16 +315,19 @@ def _case_snapshot_roundtrip():
 
 
 def _case_manifest_roundtrip():
-    # 1e-05, 3e-06 and 1e+20 have no dot; YAML 1.1 reads them as strings
+    # repr writes 1e-05, 3e-06 and 1e+20 with no dot, which YAML 1.1 reads
+    # as strings, and inf as a YAML string
     man = run_manifest(Params(m=3.0, eps=1e-5), GridSpec.box(
         (0.0,), (1.0,), (9,)), "dirichlet",
         RegularizationSchedule((1e-2, 1e-3), (1e-2,), (1, 2)),
-        note="verify", values=[1, 2.5, "x"], stage_diffs=[3e-06, 1e+20],
+        note="verify", values=[1, 2.5, "x", "1e5"],
+        stage_diffs=[3e-06, 1e+20, float("inf"), float("-inf")],
         stage_pairs=[[1e-2, 1e-2], [1e-3, 3e-06]])
     text = io.manifest_text(man)
-    data = io.load_yaml(text)
-    if data != man:
-        return False, "manifest values drifted under reparse"
+    for load in (io.load_yaml, yaml.safe_load):
+        data = load(text)
+        if data != man:
+            return False, "manifest values drifted under reparse"
     if io.manifest_text(data) != text:
         return False, "manifest text not stable under reparse"
     return True, "manifest roundtrip stable"

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -37,9 +38,6 @@ def write_cfg(path, text):
 
 
 class TestLoadConfig:
-    def test_none_path_gives_empty_config(self):
-        assert cli.load_config(None) == {}
-
     def test_empty_file_gives_empty_config(self, tmp_path):
         assert cli.load_config(write_cfg(tmp_path / "e.yaml", "")) == {}
 
@@ -846,7 +844,11 @@ def _scalar_leaves(schema, path=""):
 
 
 FUZZ_KEYS = sorted(k for k in _scalar_leaves(cli.SCHEMA) if k != "output"
-                   and not k.startswith(("asym.", "verify.", "exact.")))
+                   and not k.startswith(("asym.", "exact.")))
+EXACT_FUZZ_KEYS = sorted(k for k in _scalar_leaves(cli.SCHEMA)
+                         if k.startswith("exact."))
+ASYM_FUZZ_KEYS = sorted(k for k in _scalar_leaves(cli.SCHEMA)
+                        if k.startswith("asym."))
 FUZZ_VALUES = ("null", ".nan", ".inf", "-.inf", "-1", "0", "2", "x", "true")
 FUZZ_YAML = """\
 problem: dirichlet
@@ -856,13 +858,24 @@ data: {kind: bump, height: 0.5, radius: 0.6}
 boundary: {kind: zero}
 t_end: 0.05
 """
+EXACT_FUZZ_YAML = """\
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [9, 9]}
+exact: {family: barenblatt, m: 2.0, R: 1.0, t: 1.0}
+"""
+# each example's wall time may not exceed this; 9^2 runs take far less
+FUZZ_SETTINGS = settings(
+    derandomize=True, max_examples=60, deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@settings(derandomize=True, max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
-                          st.sampled_from(FUZZ_VALUES)),
-                min_size=1, max_size=3))
+def fuzzed(keys):
+    return given(st.lists(st.tuples(st.sampled_from(keys),
+                                    st.sampled_from(FUZZ_VALUES)),
+                          min_size=1, max_size=3))
+
+
+@FUZZ_SETTINGS
+@fuzzed(FUZZ_KEYS)
 # pinned: a null leaf must not reach float(), a zero radius not a division,
 # a bool not pass for a number
 @example([("c", "null")])
@@ -872,11 +885,43 @@ t_end: 0.05
 @example([("data.value", ".nan"), ("cauchy.M", "-1")])
 @example([("data.slope", ".inf")])
 def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
-    # every input either runs or ends in exactly one specific IPME-E line:
-    # never the generic IPME-E1 of an unexpected exception, never a
-    # traceback, never a numpy warning on the way
+    _assert_one_diagnostic(tmp_path, capsys, "solve", FUZZ_YAML, overrides)
+
+
+@FUZZ_SETTINGS
+@fuzzed(EXACT_FUZZ_KEYS)
+def test_fuzzed_exact_overrides_end_in_one_diagnostic(tmp_path, capsys,
+                                                       overrides):
+    _assert_one_diagnostic(tmp_path, capsys, "exact", EXACT_FUZZ_YAML,
+                           overrides)
+
+
+@pytest.fixture(scope="module")
+def fuzz_snapshot_dir(tmp_path_factory):
+    """The source-solution snapshots of `bb_snapshot_dir` on a 9^2 box."""
+    out = tmp_path_factory.mktemp("fuzz") / "snaps"
+    cfg = write_cfg(out.parent / "e.yaml", EXACT_BB_YAML.format(
+        out=out).replace("n: [65, 65]", "n: [9, 9]"))
+    assert cli.main(["exact", cfg]) == 0
+    return out
+
+
+@FUZZ_SETTINGS
+@fuzzed(ASYM_FUZZ_KEYS)
+def test_fuzzed_asym_overrides_end_in_one_diagnostic(
+        tmp_path, capsys, fuzz_snapshot_dir, overrides):
+    # the tasks read every asym leaf but ball_radius
+    _assert_one_diagnostic(tmp_path, capsys, "asym", """\
+asym: {snapshots: %s, tasks: [support, rate, barenblatt, benilan], m: 2.0}
+""" % fuzz_snapshot_dir, overrides)
+
+
+def _assert_one_diagnostic(tmp_path, capsys, command, config, overrides):
+    # every input either runs or ends in exactly one specific IPME-E line
+    # with nothing written: never the generic IPME-E1 of an unexpected
+    # exception, never a traceback, never a numpy warning on the way
     run = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
-    argv = ["solve", write_cfg(run / "c.yaml", FUZZ_YAML),
+    argv = [command, write_cfg(run / "c.yaml", config),
             "--set", f"output={run / 'out'}"]
     for key, value in overrides:
         argv += ["--set", f"{key}={value}"]
@@ -885,7 +930,7 @@ def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
         warnings.simplefilter("always")
         rc = cli.main(argv)
     err = capsys.readouterr().err
-    assert rc in (0, 1, 2), (overrides, rc)
+    assert rc in ((0, 1, 2) if command == "solve" else (0, 1)), (overrides, rc)
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     diagnostics = [line for line in err.splitlines()
@@ -893,10 +938,11 @@ def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
     if rc == 1:
         assert len(diagnostics) == 1, (overrides, err)
         assert not diagnostics[0].startswith("IPME-E1:"), (overrides, err)
+        assert not (run / "out").exists(), overrides
     if "true" in dict(overrides).values():
         # a YAML bool is no scalar leaf's type (bool subclasses int)
         assert rc == 1 and diagnostics[0].startswith("IPME-E50:"), overrides
-    if rc != 1:
+    if rc != 1 and command != "asym":
         # the recorded config holds only typed, finite numbers
         man = yaml.safe_load((run / "out" / "manifest.yaml").read_text())
         _assert_numbers_typed(man["config"], cli.SCHEMA)
@@ -1086,6 +1132,64 @@ def test_bump_radius_must_be_positive(tmp_path, capsys, radius):
     assert not (tmp_path / "out").exists()
 
 
+CAUCHY_FUZZ_YAML = """\
+problem: cauchy
+m: 2.0
+grid: {lo: [-0.62, -0.62], hi: [0.62, 0.62], n: [9, 9]}
+data: {kind: bump, height: 0.05, radius: 0.1}
+cauchy: {M: 0.05, r: 0.3}
+t_end: 0.01
+"""
+
+
+@pytest.mark.parametrize("config,overrides,kind,path", [
+    (FUZZ_YAML, ["cauchy.M=1.0", "cauchy.r=0.3"], "dirichlet", "cauchy"),
+    (FUZZ_YAML, ["problem=maximal", "cauchy.M=1.0"], "maximal", "cauchy"),
+    (FUZZ_YAML + "schedule: {n_list: [1, 2, 4]}\n", [], "dirichlet",
+     "schedule.n_list"),
+    (CAUCHY_FUZZ_YAML + "domain: {kind: ball, radius: 0.2}\n"
+     "boundary: {kind: constant, value: 3}\n", [], "cauchy", "domain"),
+    (CAUCHY_FUZZ_YAML + "boundary: {kind: constant, value: 3}\n", [],
+     "cauchy", "boundary"),
+], ids=["cauchy-on-dirichlet", "cauchy-on-maximal", "n_list-on-dirichlet",
+        "domain-on-cauchy", "boundary-on-cauchy"])
+def test_a_section_the_problem_does_not_read_writes_nothing(
+        tmp_path, capsys, config, overrides, kind, path):
+    # these once ran and recorded the section as if it had been used
+    argv = ["solve", write_cfg(tmp_path / "c.yaml", config),
+            "--set", f"output={tmp_path / 'out'}"]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"IPME-E50: a {kind} run reads no {path!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tasks,leaves,leaf", [
+    ("[benilan]", "m: 2.0, r_max: 0.5, ball_radius: 0.3, threshold: 0.5, "
+     "R_estimate: 9.0", "m"),
+    ("[benilan]", "center: [0.0, 0.0]", "center"),
+    ("[support]", "ball_radius: 0.3", "ball_radius"),
+    ("[giant]", "m: 2.0, r_max: 0.5", "r_max"),
+    # with its own front scale the barenblatt task tracks no support
+    ("[barenblatt]", "m: 2.0, R_estimate: 1.0, threshold: 0.5",
+     "threshold"),
+], ids=["benilan", "center", "ball_radius", "r_max", "threshold"])
+def test_an_asym_leaf_no_task_reads_writes_nothing(
+        tmp_path, bb_snapshot_dir, capsys, tasks, leaves, leaf):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: %s, %s}
+""" % (out, bb_snapshot_dir, tasks, leaves))
+    assert cli.main(["asym", cfg]) == 1
+    assert capsys.readouterr().err == (
+        f"IPME-E50: asym.{leaf} is read by none of the tasks "
+        f"{tasks.strip('[]')}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -1159,10 +1263,19 @@ class TestVerifyCommand:
         assert "operators, exact, comparison, scaling, io" in \
             capsys.readouterr().err
 
-    def test_unknown_suite_in_config(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "v.yaml", "verify: {suites: [nope]}\n")
-        assert cli.main(["verify", cfg]) == 1
-        assert "unknown suite(s): nope" in capsys.readouterr().err
+    def test_unknown_fault_is_one_diagnostic(self, capsys):
+        assert cli.main(["verify", "--fault", "nope"]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == "IPME-E10: unknown fault mode 'nope'\n"
+
+    @pytest.mark.parametrize("argv", [["v.yaml"], ["--set", "seed=1"]])
+    def test_takes_no_config(self, capsys, argv):
+        # --suite and --fault are its only inputs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify"] + argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

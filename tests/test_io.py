@@ -1,6 +1,8 @@
 """Serialization battery: every writer is deterministic and every value
 survives a write/read cycle bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 import yaml
@@ -199,13 +201,18 @@ class TestManifest:
 
     def test_exponent_floats_read_back_as_floats(self, tmp_path):
         # repr writes 1e-05, 3e-06 and 1e+20 without a dot, which a YAML
-        # 1.1 reader takes for strings
+        # 1.1 reader takes for strings, and nan and inf as plain words; a
+        # breaching run can record a nan error statistic
         man = run_manifest(Params(m=2.0, eps=1e-05), GRID3, "dirichlet",
-                           stage_diffs=[3e-06, 1e+20])
+                           stage_diffs=[3e-06, 1e+20, math.inf, -math.inf],
+                           error_stat={"rel": math.nan})
         path = tmp_path / "run.yaml"
         io.write_manifest(str(path), man)
-        assert "eps: 1e-05\n" in path.read_text()
-        assert io.read_manifest(str(path)) == man
+        assert "eps: 1.0e-05\n" in path.read_text()
+        for back in (io.read_manifest(str(path)),
+                     yaml.safe_load(path.read_text())):
+            assert math.isnan(back["error_stat"].pop("rel"))
+            assert back == dict(man, error_stat={})
 
     def test_nested_lists_read_back_as_lists(self, tmp_path):
         # a solve records its (eps, delta) stage pairs as a list of pairs
@@ -232,15 +239,16 @@ class TestManifest:
 
     @pytest.mark.parametrize("read", [yaml.safe_load, io.load_yaml])
     def test_awkward_strings_quoted(self, read):
-        # the last seven read back as True, 1.5, 100000.0, None, True, None
-        # and 16 when written bare
+        # 'true' to '0x10' read back as True, 1.5, 100000.0, None, True,
+        # None and 16 when written bare; the last two hold a newline and a
+        # tab
         strings = ["a: b #c", "", "ok", "true", "1.5", "1e5", "null", "yes",
-                   "~", "0x10"]
+                   "~", "0x10", "a\nb", "a\tb"]
         man = {f"s{i}": s for i, s in enumerate(strings)}
         man["listed"] = strings
         text = io.manifest_text(man)
         assert read(text) == man
-        assert "s2: ok\n" in text and 's3: "true"\n' in text
+        assert "s2: ok\n" in text and "s3: 'true'\n" in text
 
     def test_empty_mapping_survives_reparse(self, tmp_path):
         # a single-rung ladder records monotonicity as an empty mapping
