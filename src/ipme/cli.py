@@ -7,7 +7,10 @@
 
 Configs are YAML mappings validated against a fixed schema; `--set`
 overrides apply after the file parse, address scalar leaves by dotted
-path, and reject unknown keys.  Exit codes: 0 success, 2 continuation
+path, and reject unknown keys.  A command records every leaf whose value
+it takes while it builds its run, and before it computes anything it
+rejects the first leaf, in file order, that it never took (IPME-E50): a
+config serves one command.  Exit codes: 0 success, 2 continuation
 warning, 1 error; diagnostics go to standard error as one
 "IPME-E<code>:" line.  Outputs (snapshots, manifests, CSV) are fully
 deterministic: no wall-clock or unseeded randomness is ever recorded.
@@ -93,19 +96,9 @@ RANGES = {
     "regression_threshold": _POSITIVE,
 }
 
-# each preset kind and the keys it reads besides `kind`; a companion
-# preset (None here) reads its exact family's keys, which `exact.spec`
-# checks
-DATA_KINDS = {"constant": ("value",), "bump": ("height", "radius"),
-              "linear": ("slope",), "barenblatt": None,
-              "traveling-wave": None, "separable-ball": None}
-BOUNDARY_KINDS = {"zero": (), "constant": ("value",), "exact": ()}
-
-# the sections and leaves each problem kind never reads: a cauchy run
-# takes its lateral value cauchy.M on the whole box, and only the maximal
-# and cauchy ladders read schedule.n_list
-UNREAD = {"dirichlet": ("cauchy", "schedule.n_list"), "maximal": ("cauchy",),
-          "cauchy": ("domain", "boundary")}
+DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
+              "separable-ball")
+BOUNDARY_KINDS = ("zero", "constant", "exact")
 
 
 def _leaves(cfg: dict, schema: dict, path: str = ""):
@@ -206,6 +199,32 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
     return cfg
 
 
+class _Reads(dict):
+    """A config section that records the dotted path of every leaf whose
+    value a run takes through `[]` or `get`; a membership test, a section
+    lookup and `_leaves` take none."""
+
+    def __init__(self, section: dict, taken: set, path: str = ""):
+        super().__init__(section)
+        self.taken, self.path = taken, path
+
+    def __getitem__(self, key):
+        val = super().__getitem__(key)
+        if isinstance(val, dict):
+            return _Reads(val, self.taken, f"{self.path}{key}.")
+        self.taken.add(self.path + key)
+        return val
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def check(self, run: str) -> None:
+        """Reject the first leaf, in file order, that `run` never took."""
+        for here, _, _ in _leaves(self, SCHEMA):
+            if "[" not in here and here not in self.taken:
+                raise ConfigError(f"{run} reads no {here!r}")
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config key {key!r} is required")
@@ -228,23 +247,23 @@ def _build_grid(cfg: dict) -> GridSpec:
     return GridSpec.box(g["lo"], g["hi"], g["n"])
 
 
-def _build_params(cfg: dict) -> Params:
-    return Params(m=float(_require(cfg, "m")),
-                  eps=float(cfg.get("eps", 1e-3)),
-                  delta=float(cfg.get("delta", 1e-3)),
-                  c=float(cfg.get("c", 0.0)))
-
-
-def _build_schedule(cfg: dict) -> Optional[RegularizationSchedule]:
-    s = cfg.get("schedule")
+def _build_params(cfg: dict, problem_kind: str) -> tuple:
+    """(Params of the last stage, schedule or None).  A top-level eps or
+    delta is read only where the schedule lists none, `c` only on a
+    dirichlet run (the ladders set c = 1/(2n) on each rung), and
+    `schedule.n_list` only on the ladders."""
+    s = cfg.get("schedule") or {}
+    eps = tuple(float(v) for v in s.get("eps_list", ())) or (
+        float(cfg.get("eps", 1e-3)),)
+    delta = tuple(float(v) for v in s.get("delta_list", ())) or (
+        float(cfg.get("delta", 1e-3)),)
+    ladder = problem_kind != "dirichlet"
+    params = Params(m=float(_require(cfg, "m")), eps=eps[-1], delta=delta[-1],
+                    c=0.0 if ladder else float(cfg.get("c", 0.0)))
     if not s:
-        return None
-    return RegularizationSchedule(
-        eps_list=tuple(float(v) for v in s.get("eps_list", ())) or
-        (float(cfg.get("eps", 1e-3)),),
-        delta_list=tuple(float(v) for v in s.get("delta_list", ())) or
-        (float(cfg.get("delta", 1e-3)),),
-        n_list=tuple(int(v) for v in s.get("n_list", ())))
+        return params, None
+    return params, RegularizationSchedule(
+        eps, delta, s.get("n_list", ()) if ladder else ())
 
 
 def _exact_companion(data: dict, m: float) -> tuple:
@@ -258,7 +277,7 @@ def _exact_companion(data: dict, m: float) -> tuple:
     kind = data.get("kind")
     if kind not in exact.FAMILIES:
         return None, 0.0
-    keys = {k: v for k, v in data.items() if k != "kind"}
+    keys = {k: data[k] for k in data if k != "kind"}
     # a time shift of the wave is a change of its offset, so the wave
     # preset takes no t_offset
     t_off = 0.0 if kind == "traveling-wave" else float(
@@ -270,19 +289,8 @@ def _exact_companion(data: dict, m: float) -> tuple:
     return exact.spec(kind, m, **keys), t_off
 
 
-def _only_keys(section: dict, name: str, kind: str, keys: tuple) -> None:
-    """A ConfigError for the first key of `section` that its kind does
-    not read, as `exact.spec` rejects one for a family."""
-    extra = [k for k in section if k != "kind" and k not in keys]
-    if extra:
-        known = f"; its keys: {', '.join(keys)}" if keys else ""
-        raise ConfigError(f"{name} kind {kind!r} takes no key "
-                          f"{extra[0]!r}{known}")
-
-
-def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
-    """Initial/lateral data from the preset; returns (BoundaryData,
-    companion spec or None, time offset)."""
+def _build_data(cfg: dict, grid: GridSpec, m: float) -> tuple:
+    """(initial data, companion spec or None, time offset) of the preset."""
     from . import exact
 
     data = _require(cfg, "data")
@@ -290,9 +298,7 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
     if kind not in DATA_KINDS:
         raise ConfigError(f"unknown data kind {kind!r}; "
                           f"known: {', '.join(DATA_KINDS)}")
-    if DATA_KINDS[kind] is not None:
-        _only_keys(data, "data", kind, DATA_KINDS[kind])
-    spec, t_off = _exact_companion(data, params.m)
+    spec, t_off = _exact_companion(data, m)
 
     if kind == "constant":
         value = _finite(data, "value", 1.0)
@@ -310,37 +316,39 @@ def _build_data(cfg: dict, grid: GridSpec, params: Params) -> tuple:
         u0_fn = lambda X: slope * (X[:, 0] - lo0)  # noqa: E731
     else:
         u0_fn = lambda X: exact.evaluate_u(spec, X, t_off)  # noqa: E731
+    return u0_fn, spec, t_off
 
-    bc = cfg.get("boundary") or {"kind": "zero"}
+
+def _build_boundary(cfg: dict, u0_fn, spec, t_off: float) -> BoundaryData:
+    """The data of a dirichlet or maximal run, under the boundary kind of
+    the config."""
+    from . import exact
+
+    bc = cfg.get("boundary") or {}
     bkind = bc.get("kind", "zero")
     if bkind not in BOUNDARY_KINDS:
         raise ConfigError(f"unknown boundary kind {bkind!r}; "
                           f"known: {', '.join(BOUNDARY_KINDS)}")
-    _only_keys(bc, "boundary", bkind, BOUNDARY_KINDS[bkind])
     if bkind == "zero":
         g_fn = lambda X, t: np.zeros(len(X))  # noqa: E731
-        time_dep = False
     elif bkind == "constant":
         bval = _finite(bc, "value", 0.0)
         g_fn = lambda X, t: np.full(len(X), bval)  # noqa: E731
-        time_dep = False
+    elif spec is None:
+        raise ConfigError(f"boundary kind 'exact' needs a data preset with "
+                          f"an exact companion, not {cfg['data']['kind']!r}")
     else:
-        if spec is None:
-            raise ConfigError(f"boundary kind 'exact' needs a data preset "
-                              f"with an exact companion, not {kind!r}")
         g_fn = lambda X, t: exact.evaluate_u(spec, X, t_off + t)  # noqa: E731
-        time_dep = True
-    return (BoundaryData.from_functions(u0=u0_fn, g=g_fn,
-                                        time_dependent=time_dep),
-            spec, t_off)
+    return BoundaryData(initial=u0_fn, lateral=g_fn, kind=bkind,
+                        time_dependent=bkind == "exact")
 
 
 def _domain_mask(cfg: dict, grid: GridSpec):
     dom = cfg.get("domain")
     if not dom or dom.get("kind", "box") == "box":
         return None
-    if dom.get("kind") != "ball":
-        raise ConfigError(f"unknown domain kind {dom.get('kind')!r}")
+    if dom["kind"] != "ball":
+        raise ConfigError(f"unknown domain kind {dom['kind']!r}")
     from .solver import ball_mask
 
     return ball_mask(grid, _finite(dom, "radius"), dom.get("center"))
@@ -359,47 +367,40 @@ def _write_run(outdir: str, snapshots, manifest: dict, cfg: dict) -> None:
     io.write_manifest(os.path.join(outdir, "manifest.yaml"), manifest)
 
 
-def cmd_solve(cfg: dict) -> int:
+def cmd_solve(plain: dict) -> int:
     from . import exact
     from .solver import (CauchyProblem, DirichletProblem, solve_cauchy,
                          solve_dirichlet, solve_maximal)
 
+    cfg = _Reads(plain, set())
     problem_kind = cfg.get("problem", "dirichlet")
     if problem_kind not in ("dirichlet", "maximal", "cauchy"):
         raise ConfigError(f"unknown problem kind {problem_kind!r}")
     grid = _build_grid(cfg)
-    params = _build_params(cfg)
-    schedule = _build_schedule(cfg)
+    params, schedule = _build_params(cfg, problem_kind)
     t_end = float(_require(cfg, "t_end"))
     snaps = tuple(float(t) for t in cfg.get("snapshot_times", (t_end,)))
     cc = cfg.get("cauchy") or {}
     if problem_kind == "cauchy" and ("M" not in cc or "r" not in cc):
         raise ConfigError("cauchy.M and cauchy.r are required")
-    bdata, spec, t_off = _build_data(cfg, grid, params)
-    thr = cfg.get("regression_threshold")
-    if thr is not None and (problem_kind == "cauchy" or spec is None):
-        # a gate with no statistic to check would pass every run
-        companions = [k for k in DATA_KINDS if k in exact.FAMILIES]
-        raise ConfigError(
-            f"regression_threshold needs an error statistic, which a "
-            f"{problem_kind} run of {cfg['data']['kind']!r} data does not "
-            f"record; only dirichlet and maximal runs of "
-            f"{', '.join(companions)} data do")
+    u0_fn, spec, t_off = _build_data(cfg, grid, params.m)
     outdir = _require(cfg, "output")
     failure = None
 
     if problem_kind == "cauchy":
-        prob = CauchyProblem(grid, params, bdata.initial,
+        prob = CauchyProblem(grid, params, u0_fn,
                              M=_finite(cc, "M"), r=_finite(cc, "r"),
                              t_end=t_end, snapshot_times=snaps)
     else:
-        prob = DirichletProblem(grid, params, bdata, t_end=t_end,
-                                snapshot_times=snaps,
+        prob = DirichletProblem(grid, params,
+                                _build_boundary(cfg, u0_fn, spec, t_off),
+                                t_end=t_end, snapshot_times=snaps,
                                 domain_mask=_domain_mask(cfg, grid))
-    for path in UNREAD[problem_kind]:
-        section, _, leaf = path.partition(".")
-        if section in cfg and (not leaf or leaf in cfg[section]):
-            raise ConfigError(f"a {problem_kind} run reads no {path!r}")
+    # only these runs record an error statistic, which a threshold gates
+    stat = problem_kind != "cauchy" and spec is not None
+    thr = cfg.get("regression_threshold") if stat else None
+    seed = cfg.get("seed")
+    cfg.check(f"a {problem_kind} run")
 
     if problem_kind == "cauchy":
         report = solve_cauchy(prob, schedule)
@@ -407,7 +408,7 @@ def cmd_solve(cfg: dict) -> int:
         report = solve_maximal(prob, schedule=schedule)
     else:
         report = solve_dirichlet(prob, schedule)
-    if problem_kind != "cauchy" and spec is not None:
+    if stat:
         U = exact.evaluate_u(spec, grid.points(),
                              t_off + t_end).reshape(grid.shape)
         err = float(np.max(np.abs(
@@ -420,10 +421,10 @@ def cmd_solve(cfg: dict) -> int:
                 failure = (f"regression error statistic {rel:.6f} "
                            f"exceeds threshold {thr}")
 
-    if "seed" in cfg:
-        report.manifest["seed"] = int(cfg["seed"])
+    if seed is not None:
+        report.manifest["seed"] = int(seed)
     # a failing run is written in full too, then reported
-    _write_run(outdir, report.snapshots, report.manifest, cfg)
+    _write_run(outdir, report.snapshots, report.manifest, plain)
     if failure is not None:
         raise NumericError(failure)
     return 2 if report.manifest["warnings"] else 0
@@ -438,13 +439,14 @@ def _build_exact_spec(ex: dict) -> exact.ExactSolutionSpec:
     keys."""
     from . import exact
 
-    keys = {k: v for k, v in ex.items() if k not in _EXACT_RUN_KEYS}
+    keys = {k: ex[k] for k in ex if k not in _EXACT_RUN_KEYS}
     return exact.spec(ex.get("family"), _finite(ex, "m"), **keys)
 
 
-def cmd_exact(cfg: dict) -> int:
+def cmd_exact(plain: dict) -> int:
     from . import exact
 
+    cfg = _Reads(plain, set())
     ex = _require(cfg, "exact")
     grid = _build_grid(cfg)
     spec = _build_exact_spec(ex)
@@ -458,6 +460,7 @@ def cmd_exact(cfg: dict) -> int:
     elif not times:
         raise ConfigError("exact.times must list at least one time")
     outdir = _require(cfg, "output")
+    cfg.check("an exact run")
     # every time is sampled before anything is written
     snaps = [exact.sample_field(spec, grid, float(t), quantity=quantity)
              for t in times]
@@ -470,7 +473,7 @@ def cmd_exact(cfg: dict) -> int:
                  "origin": list(grid.origin)},
         "times": [float(t) for t in times],
         "quantity": quantity,
-    }, cfg)
+    }, plain)
     return 0
 
 
@@ -499,19 +502,13 @@ def _read_snapshot_dir(path: str) -> list:
     return [io.read_snapshot(os.path.join(path, n)) for n in names]
 
 
-# each asym task and the leaves it reads besides snapshots, tasks and
-# floor; the barenblatt task also reads threshold when it fits its own
-# front scale
-ASYM_TASKS = {"support": ("threshold", "center", "r_max"),
-              "rate": ("threshold", "center", "r_max"),
-              "giant": ("m", "ball_radius", "center"),
-              "barenblatt": ("m", "R_estimate", "center", "r_max"),
-              "benilan": ()}
+ASYM_TASKS = ("support", "rate", "giant", "barenblatt", "benilan")
 
 
-def cmd_asym(cfg: dict) -> int:
+def cmd_asym(plain: dict) -> int:
     from . import asymptotics
 
+    cfg = _Reads(plain, set())
     acfg = cfg.get("asym") or {}
     tasks = list(acfg.get("tasks") or ["support", "rate"])
     for task in tasks:
@@ -522,9 +519,19 @@ def cmd_asym(cfg: dict) -> int:
                                or _require(cfg, "output"))
     snaps.sort(key=lambda s: s.t)
     floor = float(acfg.get("floor", 0.0))
-    center = acfg.get("center")
-    r_max = float(acfg["r_max"]) if "r_max" in acfg else None
-    m = acfg.get("m")
+    # a leaf is read only for the tasks that use it
+    write_trace = "support" in tasks or "rate" in tasks
+    giant, bb = "giant" in tasks, "barenblatt" in tasks
+    fronts = write_trace or bb
+    center = acfg.get("center") if fronts or giant else None
+    r_max = float(acfg["r_max"]) if fronts and "r_max" in acfg else None
+    m = acfg.get("m") if giant or bb else None
+    br = acfg.get("ball_radius") if giant else None
+    R_est = acfg.get("R_estimate") if bb else None
+    # one support trace serves the written trace, the rate and the
+    # barenblatt task's front scale when no R_estimate is given
+    need_trace = write_trace or (bb and R_est is None)
+    threshold = acfg.get("threshold") if need_trace else None
     # every task's inputs are checked before anything is written
     for task in ("giant", "barenblatt"):
         if task in tasks and m is None:
@@ -535,18 +542,8 @@ def cmd_asym(cfg: dict) -> int:
         if r_max is not None and not np.any(radii <= r_max):
             raise DomainError(f"r_max={r_max} keeps no node of the "
                               f"snapshot grid")
-    write_trace = "support" in tasks or "rate" in tasks
-    R_est = acfg.get("R_estimate")
-    # one support trace serves the written trace, the rate and the
-    # barenblatt task's front scale when no R_estimate is given
-    need_trace = write_trace or ("barenblatt" in tasks and R_est is None)
     outdir = _require(cfg, "output")
-    read = {"snapshots", "tasks", "floor"}.union(
-        *(ASYM_TASKS[task] for task in tasks))
-    for key in acfg:
-        if key not in read and not (key == "threshold" and need_trace):
-            raise ConfigError(f"asym.{key} is read by none of the tasks "
-                              f"{', '.join(tasks)}")
+    cfg.check(f"an asym run of {', '.join(tasks)}")
     summary: dict = {"format": "ipme-asym v1", "tasks": tasks}
     # every output is computed before the first is written: CSV name ->
     # (header, rows)
@@ -555,7 +552,7 @@ def cmd_asym(cfg: dict) -> int:
     trace = None
     if need_trace:
         trace = asymptotics.track_support(
-            snaps, threshold=acfg.get("threshold"), center=center,
+            snaps, threshold=threshold, center=center,
             r_max=r_max, floor=floor)
     if write_trace:
         csvs["support_trace.csv"] = asymptotics.trace_rows(trace)
@@ -570,8 +567,7 @@ def cmd_asym(cfg: dict) -> int:
               fit.window[0], fit.window[1], fit.n_used]])
         summary["rate"] = {"rate": fit.rate, "amplitude": fit.amplitude,
                            "residual": fit.residual, "n_used": fit.n_used}
-    if "giant" in tasks:
-        br = acfg.get("ball_radius")
+    if giant:
         fg = asymptotics.friendly_giant(
             snaps, params, ball_radius=None if br is None else float(br),
             center=center, floor=floor)
@@ -585,7 +581,7 @@ def cmd_asym(cfg: dict) -> int:
         summary["giant"] = {"is_ball": fg.is_ball}
         if fg.errors is not None:
             summary["giant"]["final_error"] = float(fg.errors[-1])
-    if "barenblatt" in tasks:
+    if bb:
         if R_est is None:
             if fit is None:
                 fit = asymptotics.fit_rate(trace.times, trace.r_outer)

@@ -304,7 +304,7 @@ def solve_dirichlet(problem: DirichletProblem,
                 f"decreasing ({a:.3e} -> {b:.3e})")
             break
     stage.manifest = run_manifest(
-        problem.params, problem.grid, "dirichlet", schedule,
+        params_s, problem.grid, "dirichlet", schedule,
         t_end=problem.t_end,
         snapshot_times=list(problem.snapshot_times),
         boundary_kind=problem.boundary.kind,

@@ -205,14 +205,15 @@ output: %s
 
     @pytest.mark.parametrize("data,boundary,key", [
         ("{kind: constant, value: 0.3, t_offset: 2.0}", "{kind: zero}",
-         "t_offset"),
+         "data.t_offset"),
         ("{kind: bump, height: 0.5, radius: 0.6, slope: 2.0, speed: 5.0}",
-         "{kind: zero, value: 3.0}", "slope"),
-        ("{kind: linear, slope: 1.0, radius: 0.2}", "{kind: zero}", "radius"),
+         "{kind: zero, value: 3.0}", "data.slope"),
+        ("{kind: linear, slope: 1.0, radius: 0.2}", "{kind: zero}",
+         "data.radius"),
         ("{kind: bump, height: 0.5, radius: 0.6}", "{kind: zero, value: 3.0}",
-         "value"),
+         "boundary.value"),
         ("{kind: barenblatt, R: 1.2, t_offset: 1.0}",
-         "{kind: exact, value: 0.1}", "value")],
+         "{kind: exact, value: 0.1}", "boundary.value")],
         ids=["constant", "bump", "linear", "zero", "exact"])
     def test_a_key_the_kind_does_not_read_writes_nothing(
             self, tmp_path, capsys, data, boundary, key):
@@ -229,7 +230,7 @@ output: %s
         assert cli.main(["solve", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("IPME-E50:") and err.count("\n") == 1
-        assert f"takes no key {key!r}" in err
+        assert err == f"IPME-E50: a dirichlet run reads no {key!r}\n"
         assert not out.exists()
 
     def test_the_keys_each_kind_reads_are_accepted(self, tmp_path):
@@ -375,8 +376,10 @@ output: %s
     def test_stalled_continuation_exits_2(self, tmp_path):
         # a schedule whose first two stages barely differ makes the
         # stage-difference sequence grow, which the driver must report
+        # the schedule's eps_list replaces a top-level eps
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path / "w.yaml", SOLVE_YAML.format(out=out)
+                        .replace("eps: 1.0e-2\n", "")
                         + "schedule: {eps_list: [1.0e-1, 9.9e-2, 1.0e-3]}\n")
         assert cli.main(["solve", cfg]) == 2
         man = yaml.safe_load((out / "manifest.yaml").read_text())
@@ -392,6 +395,39 @@ output: %s
         assert man["problem"] == "maximal"
         assert man["n_list"] == [4, 8]
         assert man["ladder_floor"] == 0.125
+
+    def test_params_record_the_last_stage(self, tmp_path):
+        # the stages replace the default eps and delta, so the manifest
+        # names the pair that made the output
+        out = tmp_path / "run"
+        assert cli.main(["solve", str(CONFIGS / "barenblatt_dirichlet.yaml"),
+                         "--set", f"output={out}"]) == 0
+        man = io.read_manifest(out / "manifest.yaml")
+        assert man["stage_pairs"] == [[1.0e-2, 1.0e-3], [3.0e-3, 1.0e-3]]
+        assert man["params"]["eps"] == man["stage_pairs"][-1][0]
+        assert man["params"]["delta"] == man["stage_pairs"][-1][1]
+
+    @pytest.mark.parametrize("problem", ["dirichlet", "maximal"])
+    @pytest.mark.parametrize("data,boundary,kind", [
+        ("{kind: bump, height: 0.5, radius: 0.6}", "", "zero"),
+        ("{kind: bump, height: 0.5, radius: 0.6}", "{kind: zero}", "zero"),
+        ("{kind: constant, value: 0.3}", "{kind: constant, value: 0.3}",
+         "constant"),
+        ("{kind: barenblatt, R: 1.0}", "{kind: exact}", "exact")],
+        ids=["none", "zero", "constant", "exact"])
+    def test_manifest_records_the_boundary_kind(self, tmp_path, problem,
+                                                data, boundary, kind):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path / "b.yaml", FUZZ_YAML.replace(
+            "problem: dirichlet", f"problem: {problem}").replace(
+            "data: {kind: bump, height: 0.5, radius: 0.6}", f"data: {data}")
+            .replace("boundary: {kind: zero}", f"boundary: {boundary}"
+                     if boundary else "")
+            + ("schedule: {n_list: [1, 2]}\n" if problem == "maximal"
+               else ""))
+        assert cli.main(["solve", cfg, "--set", f"output={out}"]) == 0
+        man = io.read_manifest(out / "manifest.yaml")
+        assert man["boundary_kind"] == kind
 
     def test_cauchy_run_records_truncation_radius(self, tmp_path):
         out = tmp_path / "run"
@@ -835,20 +871,18 @@ grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
 # fuzzed overrides
 
 
-def _scalar_leaves(schema, path=""):
+def _schema_leaves(schema, path=""):
+    """(dotted path, type) of every leaf of `schema`."""
     for key, want in schema.items():
         if isinstance(want, dict):
-            yield from _scalar_leaves(want, f"{path}{key}.")
-        elif not isinstance(want, list):
-            yield path + key
+            yield from _schema_leaves(want, f"{path}{key}.")
+        else:
+            yield path + key, want
 
 
-FUZZ_KEYS = sorted(k for k in _scalar_leaves(cli.SCHEMA) if k != "output"
-                   and not k.startswith(("asym.", "exact.")))
-EXACT_FUZZ_KEYS = sorted(k for k in _scalar_leaves(cli.SCHEMA)
-                         if k.startswith("exact."))
-ASYM_FUZZ_KEYS = sorted(k for k in _scalar_leaves(cli.SCHEMA)
-                        if k.startswith("asym."))
+# every scalar leaf; each fuzzed run sets its own output
+FUZZ_KEYS = sorted(k for k, want in _schema_leaves(cli.SCHEMA)
+                   if not isinstance(want, list) and k != "output")
 FUZZ_VALUES = ("null", ".nan", ".inf", "-.inf", "-1", "0", "2", "x", "true")
 FUZZ_YAML = """\
 problem: dirichlet
@@ -889,7 +923,7 @@ def test_fuzzed_overrides_end_in_one_diagnostic(tmp_path, capsys, overrides):
 
 
 @FUZZ_SETTINGS
-@fuzzed(EXACT_FUZZ_KEYS)
+@fuzzed(FUZZ_KEYS)
 def test_fuzzed_exact_overrides_end_in_one_diagnostic(tmp_path, capsys,
                                                        overrides):
     _assert_one_diagnostic(tmp_path, capsys, "exact", EXACT_FUZZ_YAML,
@@ -907,7 +941,7 @@ def fuzz_snapshot_dir(tmp_path_factory):
 
 
 @FUZZ_SETTINGS
-@fuzzed(ASYM_FUZZ_KEYS)
+@fuzzed(FUZZ_KEYS)
 def test_fuzzed_asym_overrides_end_in_one_diagnostic(
         tmp_path, capsys, fuzz_snapshot_dir, overrides):
     # the tasks read every asym leaf but ball_radius
@@ -1143,14 +1177,14 @@ t_end: 0.01
 
 
 @pytest.mark.parametrize("config,overrides,kind,path", [
-    (FUZZ_YAML, ["cauchy.M=1.0", "cauchy.r=0.3"], "dirichlet", "cauchy"),
-    (FUZZ_YAML, ["problem=maximal", "cauchy.M=1.0"], "maximal", "cauchy"),
+    (FUZZ_YAML, ["cauchy.M=1.0", "cauchy.r=0.3"], "dirichlet", "cauchy.M"),
+    (FUZZ_YAML, ["problem=maximal", "cauchy.M=1.0"], "maximal", "cauchy.M"),
     (FUZZ_YAML + "schedule: {n_list: [1, 2, 4]}\n", [], "dirichlet",
      "schedule.n_list"),
     (CAUCHY_FUZZ_YAML + "domain: {kind: ball, radius: 0.2}\n"
-     "boundary: {kind: constant, value: 3}\n", [], "cauchy", "domain"),
+     "boundary: {kind: constant, value: 3}\n", [], "cauchy", "domain.kind"),
     (CAUCHY_FUZZ_YAML + "boundary: {kind: constant, value: 3}\n", [],
-     "cauchy", "boundary"),
+     "cauchy", "boundary.kind"),
 ], ids=["cauchy-on-dirichlet", "cauchy-on-maximal", "n_list-on-dirichlet",
         "domain-on-cauchy", "boundary-on-cauchy"])
 def test_a_section_the_problem_does_not_read_writes_nothing(
@@ -1164,6 +1198,115 @@ def test_a_section_the_problem_does_not_read_writes_nothing(
     assert capsys.readouterr().err == (
         f"IPME-E50: a {kind} run reads no {path!r}\n")
     assert not (tmp_path / "out").exists()
+
+
+ASYM_BENILAN_YAML = "asym: {snapshots: %s, tasks: [benilan]}\n"
+
+
+@pytest.mark.parametrize("command,config,run,leaf", [
+    ("exact", EXACT_FUZZ_YAML + "m: 3.0\n", "an exact run", "m"),
+    ("exact", EXACT_FUZZ_YAML + "t_end: 0.5\n", "an exact run", "t_end"),
+    ("exact", EXACT_FUZZ_YAML + "data: {kind: bump}\n", "an exact run",
+     "data.kind"),
+    ("exact", EXACT_FUZZ_YAML + "asym: {tasks: [support]}\n",
+     "an exact run", "asym.tasks"),
+    ("solve", FUZZ_YAML + "exact: {family: barenblatt, m: 2.0}\n",
+     "a dirichlet run", "exact.family"),
+    ("solve", FUZZ_YAML + "asym: {tasks: [support]}\n", "a dirichlet run",
+     "asym.tasks"),
+    ("asym", ASYM_BENILAN_YAML + "problem: dirichlet\n",
+     "an asym run of benilan", "problem"),
+    ("asym", ASYM_BENILAN_YAML + FUZZ_YAML.split("\n", 2)[2],
+     "an asym run of benilan", "grid.lo"),
+    ("solve", FUZZ_YAML + "domain: {kind: box, radius: 0.5}\n",
+     "a dirichlet run", "domain.radius"),
+    ("solve", FUZZ_YAML + "eps: 1.0e-2\n"
+     "schedule: {eps_list: [1.0e-1, 1.0e-2]}\n", "a dirichlet run", "eps"),
+    ("solve", FUZZ_YAML + "delta: 1.0e-2\n"
+     "schedule: {delta_list: [1.0e-1, 1.0e-2]}\n", "a dirichlet run",
+     "delta"),
+    ("solve", FUZZ_YAML.replace("dirichlet", "maximal") + "c: 5.0\n"
+     "schedule: {n_list: [2, 4]}\n", "a maximal run", "c"),
+    ("solve", CAUCHY_FUZZ_YAML.replace("n: [9, 9]", "n: [33, 33]")
+     + "c: 5.0\nschedule: {n_list: [128, 256]}\n", "a cauchy run", "c"),
+], ids=["exact-m", "exact-t_end", "exact-data", "exact-asym", "solve-exact",
+        "solve-asym", "asym-problem", "asym-solve-sections", "box-radius",
+        "eps-and-eps_list", "delta-and-delta_list", "c-on-maximal",
+        "c-on-cauchy"])
+def test_a_leaf_the_run_never_reads_writes_nothing(
+        tmp_path, capsys, fuzz_snapshot_dir, command, config, run, leaf):
+    # each of these once ran and recorded the leaf as if it had been used
+    if command == "asym":
+        config %= fuzz_snapshot_dir
+    out = tmp_path / "out"
+    rc = cli.main([command, write_cfg(tmp_path / "c.yaml", config),
+                   "--set", f"output={out}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"IPME-E50: {run} reads no {leaf!r}\n"
+    assert not out.exists()
+
+
+class _Checked(Exception):
+    """Stops a run once its unread-leaf check has passed."""
+
+
+def _read_runs(snaps):
+    """(command, config) of the shipped configs and of one run per problem
+    kind, data kind, boundary kind, asym task and exact family; together
+    they carry every SCHEMA leaf."""
+    for path in sorted(CONFIGS.glob("*.yaml")):
+        yield "solve", path.read_text(encoding="utf-8")
+    base = ("m: 2.0\nt_end: 0.01\n"
+            "grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [9, 9]}\n")
+    for body in [
+            "problem: dirichlet\neps: 1.0e-2\ndelta: 1.0e-2\nc: 0.1\n"
+            "seed: 1\nsnapshot_times: [0.005, 0.01]\n"
+            "domain: {kind: ball, radius: 0.8, center: [0.0, 0.0]}\n"
+            "data: {kind: bump, height: 0.5, radius: 0.6}\n"
+            "boundary: {kind: zero}\n",
+            "problem: maximal\ndata: {kind: constant, value: 0.3}\n"
+            "boundary: {kind: constant, value: 0.3}\nschedule: "
+            "{eps_list: [1.0e-2], delta_list: [1.0e-2], n_list: [1, 2]}\n",
+            "problem: cauchy\ndata: {kind: bump, height: 0.05, radius: 0.1}"
+            "\ncauchy: {M: 0.05, r: 0.3}\n",
+            "data: {kind: linear, slope: 1.0}\n",
+            "data: {kind: barenblatt, R: 1.0, t_offset: 1.0}\n"
+            "boundary: {kind: exact}\nregression_threshold: 0.5\n",
+            "data: {kind: traveling-wave, speed: 1.0, offset: 0.5}\n",
+            "data: {kind: separable-ball, radius: 0.5, t_offset: 1.0}\n"]:
+        yield "solve", base + body
+    for leaves in ["tasks: [support], threshold: 0.01, center: [0.0, 0.0], "
+                   "r_max: 1.5, floor: 0.0", "tasks: [rate]",
+                   "tasks: [giant], m: 2.0, ball_radius: 0.5",
+                   "tasks: [barenblatt], m: 2.0, R_estimate: 1.0",
+                   "tasks: [benilan]"]:
+        yield "asym", "asym: {snapshots: %s, %s}\n" % (snaps, leaves)
+    for family, (section, grid) in EXACT_FAMILY_CONFIGS.items():
+        yield "exact", ("exact: {family: %s, m: 2.0, %s}\ngrid: %s\n"
+                        % (family, section, grid))
+
+
+def test_every_schema_leaf_is_read_by_some_run(tmp_path, capsys, monkeypatch,
+                                                fuzz_snapshot_dir):
+    # every run rejects a leaf it never reads, so a leaf that no run reads
+    # would be an error everywhere; the runs stop after the check
+    taken = set()
+    check = cli._Reads.check
+
+    def spy(self, run):
+        check(self, run)
+        taken.update(self.taken)
+        raise _Checked
+
+    monkeypatch.setattr(cli._Reads, "check", spy)
+    out = tmp_path / "out"
+    for i, (command, config) in enumerate(_read_runs(fuzz_snapshot_dir)):
+        argv = [command, write_cfg(tmp_path / f"c{i}.yaml", config),
+                "--set", f"output={out}"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == "IPME-E1: _Checked: \n", config
+    assert taken == {k for k, _ in _schema_leaves(cli.SCHEMA)}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tasks,leaves,leaf", [
@@ -1185,8 +1328,8 @@ asym: {snapshots: %s, tasks: %s, %s}
 """ % (out, bb_snapshot_dir, tasks, leaves))
     assert cli.main(["asym", cfg]) == 1
     assert capsys.readouterr().err == (
-        f"IPME-E50: asym.{leaf} is read by none of the tasks "
-        f"{tasks.strip('[]')}\n")
+        f"IPME-E50: an asym run of {tasks.strip('[]')} reads no "
+        f"'asym.{leaf}'\n")
     assert not out.exists()
 
 
