@@ -6,8 +6,9 @@ u_t >= -u/t lower bound, stabilization of t*u toward the separable
 profile on balls, and the rate-normalized distance to a matched
 source-type density.
 
-Truncated Cauchy runs carry a floor (the ladder's 1/n) and an outer moat
-at the lateral value; pass `floor` and `r_max` so both are ignored.
+Ladder runs carry a floor 1/n (their manifest's `ladder_floor`), which
+the caller removes first, as `ipme asym` does; pass `r_max` to ignore the
+outer collar of a truncated Cauchy run.
 """
 
 from __future__ import annotations
@@ -145,8 +146,14 @@ def fit_rate(times: Sequence[float], radii: Sequence[float]) -> RateFit:
                    n_used=int(len(t)))
 
 
-def benilan_crandall_check(snapshots: Sequence[ScalarField],
-                           floor: float = 0.0) -> float:
+def _need_pressure(snapshots: Sequence[ScalarField], caller: str) -> None:
+    for s in snapshots:
+        if s.quantity != "u":
+            raise DomainError(f"{caller} compares pressures and takes no "
+                              f"{s.quantity!r} snapshot")
+
+
+def benilan_crandall_check(snapshots: Sequence[ScalarField]) -> float:
     """Worst value of the discrete u_t + u/t over consecutive snapshots.
 
     Nonnegative (up to scheme error) certifies the lower bound
@@ -155,12 +162,13 @@ def benilan_crandall_check(snapshots: Sequence[ScalarField],
     """
     if len(snapshots) < 2:
         raise DomainError("need at least two snapshots")
+    _need_pressure(snapshots, "benilan_crandall_check")
     worst = np.inf
     for a, b in zip(snapshots, snapshots[1:]):
         if not (0.0 < a.t < b.t):
             raise DomainError("snapshot times must be positive and increasing")
         ut = (b.values - a.values) / (b.t - a.t)
-        worst = min(worst, float(np.min(ut + (a.values - floor) / a.t)))
+        worst = min(worst, float(np.min(ut + a.values / a.t)))
     return worst
 
 
@@ -182,8 +190,8 @@ class FriendlyGiantResult:
 
 def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
                    ball_radius: Optional[float] = None,
-                   center: Sequence[float] | None = None,
-                   floor: float = 0.0) -> FriendlyGiantResult:
+                   center: Sequence[float] | None = None
+                   ) -> FriendlyGiantResult:
     """Compare t*u against the separable ball profile (or just stabilize).
 
     With `ball_radius` given, the target is the zero-initial-data limit
@@ -191,13 +199,14 @@ def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
         U(x) = m/(m-1)^2 * [G_p(k_s (R - |x|))]^((m-1)/m)  inside,
         0 outside,
 
-    evaluated on the snapshot grid; errors are sup-norm distances of
-    t*u - floor*t ... the floor is removed from u before scaling.
+    evaluated on the snapshot grid; errors are sup-norm distances of t*u
+    to U.
     """
     if not snapshots:
         raise DomainError("need at least one snapshot")
+    _need_pressure(snapshots, "friendly_giant")
     grid = snapshots[0].grid
-    scaled = [s.t * np.maximum(s.values - floor, 0.0) for s in snapshots]
+    scaled = [s.t * s.values for s in snapshots]
     times = np.array([s.t for s in snapshots])
     diffs = np.array([float(np.max(np.abs(b - a)))
                       for a, b in zip(scaled, scaled[1:])])
@@ -215,15 +224,15 @@ def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
 
 
 def barenblatt_convergence(snapshots: Sequence[ScalarField], R_estimate: float,
-                           params: Params, floor: float = 0.0,
+                           params: Params,
                            center: Sequence[float] | None = None,
                            r_max: Optional[float] = None) -> tuple:
     """Rate-normalized sup distance of the density to a matched source field.
 
     e(t) = t^(1/(m+1)) * sup |rho(t) - beta_R(t)| with beta_R the
     source-type density of front scale R_estimate; returns (times, errors)
-    for the caller to test monotonicity.  Pressure snapshots are floored
-    and converted to density first.
+    for the caller to test monotonicity.  Pressure snapshots are converted
+    to density first.
     """
     if not snapshots:
         raise DomainError("need at least one snapshot")
@@ -238,10 +247,9 @@ def barenblatt_convergence(snapshots: Sequence[ScalarField], R_estimate: float,
     b = 1.0 / (params.m + 1.0)
     for s in snapshots:
         if s.quantity == "u":
-            rho = density_from_pressure(
-                np.maximum(s.values - floor, 0.0), params.m)
+            rho = density_from_pressure(s.values, params.m)
         elif s.quantity == "rho":
-            rho = np.maximum(s.values - floor, 0.0)
+            rho = s.values
         else:
             raise DomainError(f"cannot interpret quantity {s.quantity!r}")
         beta = exact.evaluate_rho(spec, X, s.t).reshape(grid.shape)

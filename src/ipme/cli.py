@@ -29,7 +29,8 @@ import argparse
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import yaml
@@ -44,102 +45,107 @@ __all__ = ["main", "load_config"]
 _NUM = (int, float)
 _LIST = (list, tuple)
 
-# allowed keys and leaf types; sections are nested dicts, and a one-element
-# list [T] is a list leaf whose every entry has type T
-SCHEMA = {
-    "problem": str,
-    "m": _NUM, "eps": _NUM, "delta": _NUM, "c": _NUM,
-    "grid": {"lo": [_NUM], "hi": [_NUM], "n": [int]},
-    "domain": {"kind": str, "radius": _NUM, "center": [_NUM]},
-    "data": {"kind": str, "value": _NUM, "height": _NUM, "radius": _NUM,
-             "slope": _NUM, "R": _NUM, "t_offset": _NUM, "speed": _NUM,
-             "offset": _NUM},
-    "boundary": {"kind": str, "value": _NUM},
-    "t_end": _NUM,
-    "snapshot_times": [_NUM],
-    "schedule": {"eps_list": [_NUM], "delta_list": [_NUM], "n_list": [int]},
-    "cauchy": {"M": _NUM, "r": _NUM},
-    "regression_threshold": _NUM,
-    "seed": int,
-    "output": str,
-    "exact": {"family": str, "m": _NUM, "quantity": str, "t": _NUM,
-              "times": [_NUM], "R": _NUM, "speed": _NUM, "offset": _NUM,
-              "a": _NUM, "R1": _NUM, "t0": _NUM, "C": _NUM},
-    "asym": {"snapshots": str, "tasks": [str], "threshold": _NUM,
-             "r_max": _NUM, "floor": _NUM, "center": [_NUM],
-             "ball_radius": _NUM, "R_estimate": _NUM, "m": _NUM},
-}
+
+class Leaf(NamedTuple):
+    """The contract of one config leaf: its type, the range a number must
+    lie in as (wording, test), and the values a string may take.  SCHEMA
+    holds a list leaf as [the Leaf of each entry]."""
+
+    type: type | tuple
+    rule: tuple = ()
+    values: tuple = ()
+
+
+def _one_of(*values: str) -> Leaf:
+    return Leaf(str, values=values)
+
 
 # the range each leaf's readers (Params, the problem classes, ball_mask,
 # the schedule, the exact families) enforce, the nonnegative data and
 # lateral values a pressure solve needs, and a positive regression
-# threshold (no error statistic is within one <= 0); `_check_keys`
-# applies it to every leaf present, read or not, and to each entry of a
-# list leaf
-_ABOVE_ONE = ("exceed 1", lambda v: v > 1.0)
-_POSITIVE = ("be positive", lambda v: v > 0.0)
-_NONNEGATIVE = ("be >= 0", lambda v: v >= 0.0)
-RANGES = {
+# threshold (no error statistic is within one <= 0)
+_NUMBER, _TEXT = Leaf(_NUM), Leaf(str)
+_ABOVE_ONE = Leaf(_NUM, ("exceed 1", lambda v: v > 1.0))
+_POSITIVE = Leaf(_NUM, ("be positive", lambda v: v > 0.0))
+_NONNEGATIVE = Leaf(_NUM, ("be >= 0", lambda v: v >= 0.0))
+
+# every config leaf by dotted path; a section is the first part of a path
+SCHEMA = {
+    "problem": _one_of("dirichlet", "maximal", "cauchy"),
     "m": _ABOVE_ONE, "eps": _NONNEGATIVE, "delta": _NONNEGATIVE,
-    "c": _NONNEGATIVE, "t_end": _POSITIVE, "domain.radius": _POSITIVE,
+    "c": _NONNEGATIVE,
+    "grid.lo": [_NUMBER], "grid.hi": [_NUMBER], "grid.n": [Leaf(int)],
+    "domain.kind": _one_of("box", "ball"), "domain.radius": _POSITIVE,
+    "domain.center": [_NUMBER],
+    "data.kind": _one_of("constant", "bump", "linear", "barenblatt",
+                         "traveling-wave", "separable-ball"),
     "data.value": _NONNEGATIVE, "data.height": _NONNEGATIVE,
-    "data.slope": _NONNEGATIVE, "data.radius": _POSITIVE,
-    "data.R": _POSITIVE, "data.speed": _POSITIVE,
+    "data.radius": _POSITIVE, "data.slope": _NONNEGATIVE,
+    "data.R": _POSITIVE, "data.t_offset": _NUMBER, "data.speed": _POSITIVE,
+    "data.offset": _NUMBER,
+    "boundary.kind": _one_of("zero", "constant", "exact"),
     "boundary.value": _NONNEGATIVE,
-    "schedule.eps_list": _POSITIVE, "schedule.delta_list": _POSITIVE,
-    "schedule.n_list": ("be >= 1", lambda v: v >= 1),
+    "t_end": _POSITIVE, "snapshot_times": [_NUMBER],
+    "schedule.eps_list": [_POSITIVE], "schedule.delta_list": [_POSITIVE],
+    "schedule.n_list": [Leaf(int, ("be >= 1", lambda v: v >= 1))],
     "cauchy.M": _NONNEGATIVE, "cauchy.r": _POSITIVE,
-    "exact.m": _ABOVE_ONE, "exact.speed": _POSITIVE, "exact.R1": _NONNEGATIVE,
-    "asym.m": _ABOVE_ONE, "asym.ball_radius": _POSITIVE,
-    "asym.R_estimate": _POSITIVE, "asym.threshold": _NONNEGATIVE,
-    "asym.floor": _NONNEGATIVE, "asym.r_max": _POSITIVE,
-    "regression_threshold": _POSITIVE,
+    "regression_threshold": _POSITIVE, "seed": Leaf(int), "output": _TEXT,
+    "exact.family": _TEXT, "exact.m": _ABOVE_ONE, "exact.quantity": _TEXT,
+    "exact.t": _NUMBER, "exact.times": [_NUMBER], "exact.R": _NUMBER,
+    "exact.speed": _POSITIVE, "exact.offset": _NUMBER, "exact.a": _NUMBER,
+    "exact.R1": _NONNEGATIVE, "exact.t0": _NUMBER, "exact.C": _NUMBER,
+    "asym.snapshots": _TEXT,
+    "asym.tasks": [_one_of("support", "rate", "giant", "barenblatt",
+                           "benilan")],
+    "asym.threshold": _NONNEGATIVE, "asym.r_max": _POSITIVE,
+    "asym.center": [_NUMBER], "asym.ball_radius": _POSITIVE,
+    "asym.R_estimate": _POSITIVE, "asym.m": _ABOVE_ONE,
 }
-
-DATA_KINDS = ("constant", "bump", "linear", "barenblatt", "traveling-wave",
-              "separable-ball")
-BOUNDARY_KINDS = ("zero", "constant", "exact")
+_SECTIONS = {path.partition(".")[0] for path in SCHEMA if "." in path}
 
 
-def _leaves(cfg: dict, schema: dict, path: str = ""):
-    """(path, value, type) of every leaf and list entry, in file order;
-    unknown keys and non-mapping sections are a ConfigError."""
+def _leaves(cfg: dict, path: str = ""):
+    """(path, value, leaf) of every leaf in file order, a list leaf as a
+    whole and then entry by entry; unknown keys and non-mapping sections
+    are a ConfigError."""
     for key, val in cfg.items():
         here = f"{path}{key}"
-        if key not in schema:
-            raise ConfigError(f"unknown config key {here!r}")
-        want = schema[key]
-        if isinstance(want, dict):
+        # a dotted key is no path: sections nest as mappings
+        leaf = None if "." in str(key) else SCHEMA.get(here)
+        if here in _SECTIONS:
             if not isinstance(val, dict):
                 raise ConfigError(f"{here!r} must be a mapping")
-            yield from _leaves(val, want, here + ".")
-        elif isinstance(want, list):
-            yield here, val, _LIST
+            yield from _leaves(val, here + ".")
+        elif leaf is None:
+            raise ConfigError(f"unknown config key {here!r}")
+        elif isinstance(leaf, list):
+            yield here, val, Leaf(_LIST)
             if isinstance(val, _LIST):
                 for i, item in enumerate(val):
-                    yield f"{here}[{i}]", item, want[0]
+                    yield f"{here}[{i}]", item, leaf[0]
         else:
-            yield here, val, want
+            yield here, val, leaf
 
 
 def _check_keys(cfg: dict) -> None:
-    """Type-check every leaf (IPME-E50), then check every number is finite
-    and within its RANGES entry (IPME-E10), whether or not the chosen
-    command reads the leaf."""
-    leaves = list(_leaves(cfg, SCHEMA))
-    for here, val, want in leaves:
+    """Type-check every leaf (IPME-E50), then check, leaf by leaf, that a
+    number is finite and within its range (IPME-E10) and a string among
+    its values (IPME-E50), whether or not the chosen command reads it."""
+    leaves = list(_leaves(cfg))
+    for here, val, leaf in leaves:
         # a YAML null is no leaf's type, and neither is a YAML bool,
         # although bool is a subclass of int
-        if isinstance(val, bool) or not isinstance(val, want):
+        if isinstance(val, bool) or not isinstance(val, leaf.type):
             got = "null" if val is None else type(val).__name__
             raise ConfigError(f"{here!r} has the wrong type ({got})")
-    for here, val, _ in leaves:
+    for here, val, leaf in leaves:
         if isinstance(val, float) and not math.isfinite(val):
             raise DomainError(f"{here} must be finite, got {val}")
-    for here, val, _ in leaves:
-        rule = RANGES.get(here.partition("[")[0])
-        if rule and isinstance(val, _NUM) and not rule[1](val):
-            raise DomainError(f"{here} must {rule[0]}, got {val}")
+        if leaf.rule and not leaf.rule[1](val):
+            raise DomainError(f"{here} must {leaf.rule[0]}, got {val}")
+        if leaf.values and val not in leaf.values:
+            raise ConfigError(f"unknown {here.replace('.', ' ')} {val!r}; "
+                              f"known: {', '.join(leaf.values)}")
 
 
 def load_config(path: str) -> dict:
@@ -169,17 +175,13 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
         if "=" not in pair:
             raise ConfigError(f"override {pair!r} is not key=value")
         key, _, raw = pair.partition("=")
-        parts = key.strip().split(".")
-        schema = SCHEMA
-        for i, part in enumerate(parts):
-            if not isinstance(schema, dict) or part not in schema:
-                raise ConfigError(f"unknown override key {key!r}")
-            schema = schema[part]
-            last = i == len(parts) - 1
-            if last and isinstance(schema, dict):
-                raise ConfigError(f"override {key!r} addresses a section, "
-                                  f"not a scalar leaf")
-        if isinstance(schema, list):
+        key = key.strip()
+        if key in _SECTIONS:
+            raise ConfigError(f"override {key!r} addresses a section, "
+                              f"not a scalar leaf")
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown override key {key!r}")
+        if isinstance(SCHEMA[key], list):
             raise ConfigError(f"override {key!r} addresses a list; flags "
                               f"only override scalar leaves")
         try:
@@ -188,13 +190,12 @@ def apply_overrides(cfg: dict, pairs: Sequence[str]) -> dict:
             raise ConfigError(f"cannot parse override value {raw!r}: {e}")
         if isinstance(value, (dict, list)):
             raise ConfigError(f"override {key!r} must be a scalar")
-        node = cfg
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override {key!r} collides with a "
-                                  f"non-mapping entry")
-        node[parts[-1]] = value
+        section, _, leaf = key.rpartition(".")
+        node = cfg.setdefault(section, {}) if section else cfg
+        if not isinstance(node, dict):
+            raise ConfigError(f"override {key!r} collides with a "
+                              f"non-mapping entry")
+        node[leaf] = value
     _check_keys(cfg)
     return cfg
 
@@ -220,14 +221,14 @@ class _Reads(dict):
 
     def check(self, run: str) -> None:
         """Reject the first leaf, in file order, that `run` never took."""
-        for here, _, _ in _leaves(self, SCHEMA):
+        for here, _, _ in _leaves(self):
             if "[" not in here and here not in self.taken:
                 raise ConfigError(f"{run} reads no {here!r}")
 
 
-def _require(cfg: dict, key: str):
+def _require(cfg: _Reads, key: str):
     if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required")
+        raise ConfigError(f"config key {cfg.path + key!r} is required")
     return cfg[key]
 
 
@@ -241,10 +242,7 @@ def _finite(section: dict, key: str, default=None) -> float:
 
 def _build_grid(cfg: dict) -> GridSpec:
     g = _require(cfg, "grid")
-    for k in ("lo", "hi", "n"):
-        if k not in g:
-            raise ConfigError(f"grid.{k} is required")
-    return GridSpec.box(g["lo"], g["hi"], g["n"])
+    return GridSpec.box(*(_require(g, k) for k in ("lo", "hi", "n")))
 
 
 def _build_params(cfg: dict, problem_kind: str) -> tuple:
@@ -294,10 +292,7 @@ def _build_data(cfg: dict, grid: GridSpec, m: float) -> tuple:
     from . import exact
 
     data = _require(cfg, "data")
-    kind = data.get("kind")
-    if kind not in DATA_KINDS:
-        raise ConfigError(f"unknown data kind {kind!r}; "
-                          f"known: {', '.join(DATA_KINDS)}")
+    kind = _require(data, "kind")
     spec, t_off = _exact_companion(data, m)
 
     if kind == "constant":
@@ -326,9 +321,6 @@ def _build_boundary(cfg: dict, u0_fn, spec, t_off: float) -> BoundaryData:
 
     bc = cfg.get("boundary") or {}
     bkind = bc.get("kind", "zero")
-    if bkind not in BOUNDARY_KINDS:
-        raise ConfigError(f"unknown boundary kind {bkind!r}; "
-                          f"known: {', '.join(BOUNDARY_KINDS)}")
     if bkind == "zero":
         g_fn = lambda X, t: np.zeros(len(X))  # noqa: E731
     elif bkind == "constant":
@@ -344,11 +336,9 @@ def _build_boundary(cfg: dict, u0_fn, spec, t_off: float) -> BoundaryData:
 
 
 def _domain_mask(cfg: dict, grid: GridSpec):
-    dom = cfg.get("domain")
-    if not dom or dom.get("kind", "box") == "box":
+    dom = cfg.get("domain") or {}
+    if dom.get("kind", "box") == "box":
         return None
-    if dom["kind"] != "ball":
-        raise ConfigError(f"unknown domain kind {dom['kind']!r}")
     from .solver import ball_mask
 
     return ball_mask(grid, _finite(dom, "radius"), dom.get("center"))
@@ -374,8 +364,6 @@ def cmd_solve(plain: dict) -> int:
 
     cfg = _Reads(plain, set())
     problem_kind = cfg.get("problem", "dirichlet")
-    if problem_kind not in ("dirichlet", "maximal", "cauchy"):
-        raise ConfigError(f"unknown problem kind {problem_kind!r}")
     grid = _build_grid(cfg)
     params, schedule = _build_params(cfg, problem_kind)
     t_end = float(_require(cfg, "t_end"))
@@ -494,15 +482,25 @@ def cmd_verify(suites: Sequence[str], fault: Optional[str]) -> int:
 
 
 def _read_snapshot_dir(path: str) -> list:
+    """The snapshots of a run directory on one grid, in time order, less
+    the ladder floor that its manifest records (none without one)."""
     if not os.path.isdir(path):
         raise DomainError(f"snapshot directory {path!r} does not exist")
     names = sorted(n for n in os.listdir(path) if n.endswith(".snap"))
     if not names:
         raise DomainError(f"no snapshots found in {path!r}")
-    return [io.read_snapshot(os.path.join(path, n)) for n in names]
-
-
-ASYM_TASKS = ("support", "rate", "giant", "barenblatt", "benilan")
+    snaps = [io.read_snapshot(os.path.join(path, n)) for n in names]
+    for name, s in zip(names, snaps):
+        if s.grid != snaps[0].grid:
+            raise DomainError(f"snapshots {names[0]!r} and {name!r} lie on "
+                              f"different grids")
+    manifest = os.path.join(path, "manifest.yaml")
+    if os.path.exists(manifest):
+        floor = io.read_manifest(manifest).get("ladder_floor", 0.0)
+        if floor:
+            snaps = [replace(s, values=np.maximum(s.values - floor, 0.0))
+                     for s in snaps]
+    return sorted(snaps, key=lambda s: s.t)
 
 
 def cmd_asym(plain: dict) -> int:
@@ -510,15 +508,11 @@ def cmd_asym(plain: dict) -> int:
 
     cfg = _Reads(plain, set())
     acfg = cfg.get("asym") or {}
-    tasks = list(acfg.get("tasks") or ["support", "rate"])
-    for task in tasks:
-        if task not in ASYM_TASKS:
-            raise ConfigError(f"unknown asym task {task!r}; "
-                              f"known: {', '.join(ASYM_TASKS)}")
+    tasks = list(acfg.get("tasks", ["support", "rate"]))
+    if not tasks:
+        raise ConfigError("asym.tasks must list at least one task")
     snaps = _read_snapshot_dir(acfg.get("snapshots")
                                or _require(cfg, "output"))
-    snaps.sort(key=lambda s: s.t)
-    floor = float(acfg.get("floor", 0.0))
     # a leaf is read only for the tasks that use it
     write_trace = "support" in tasks or "rate" in tasks
     giant, bb = "giant" in tasks, "barenblatt" in tasks
@@ -551,9 +545,7 @@ def cmd_asym(plain: dict) -> int:
 
     trace = None
     if need_trace:
-        trace = asymptotics.track_support(
-            snaps, threshold=threshold, center=center,
-            r_max=r_max, floor=floor)
+        trace = asymptotics.track_support(snaps, threshold, center, r_max)
     if write_trace:
         csvs["support_trace.csv"] = asymptotics.trace_rows(trace)
         summary["support"] = {"threshold": trace.threshold,
@@ -569,8 +561,7 @@ def cmd_asym(plain: dict) -> int:
                            "residual": fit.residual, "n_used": fit.n_used}
     if giant:
         fg = asymptotics.friendly_giant(
-            snaps, params, ball_radius=None if br is None else float(br),
-            center=center, floor=floor)
+            snaps, params, None if br is None else float(br), center)
         rows = []
         for i, t in enumerate(fg.times):
             err = "" if fg.errors is None else fg.errors[i]
@@ -587,14 +578,13 @@ def cmd_asym(plain: dict) -> int:
                 fit = asymptotics.fit_rate(trace.times, trace.r_outer)
             R_est = fit.amplitude
         ts, errs = asymptotics.barenblatt_convergence(
-            snaps, float(R_est), params, floor=floor, center=center,
-            r_max=r_max)
+            snaps, float(R_est), params, center=center, r_max=r_max)
         csvs["barenblatt_curve.csv"] = (["t", "e"],
                                         [[t, e] for t, e in zip(ts, errs)])
         summary["barenblatt"] = {"R_estimate": float(R_est),
                                  "final_e": float(errs[-1])}
     if "benilan" in tasks:
-        worst = asymptotics.benilan_crandall_check(snaps, floor=floor)
+        worst = asymptotics.benilan_crandall_check(snaps)
         summary["benilan"] = {"worst": worst}
     os.makedirs(outdir, exist_ok=True)
     for name, (header, rows) in csvs.items():

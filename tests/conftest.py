@@ -41,7 +41,8 @@ def _cauchy_reference(m: float) -> dict:
     report = solve_cauchy(prob, n_list=(512,))
     trace = track_support(report.snapshots, threshold=2e-3, center=(c, c),
                           r_max=1.5, floor=report.ladder_floor)
-    return {"m": m, "report": report, "trace": trace,
+    # the data's maximum: the bump's height, which is also the collar's M
+    return {"m": m, "report": report, "trace": trace, "data_max": BUMP_HEIGHT,
             "fit": fit_rate(trace.times, trace.r_inner), "center": (c, c)}
 
 

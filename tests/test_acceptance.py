@@ -5,6 +5,8 @@ shows the distance to the line, and reuses the session-scoped reference
 runs from conftest where an evolution is expensive.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -319,13 +321,20 @@ def test_c09_cauchy_bound_and_support_monotone(cauchy_run_m2, cauchy_run_m3):
     lines = []
     for run in (cauchy_run_m2, cauchy_run_m3):
         rep = run["report"]
-        u0_max = float(np.max(rep.snapshots[0].values))
-        bound = max(0.3, u0_max) + rep.ladder_floor + 1e-6
+        # the rung's data are the data raised by its floor
+        bound = run["data_max"] + rep.ladder_floor + 1e-6
         peak = float(np.max(rep.max_trace))
         assert peak <= bound, (peak, bound)
+        # the collar holds the bound's value, so bound the solution also
+        # inside |x| < r, where the collar does not sit
+        grid = rep.snapshots[0].grid
+        inside = grid.radii() < rep.manifest["truncation_radius"]
+        core = max(float(np.max(s.values[inside])) for s in rep.snapshots)
+        assert core <= bound, (core, bound)
         r_inner = np.asarray(run["trace"].r_inner)
         assert np.all(np.diff(r_inner) >= 0.0), r_inner
-        lines.append(f"m={run['m']:g}: peak {peak:.6f} <= {bound:.6f}, "
+        lines.append(f"m={run['m']:g}: peak {peak:.6f} (inside |x| < r "
+                     f"{core:.4f}) <= {bound:.6f}, "
                      f"front {r_inner[0]:.3f}->{r_inner[-1]:.3f}")
     print("C09 PASS " + "; ".join(lines))
 
@@ -357,10 +366,11 @@ def test_c10_source_solution_attracts(cauchy_run_m2):
 
     # 2-d: the radial reference run against its fitted front scale
     rep = cauchy_run_m2["report"]
-    snaps = [rep.snapshots[i] for i in (0, 4, 8, 12)]
+    snaps = [replace(s, values=np.maximum(s.values - rep.ladder_floor, 0.0))
+             for s in (rep.snapshots[i] for i in (0, 4, 8, 12))]
     _, errs2 = asymptotics.barenblatt_convergence(
         snaps, cauchy_run_m2["fit"].amplitude, Params(m=m),
-        floor=rep.ladder_floor, center=cauchy_run_m2["center"], r_max=1.25)
+        center=cauchy_run_m2["center"], r_max=1.25)
     assert all(a > b for a, b in zip(errs2, errs2[1:])), errs2
     print(f"C10 PASS scaled sup distance falls: 1-d {errs1[0]:.4f}->"
           f"{errs1[-1]:.4f}, 2-d {errs2[0]:.5f}->{errs2[-1]:.5f} "

@@ -147,6 +147,15 @@ class TestFriendlyGiant:
             friendly_giant([], PARAMS)
 
 
+@pytest.mark.parametrize("check", [
+    benilan_crandall_check, lambda snaps: friendly_giant(snaps, PARAMS)],
+    ids=["benilan", "giant"])
+def test_pressure_checks_refuse_density(check):
+    snaps = [snapshot(BALL, GRID, t, quantity="rho") for t in (1.0, 2.0)]
+    with pytest.raises(DomainError, match="takes no 'rho' snapshot"):
+        check(snaps)
+
+
 class TestBarenblattConvergence:
 
     def test_matched_source_snapshots_have_zero_error(self):
@@ -158,13 +167,6 @@ class TestBarenblattConvergence:
     def test_density_snapshots_accepted(self):
         snaps = [snapshot(BB, GRID, t, quantity="rho") for t in (1.0, 2.0)]
         _, errs = barenblatt_convergence(snaps, 0.5, PARAMS)
-        assert np.all(errs <= 1e-14)
-
-    def test_floor_is_removed(self):
-        snaps = [ScalarField(grid=GRID, values=s.values + 0.1, t=s.t,
-                             quantity="u")
-                 for s in (snapshot(BB, GRID, t) for t in (1.0, 2.0))]
-        _, errs = barenblatt_convergence(snaps, 0.5, PARAMS, floor=0.1)
         assert np.all(errs <= 1e-14)
 
     def test_mismatched_front_scale_shows_up(self):

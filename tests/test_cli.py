@@ -65,6 +65,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown config key 'grid.q'"):
             cli.load_config(p)
 
+    def test_dotted_key_is_unknown(self, tmp_path):
+        p = write_cfg(tmp_path / "d.yaml", "data.kind: bump\n")
+        with pytest.raises(ConfigError,
+                           match="unknown config key 'data.kind'"):
+            cli.load_config(p)
+
     def test_wrong_leaf_type(self, tmp_path):
         p = write_cfg(tmp_path / "t.yaml", "m: two\n")
         with pytest.raises(ConfigError, match="wrong type"):
@@ -630,7 +636,9 @@ boundary: {kind: constant, value: 0.3}
 output: %s
 """ % (tmp_path / "run"))
         assert cli.main(["solve", cfg]) == 1
-        assert "unknown problem kind 'neumann'" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "IPME-E50: unknown problem 'neumann'; known: dirichlet, "
+            "maximal, cauchy\n")
 
     def test_config_error_goes_to_stderr_only(self, tmp_path, capsys):
         assert cli.main(["solve", str(tmp_path / "absent.yaml")]) == 1
@@ -871,18 +879,9 @@ grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [17, 17]}
 # fuzzed overrides
 
 
-def _schema_leaves(schema, path=""):
-    """(dotted path, type) of every leaf of `schema`."""
-    for key, want in schema.items():
-        if isinstance(want, dict):
-            yield from _schema_leaves(want, f"{path}{key}.")
-        else:
-            yield path + key, want
-
-
 # every scalar leaf; each fuzzed run sets its own output
-FUZZ_KEYS = sorted(k for k, want in _schema_leaves(cli.SCHEMA)
-                   if not isinstance(want, list) and k != "output")
+FUZZ_KEYS = sorted(k for k, leaf in cli.SCHEMA.items()
+                   if not isinstance(leaf, list) and k != "output")
 FUZZ_VALUES = ("null", ".nan", ".inf", "-.inf", "-1", "0", "2", "x", "true")
 FUZZ_YAML = """\
 problem: dirichlet
@@ -979,21 +978,22 @@ def _assert_one_diagnostic(tmp_path, capsys, command, config, overrides):
     if rc != 1 and command != "asym":
         # the recorded config holds only typed, finite numbers
         man = yaml.safe_load((run / "out" / "manifest.yaml").read_text())
-        _assert_numbers_typed(man["config"], cli.SCHEMA)
+        _assert_numbers_typed(man["config"])
 
 
-def _assert_numbers_typed(node, schema, path=""):
+def _assert_numbers_typed(node, path=""):
     for key, val in node.items():
-        want = schema[key]
-        if isinstance(want, dict):
-            _assert_numbers_typed(val, want, f"{path}{key}.")
+        if isinstance(val, dict):
+            _assert_numbers_typed(val, f"{path}{key}.")
             continue
-        elem = want[0] if isinstance(want, list) else want
+        leaf = cli.SCHEMA[path + key]
+        many = isinstance(leaf, list)
+        elem = leaf[0].type if many else leaf.type
         if elem is str:
             continue
-        for v in val if isinstance(want, list) else [val]:
-            assert type(v) in ((int,) if elem is int else (int, float)), \
-                (path + key, v)
+        types = (int,) if elem is int else (int, float)
+        for v in val if many else [val]:
+            assert type(v) in types, (path + key, v)
             assert math.isfinite(v), (path + key, v)
 
 
@@ -1120,7 +1120,6 @@ UNREAD_OUT_OF_RANGE = [
     ("exact.m", "1", "exceed 1"),
     ("asym.R_estimate", "-2.0", "be positive"),
     ("asym.threshold", "-1", "be >= 0"),
-    ("asym.floor", "-5", "be >= 0"),
     ("asym.r_max", "0", "be positive"),
 ]
 
@@ -1276,7 +1275,7 @@ def _read_runs(snaps):
             "data: {kind: separable-ball, radius: 0.5, t_offset: 1.0}\n"]:
         yield "solve", base + body
     for leaves in ["tasks: [support], threshold: 0.01, center: [0.0, 0.0], "
-                   "r_max: 1.5, floor: 0.0", "tasks: [rate]",
+                   "r_max: 1.5", "tasks: [rate]",
                    "tasks: [giant], m: 2.0, ball_radius: 0.5",
                    "tasks: [barenblatt], m: 2.0, R_estimate: 1.0",
                    "tasks: [benilan]"]:
@@ -1305,7 +1304,7 @@ def test_every_schema_leaf_is_read_by_some_run(tmp_path, capsys, monkeypatch,
                 "--set", f"output={out}"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err == "IPME-E1: _Checked: \n", config
-    assert taken == {k for k, _ in _schema_leaves(cli.SCHEMA)}
+    assert taken == set(cli.SCHEMA)
     assert not out.exists()
 
 
@@ -1508,8 +1507,8 @@ asym: {snapshots: %s, tasks: [support, suport]}
 """ % (out, bb_snapshot_dir))
         assert cli.main(["asym", cfg]) == 1
         assert capsys.readouterr().err == (
-            "IPME-E50: unknown asym task 'suport'; known: support, rate, "
-            "giant, barenblatt, benilan\n")
+            "IPME-E50: unknown asym tasks[1] 'suport'; known: support, "
+            "rate, giant, barenblatt, benilan\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("tasks", ["[support]", "[barenblatt]"])
@@ -1575,6 +1574,114 @@ asym: {snapshots: %s, tasks: [support]}
         assert err.startswith("IPME-E40:") and err.count("IPME-E") == 1
         assert "time must be finite, got nan" in err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_task_list_rejected(self, tmp_path, bb_snapshot_dir,
+                                      capsys):
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: []}
+""" % (out, bb_snapshot_dir))
+        assert cli.main(["asym", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "IPME-E50: asym.tasks must list at least one task\n")
+        assert not out.exists()
+
+    def test_snapshots_on_different_grids_rejected(self, tmp_path, capsys):
+        snaps = tmp_path / "snaps"
+        snaps.mkdir()
+        for i, n in enumerate((33, 17)):
+            grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (n, n))
+            io.write_snapshot(str(snaps / f"u_{i:04d}.snap"), ScalarField(
+                grid, np.zeros(grid.shape), t=1.0 + i, quantity="u"))
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: [benilan]}
+""" % (out, snaps))
+        assert cli.main(["asym", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "IPME-E10: snapshots 'u_0000.snap' and 'u_0001.snap' lie on "
+            "different grids\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("task,caller", [
+        ("[giant], m: 2.0, ball_radius: 0.5", "friendly_giant"),
+        ("[benilan]", "benilan_crandall_check")], ids=["giant", "benilan"])
+    def test_pressure_tasks_refuse_density_snapshots(self, tmp_path, capsys,
+                                                     task, caller):
+        # both compare against pressure formulas, so a density snapshot
+        # would give a silently wrong number
+        snaps = tmp_path / "rho"
+        assert cli.main(["exact", write_cfg(tmp_path / "e.yaml", """\
+output: %s
+exact: {family: separable-ball, m: 2.0, quantity: rho, R: 0.5,
+        times: [1.0, 2.0, 4.0]}
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [33, 33]}
+""" % snaps)]) == 0
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: %s}
+""" % (out, snaps, task))
+        assert cli.main(["asym", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"IPME-E10: {caller} compares pressures and takes no 'rho' "
+            f"snapshot\n")
+        assert not out.exists()
+
+    def test_recorded_floor_is_removed_once(self, tmp_path, bb_snapshot_dir,
+                                            asym_out):
+        # the source snapshots lifted by a floor that their manifest
+        # records read as the plain ones
+        lifted = tmp_path / "lifted"
+        lifted.mkdir()
+        for path in sorted(bb_snapshot_dir.glob("*.snap")):
+            s = io.read_snapshot(path)
+            io.write_snapshot(str(lifted / path.name), ScalarField(
+                s.grid, s.values + 0.1, t=s.t, quantity="u"))
+        man = io.read_manifest(bb_snapshot_dir / "manifest.yaml")
+        io.write_manifest(str(lifted / "manifest.yaml"),
+                          {**man, "ladder_floor": 0.1})
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: [support, rate, barenblatt, benilan], m: 2.0}
+""" % (out, lifted))
+        assert cli.main(["asym", cfg]) == 0
+        got = yaml.safe_load((out / "asym_summary.yaml").read_text())
+        want = yaml.safe_load((asym_out / "asym_summary.yaml").read_text())
+        assert got["rate"] == pytest.approx(want["rate"], abs=1e-12)
+        assert got["barenblatt"] == pytest.approx(want["barenblatt"],
+                                                  abs=1e-12)
+        assert got["benilan"]["worst"] == pytest.approx(
+            want["benilan"]["worst"], abs=1e-12)
+
+    def test_maximal_run_needs_no_floor_leaf(self, tmp_path):
+        # the ladder's floor 1/8 once read as support on the whole box,
+        # so r_outer sat at the corner and the rate at 0
+        run = tmp_path / "run"
+        times = ", ".join(f"{0.01 * i:g}" for i in range(1, 21))
+        assert cli.main(["solve", write_cfg(tmp_path / "m.yaml", """\
+problem: maximal
+m: 2.0
+grid: {lo: [-1.0, -1.0], hi: [1.0, 1.0], n: [33, 33]}
+data: {kind: bump, height: 0.5, radius: 0.3}
+boundary: {kind: zero}
+t_end: 0.2
+snapshot_times: [%s]
+schedule: {n_list: [4, 8]}
+output: %s
+""" % (times, run))]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["asym", write_cfg(tmp_path / "a.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: [support, rate]}
+""" % (out, run))]) == 0
+        summ = yaml.safe_load((out / "asym_summary.yaml").read_text())
+        assert summ["rate"]["rate"] == pytest.approx(1.0 / 3.0, abs=0.05)
+        _, rows = io.read_trace_csv(out / "support_trace.csv")
+        assert max(row[2] for row in rows) < math.sqrt(2.0) - 0.05
 
 
 # ---------------------------------------------------------------------------

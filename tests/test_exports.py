@@ -27,8 +27,6 @@ ORACLES = {
                      "Cauchy-V barriers, checked on the solver's output",
     "cfl_dt_1d": "the 1-d stability bound the pme1d step tests size dt with",
     "ode_residual": "C08: the profile tables satisfy their ODE",
-    "read_manifest": "reads back write_manifest's bytes for C11 and the "
-                     "manifest round trips",
     "pressure_from_density": "the inverse that the conversion round trip "
                              "checks density_from_pressure against",
 }
