@@ -17,17 +17,26 @@ excess in the manifest.
 
 The scheme is plain forward Euler.  The stage loop is the one code path
 here that advances a field (the 1-d oracle in `pme1d` is kept apart as
-an independent check): it updates its own array in place and reuses one
-stencil workspace per stage.  The whole step runs on the workspace's
-slabs, on the kernel's threads when the grid is split: after the kernel,
-each slab scales its rhs run by dt, adds it into the field, stamps the
-held nodes of its cover and returns the cover's max and min
-(`_advance`).  The calling thread evaluates time-dependent lateral data
-once per step, and the combined extrema refuse a pressure that is
-non-finite or negative beyond rounding (`_police`).  At 385^2 on a
-2-core Xeon (numpy 2.4; medians of steps alternated between versions)
-the part of a two-slab step after the kernel took about 0.1 ms, against
-0.28 ms when the update and the check ran on the calling thread alone.
+an independent check): it steps the field of one stencil workspace in
+place and reuses the workspace for the whole stage.  The whole step
+runs on the workspace's slabs, in the slab worker process when the grid
+is split: after the kernel, each slab scales its rhs run by dt, adds it
+into the field, stamps the held nodes of its cover and returns the
+cover's max and min (`_advance`).  The field, rhs and lateral values
+are shared with the worker, and the held nodes, split by slab cover
+when the workspace is built, are fixed before it forks, so each step
+hands it only the job: a function's name and `Params` or dt.  The calling
+process evaluates time-dependent lateral data once per step into the
+shared values, and the combined extrema refuse a pressure that is
+non-finite or negative beyond rounding (`_police`), which clips the
+field only when its minimum is negative.  The worker runs the same
+elementwise operations on the same values as one process would, on a
+cover that no other process writes, so a split stage gives the same
+bits as an unsplit one.  At 385^2 on a 2-core Xeon (numpy 2.4; medians
+of steps alternated between versions) the part of a two-slab step after
+the kernel took about 0.1 ms, against 0.28 ms when the update and the
+check ran on the calling thread alone (slab threads then).
+
 The step runs under the two-part CFL bound
 
     dt <= safety * min( h^2/(2(eps d + k max beta_c(u))),
@@ -167,13 +176,12 @@ def _inactive_nodes(grid: GridSpec, domain_mask: Optional[np.ndarray]) -> np.nda
     return inactive
 
 
-def _advance(flat: np.ndarray, s, dt: float, g: np.ndarray,
-             holds: dict) -> tuple:
+def _advance(flat: np.ndarray, s, dt: float) -> tuple:
     """One slab's share of the forward-Euler update of the flattened
     field `flat`, in place: its run advances by dt * rhs (the rhs last
     computed on the slab, scaled there in place), the held nodes of its
-    cover take their lateral values from `g` through `holds[s]` (see
-    `_holds`), and the (max, min) of the cover is returned.
+    cover take their lateral values (`s.held`, `s.lateral`; see
+    `StencilWork`), and the (max, min) of the cover is returned.
 
     The cover starts where the slab's run starts (the first slab's at 0)
     and ends where the next one's starts, so each slab writes and reads
@@ -185,27 +193,20 @@ def _advance(flat: np.ndarray, s, dt: float, g: np.ndarray,
     rhs = s.rhs
     rhs *= dt
     flat[s.c0] += rhs
-    held, part = holds[s]
-    flat[held] = g[part]
+    flat[s.held] = s.lateral
     cover = flat[s.cover]
-    return cover.max(), cover.min()
-
-
-def _holds(work: StencilWork, held: np.ndarray) -> dict:
-    """{slab: (indices, part)} for each slab of `work`: the ascending flat
-    indices `held` that fall in the slab's cover, and the slice of `held`
-    (and of its lateral values) they are."""
-    cuts = [0, *np.searchsorted(held, [s.cover.stop for s in work.slabs])]
-    return {s: (held[a:b], slice(a, b))
-            for s, a, b in zip(work.slabs, cuts, cuts[1:])}
+    return float(cover.max()), float(cover.min())
 
 
 def _police(vals: np.ndarray, extrema) -> None:
     """Refuse a pressure field `vals` with a non-finite value or an
     undershoot beyond NEG_TOL of its scale, from the (max, min) pairs of
     parts that tile it (a NaN anywhere makes its part's pair NaN);
-    smaller undershoots are clipped to 0 in place, over the whole
-    field."""
+    smaller undershoots are clipped to 0 in place, over the whole field.
+
+    A field that starts without -0.0 (the stage adds +0.0 to its data)
+    never gets one, since x + y is -0.0 only when both are, so a minimum
+    of 0 needs no clip."""
     tops, lows = zip(*extrema)
     if not all(map(math.isfinite, tops + lows)):
         raise InstabilityError("non-finite values during time stepping")
@@ -213,7 +214,7 @@ def _police(vals: np.ndarray, extrema) -> None:
     if low < -NEG_TOL * max(1.0, abs(top)):
         raise InstabilityError(
             f"negative value {low} beyond tolerance during stepping")
-    if not low > 0.0:
+    if low < 0.0:
         np.clip(vals, 0.0, None, out=vals)
 
 
@@ -223,28 +224,32 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
                monitor: Callable | None = None) -> SolveReport:
     """Advance one (eps, delta) stage from t = 0, landing on snapshots.
 
-    The loop carries a plain array, updated in place, and one stencil
-    workspace (with its slab helper thread, if any) that lives for the
-    stage.  Each step runs the kernel and then `_advance` on the
-    workspace's slabs, evaluates time-dependent lateral data once, and
-    polices the slabs' extrema here; the held nodes are split by slab
-    cover once per stage.  Fields are built only for the monitor, the
-    snapshots and the final state."""
+    The loop steps the field of one stencil workspace in place; the
+    workspace (with its slab worker, if any) lives for the stage and
+    splits the held nodes by slab cover.  Each step runs the kernel and
+    then `_advance` on the workspace's slabs, evaluates time-dependent
+    lateral data once into the workspace's `lateral`, and polices the
+    slabs' extrema here.  Adding +0.0 to the initial field and to the
+    lateral values turns -0.0 into +0.0, as a clip would, and changes
+    nothing else.  Fields are built only for the monitor, the snapshots
+    and the final state."""
     targets = sorted(set(float(t) for t in snapshot_times) | {float(t_end)})
-    vals = np.asarray(boundary.initial(grid.points()),
-                      dtype=float).reshape(grid.shape).copy()
+    work = StencilWork(grid, np.flatnonzero(_inactive_nodes(grid,
+                                                            domain_mask)))
+    vals = work.field
+    np.add(np.asarray(boundary.initial(grid.points()), dtype=float)
+           .reshape(grid.shape), 0.0, out=vals)
     flat = vals.reshape(-1)
-    held = np.flatnonzero(_inactive_nodes(grid, domain_mask))
-    X_in = grid.points()[held]
-    g = np.asarray(boundary.lateral(X_in, 0.0), dtype=float)
-    flat[held] = g
+    X_in = grid.points()[work.held]
+    np.add(np.asarray(boundary.lateral(X_in, 0.0), dtype=float), 0.0,
+           out=work.lateral)
+    flat[work.held] = work.lateral
     _police(vals, [(flat.max(), flat.min())])
 
     dts: list = []
     snaps: list = []
     t = 0.0
-    with StencilWork(grid) as work:
-        holds = _holds(work, held)
+    with work:
         for target in targets:
             while t < target - 1e-13 * max(1.0, target):
                 _, bmax, g2max = rhs_core(vals, grid, params, work)
@@ -254,8 +259,9 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
                     dt = target - t
                 t += dt
                 if boundary.time_dependent:
-                    g = np.asarray(boundary.lateral(X_in, t), dtype=float)
-                _police(vals, work.run(_advance, vals, dt, g, holds))
+                    np.add(np.asarray(boundary.lateral(X_in, t),
+                                      dtype=float), 0.0, out=work.lateral)
+                _police(vals, work.run(_advance, vals, dt))
                 dts.append(dt)
                 if monitor is not None and len(dts) % 128 == 0:
                     monitor(ScalarField(grid=grid, values=vals.copy(), t=t,
@@ -266,7 +272,7 @@ def _run_stage(grid: GridSpec, params: Params, boundary: BoundaryData,
             if monitor is not None:
                 monitor(snaps[-1])
     return SolveReport(
-        final=ScalarField(grid=grid, values=vals, t=t, quantity="u"),
+        final=ScalarField(grid=grid, values=vals.copy(), t=t, quantity="u"),
         snapshots=snaps, dt_history=np.asarray(dts),
         max_trace=np.asarray([float(np.max(s.values)) for s in snaps]),
         n_steps=len(dts))
@@ -406,14 +412,21 @@ def cauchy_initial(problem: CauchyProblem) -> np.ndarray:
     return vals.reshape(grid.shape)
 
 
-def _bump_radius(vals: np.ndarray, radii: np.ndarray, shell_w: float,
+def _shells(radii: np.ndarray, shell_w: float, r_stop: float) -> np.ndarray:
+    """The flat shell index of every node for `_bump_radius`: its radius
+    in shell widths, the last shell taking every radius from r_stop."""
+    n_shells = int(np.ceil(r_stop / shell_w)) + 1
+    return np.minimum((radii / shell_w).astype(int), n_shells - 1).ravel()
+
+
+def _bump_radius(vals: np.ndarray, shells: np.ndarray, shell_w: float,
                  wet_level: float, r_stop: float) -> float:
     """Outer radius of the connected wet region around the origin, found
-    by scanning shell maxima outward until the first dry shell."""
+    by scanning shell maxima outward until the first dry shell; `shells`
+    is `_shells(radii, shell_w, r_stop)`."""
     n_shells = int(np.ceil(r_stop / shell_w)) + 1
-    idx = np.minimum((radii / shell_w).astype(int), n_shells - 1)
     shell_max = np.full(n_shells, -np.inf)
-    np.maximum.at(shell_max, idx.ravel(), vals.ravel())
+    np.maximum.at(shell_max, shells, vals.ravel())
     for s in range(n_shells):
         if shell_max[s] <= wet_level:
             return s * shell_w
@@ -428,13 +441,14 @@ def solve_cauchy(problem: CauchyProblem,
     grid = problem.grid
     u0_grid = cauchy_initial(problem)
     theta = 1e-3 * max(float(np.max(u0_grid)), problem.M, 1e-30)
-    radii = grid.radii()
     shell_w = max(grid.h)
+    r_stop = 1.6 * problem.r
+    shells = _shells(grid.radii(), shell_w, r_stop)
 
     def rung_monitor(floor: float) -> Callable:
         def monitor(u: ScalarField) -> None:
-            r_bump = _bump_radius(u.values, radii, shell_w, floor + theta,
-                                  1.6 * problem.r)
+            r_bump = _bump_radius(u.values, shells, shell_w, floor + theta,
+                                  r_stop)
             if r_bump >= 1.5 * problem.r:
                 raise TruncationError(
                     f"support reached 1.5 r = {1.5 * problem.r} at t={u.t}; "

@@ -1,15 +1,49 @@
 """Shared fixtures: the expensive reference runs are session-scoped so the
 acceptance criteria and the unit tests reuse the same evolutions."""
 
+import os
+
 import numpy as np
 import pytest
 
 from ipme.core import GridSpec, Params, BoundaryData, density_from_pressure
-from ipme import exact
+from ipme import exact, operators
 from ipme.solver import (CauchyProblem, DirichletProblem, ball_mask,
                          solve_cauchy, solve_dirichlet)
 from ipme.pme1d import RadialProblem, pme1d_solve
 from ipme.asymptotics import track_support, fit_rate
+
+
+class Workers(list):
+    """The pids of the slab workers that stencil workspaces fork during a
+    test, in order."""
+
+    def reaped(self) -> bool:
+        """True when every one has ended and been waited for, so none is
+        a child of this process any more."""
+        for pid in self:
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue
+            return False
+        return True
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    pids = Workers()
+    enter = operators.StencilWork.__enter__
+
+    def record(self):
+        out = enter(self)
+        if self._worker is not None:
+            pids.append(self._worker[0])
+        return out
+
+    monkeypatch.setattr(operators.StencilWork, "__enter__", record)
+    return pids
+
 
 # quartic compactly supported pressure bump used by the Cauchy reference
 # runs; deliberately not of source-type shape (those are parabolic)

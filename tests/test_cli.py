@@ -1689,7 +1689,7 @@ asym: {snapshots: %s, tasks: [support, rate]}
 
 SRC = pathlib.Path(__file__).parent.parent / "src"
 COMMAND_MODULES = {"ipme.solver", "ipme.exact", "ipme.asymptotics",
-                   "ipme.verify", "ipme.pme1d", "concurrent.futures"}
+                   "ipme.verify", "ipme.pme1d", "mmap"}
 
 
 def _modules_loaded_by(code):

@@ -1,6 +1,6 @@
+import contextlib
 import math
-import sys
-import threading
+import os
 import time
 import warnings
 
@@ -418,8 +418,9 @@ class TestFlatRuns:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = ops.rhs_core(vals, grid, params, work)
-        assert not work.flat_g2.all()
-        assert work.g2.all()
+        run, = work.slabs[0].chunks
+        assert not run.g2.all()
+        assert run.g2_in.all()
         want = _ref_rhs_core(vals, grid, params)
         assert _bitwise_equal(got[0], want[0])
         assert got[1:] == want[1:]
@@ -453,8 +454,16 @@ class TestFlatRuns:
 # ── Row slabs ────────────────────────────────────────────────────────────
 
 def _big_grid(rows):
-    cols = ops.SPLIT_NODES // (rows - 2) + 3
-    return GridSpec(n=(rows, cols), h=(0.01, 0.012), origin=(0.0, 0.0))
+    # about 40,000 interior nodes, above SPLIT_NODES
+    cols = 40_000 // (rows - 2) + 3
+    grid = GridSpec(n=(rows, cols), h=(0.01, 0.012), origin=(0.0, 0.0))
+    assert (rows - 2) * (cols - 2) >= ops.SPLIT_NODES
+    return grid
+
+
+def _exit_in_worker(flat, s, parent):
+    if os.getpid() != parent:
+        os._exit(3)
 
 
 @pytest.fixture
@@ -533,55 +542,110 @@ class TestRowSlabs:
         work = ops.StencilWork(grid)
         assert len(work.slabs) == (1 if split_nodes == 10**9 else 2)
         for s in work.slabs:
-            for buf in s.grad + [s.num, s.g2, s.lap, s.tmp, s.rhs]:
+            assert s.rhs.ctypes.data % 64 == 0
+            run = s.chunks[0]
+            for buf in run.grad + [run.num, run.g2, run.lap, run.tmp,
+                                   run.mask]:
                 assert buf.ctypes.data % 64 == 0
-        assert work.flat_mask.ctypes.data % 64 == 0
+        assert work.field.ctypes.data % 64 == 0
 
-    def test_split_needs_size_and_two_cores(self, monkeypatch):
-        small = GridSpec.box((0.0, 0.0), (1.0, 1.0), (129, 129))
-        big = _big_grid(232)
+    def test_split_needs_size_two_cores_and_fork(self, monkeypatch):
+        side = math.isqrt(ops.SPLIT_NODES) + 1  # (side - 2)^2 below it
+        small = GridSpec.box((0.0, 0.0), (1.0, 1.0), (side, side))
+        big = GridSpec.box((0.0, 0.0), (1.0, 1.0), (side + 2, side + 2))
         monkeypatch.setattr(ops, "_cores", lambda: 2)
         assert len(ops.StencilWork(small).slabs) == 1
         assert len(ops.StencilWork(big).slabs) == 2
         monkeypatch.setattr(ops, "_cores", lambda: 1)
         assert len(ops.StencilWork(big).slabs) == 1
+        monkeypatch.setattr(ops, "_cores", lambda: 2)
+        monkeypatch.delattr(ops.os, "fork")
+        assert len(ops.StencilWork(big).slabs) == 1
 
-    def test_helper_slab_error_reaches_caller(self, two_cores):
+    def test_chunks_tile_each_slab(self, two_cores):
+        # whole rows of axis 0, at most CHUNK positions unless one row is
+        # longer, each run starting where the last one stopped
+        for n in ((385, 385), (203, 203), (33,), (11, 3000), (7, 6, 5)):
+            grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(0.0,) * len(n))
+            for s in ops.StencilWork(grid).slabs:
+                runs = [r.c0 for r in s.chunks]
+                assert runs[0].start == s.c0.start
+                assert runs[-1].stop == s.c0.stop
+                assert all(a.stop == b.start for a, b in zip(runs, runs[1:]))
+                stride = math.prod(n[1:])
+                for r in s.chunks:
+                    assert r.shape[0] * stride <= max(ops.CHUNK, stride)
+                    assert (r.c0.start - s.c0.start) % stride == 0
+
+    def test_worker_slab_error_reaches_caller(self, two_cores, workers):
+        # the delta == 0 error of the worker's (second) slab, with its
+        # message; the workspace stays usable, and no worker outlives it
         grid = _big_grid(232)
         rows = grid.n[0]
         vals = np.random.default_rng(5).random(grid.shape)
-        # flat rows far inside the helper's (second) slab
+        # flat rows far inside the worker's slab
         vals[rows - 40:rows - 30] = 0.5
         params = Params(m=2.0, eps=1e-3, delta=0.0)
-        before = threading.active_count()
+        with pytest.raises(SingularPointError) as want:
+            ops.rhs_core(vals, grid, params, ops.StencilWork(grid))
         with ops.StencilWork(grid) as work:
-            with pytest.raises(SingularPointError):
+            assert work.slabs[1].c0.start <= (rows - 40) * grid.n[1]
+            with pytest.raises(SingularPointError) as got:
                 ops.rhs_core(vals, grid, params, work)
-            # the workspace stays usable after the error
+            assert str(got.value) == str(want.value)
             vals[rows - 40:rows - 30] += np.linspace(0.0, 1e-3, grid.n[1])
             got = ops.rhs_core(vals, grid, params, work)
             assert _bitwise_equal(got[0], _ref_rhs_core(vals, grid, params)[0])
-        assert threading.active_count() == before
+        assert len(workers) == 1 and workers.reaped()
 
-    def test_stress_under_frequent_thread_switches(self, two_cores):
+    def test_worker_warning_reaches_caller(self, two_cores, workers):
+        # under the suite's filter a numpy warning is an error: the
+        # worker's is raised here with the one-slab run's type and text
+        grid = _big_grid(232)
+        rows = grid.n[0]
+        vals = np.random.default_rng(7).random(grid.shape)
+        vals[rows - 40:rows - 30] = 1e200  # |Du|^2 overflows there only
+        params = Params(m=2.0, eps=1e-3, delta=1e-3)
+        messages = []
+        for enter in (False, True):
+            work = ops.StencilWork(grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with work if enter else contextlib.nullcontext():
+                    with pytest.raises(RuntimeWarning) as info:
+                        ops.rhs_core(vals, grid, params, work)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == \
+            "overflow encountered in multiply"
+        assert len(workers) == 1 and workers.reaped()
+
+    def test_worker_death_during_a_job_raises(self, two_cores, workers):
+        # a worker that ends before it answers: the call raises instead
+        # of waiting, and the block still waits for the worker
+        grid = _big_grid(232)
+        with ops.StencilWork(grid) as work:
+            with pytest.raises(ChildProcessError,
+                               match="stencil worker .* ended during"):
+                work.run(_exit_in_worker, work.field, os.getpid())
+        assert len(workers) == 1 and workers.reaped()
+
+    def test_stress_worker_hand_offs(self, two_cores):
+        # new data for every call, each result bit for bit the reference
+        # kernel's: a job or an answer read twice, or the field read
+        # before it was copied in, would change bits
         grid = _big_grid(232)
         rng = np.random.default_rng(6)
         params = Params(m=2.0, eps=1e-3, delta=1e-3, c=0.05)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            calls = 0
-            deadline = time.monotonic() + 2.0
-            with ops.StencilWork(grid) as work:
-                while time.monotonic() < deadline:
-                    vals = rng.random(grid.shape)
-                    want = _ref_rhs_core(vals, grid, params)
-                    got = ops.rhs_core(vals, grid, params, work)
-                    assert _bitwise_equal(got[0], want[0])
-                    assert got[1:] == want[1:]
-                    calls += 1
-        finally:
-            sys.setswitchinterval(old)
+        calls = 0
+        deadline = time.monotonic() + 2.0
+        with ops.StencilWork(grid) as work:
+            while time.monotonic() < deadline:
+                vals = rng.random(grid.shape)
+                want = _ref_rhs_core(vals, grid, params)
+                got = ops.rhs_core(vals, grid, params, work)
+                assert _bitwise_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+                calls += 1
         assert calls >= 2
 
 
@@ -702,7 +766,7 @@ class TestReciprocalScaling:
 
     def test_grids_pick_per_divisor(self):
         # h = (1/32, 1/24): 2h_0, h_0^2 are powers of two, the others not
-        s = ops.StencilWork(PIN_GRIDS["65x49"]).slabs[0]
+        s = ops.StencilWork(PIN_GRIDS["65x49"]).slabs[0].chunks[0]
         assert [f for f, _ in s.by_2h] == [np.multiply, np.divide]
         assert [f for f, _ in s.by_hh] == [np.multiply, np.divide]
         assert s.cross[0][-1] == (np.divide, 4.0 * (1 / 32) * (1 / 24))
@@ -732,6 +796,17 @@ def _loud_boundary(grid):
     return vals
 
 
+def _run_g2(vals, grid):
+    """|Du|^2 over the whole run, ignored positions included."""
+    rows = grid.n[0] - 2
+    size = rows * math.prod(grid.n[1:])
+    temps = [np.empty(size) for _ in range(grid.dim + 5)]
+    run = ops._Run(grid, 0, rows, temps[:-1], np.empty(size, bool),
+                   temps[-1])
+    ops._terms(vals.reshape(-1), run)
+    return run.g2
+
+
 class TestRunMaxima:
     @pytest.mark.parametrize("fault", [None, *ops.FAULT_MODES])
     @pytest.mark.parametrize("c", [0.0, 0.3])
@@ -743,13 +818,11 @@ class TestRunMaxima:
         vals = _loud_boundary(grid)
         params = Params(m=2.0, eps=1e-2, delta=1e-3, c=c)
         monkeypatch.setattr(ops, "SPLIT_NODES", 1 if slabs == 2 else 10**9)
-        raw = ops.StencilWork(grid)
-        assert len(raw.slabs) == slabs
+        assert len(ops.StencilWork(grid).slabs) == slabs
         # the data must catch a run maximum taken without the zeros
-        raw.run(ops._terms, vals)
-        run = slice(0, raw.slabs[-1].c0.stop - raw.offset)
+        g2 = ops.quad_form_field(vals, grid)[1]
         if grid.dim > 1:
-            assert raw.flat_g2[run].max() > raw.g2.max()
+            assert _run_g2(vals, grid).max() > g2.max()
             assert np.abs(vals).max() > np.abs(vals[grid.interior()]).max()
         want = _ref_rhs_core(vals, grid, params)[1:]
         try:
@@ -760,7 +833,26 @@ class TestRunMaxima:
             ops.set_fault_injection(None)
         assert got == want
         assert want == (float(np.max(_ref_beta_or_abs(
-            vals[grid.interior()], c))), float(np.max(raw.g2)))
+            vals[grid.interior()], c))), float(np.max(g2)))
+
+    @pytest.mark.parametrize("row", [2, -3], ids=["first", "last"])
+    @pytest.mark.parametrize("slabs", [1, 2])
+    def test_nan_reaches_both_maxima(self, slabs, row, two_cores,
+                                     monkeypatch):
+        # a NaN node makes both maxima NaN, as np.max would, from the
+        # first chunk of the first slab or the last of the last
+        grid = RUN_GRIDS["2d"]
+        monkeypatch.setattr(ops, "SPLIT_NODES", 1 if slabs == 2 else 10**9)
+        monkeypatch.setattr(ops, "CHUNK", 4 * grid.n[1])
+        vals = np.random.default_rng(2).random(grid.shape)
+        vals[row, 5] = np.nan
+        params = Params(m=2.0, eps=1e-2, delta=1e-3)
+        work = ops.StencilWork(grid)
+        assert len(work.slabs) == slabs
+        assert all(len(s.chunks) > 1 for s in work.slabs)
+        with work:
+            _, bmax, g2max = ops.rhs_core(vals, grid, params, work)
+        assert math.isnan(bmax) and math.isnan(g2max)
 
 
 class TestSpanIsWritten:

@@ -1,8 +1,11 @@
 """Time-stepping battery: CFL policing, lateral-data handling, the
 continuation and ladder drivers, truncation monitoring, and barriers."""
 
+import os
+import signal
+import subprocess
 import sys
-import threading
+import textwrap
 import time
 
 import numpy as np
@@ -29,6 +32,15 @@ def bump_boundary(height=0.5, radius=0.6, base=0.0):
         return base + height * np.maximum(1.0 - (r2 / radius**2) ** 2, 0.0)
     return BoundaryData.from_functions(
         u0=u0, g=lambda X, t: np.full(len(X), base), time_dependent=False)
+
+
+def _alive(pid):
+    """True while `pid` runs: it exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def first_dt(values):
@@ -100,20 +112,22 @@ class TestEulerStep:
 
     @pytest.mark.parametrize("n", [(17, 17), (7, 6, 5)])
     def test_workspace_tail_is_never_touched(self, n):
-        # the flat buffers are np.empty and neither the kernel nor the
-        # advance writes their positions past the last interior node (2 in
-        # 2-d, 12 here in 3-d); an advance that scaled them would overflow
-        # this tail
+        # the buffers are np.empty and neither the kernel nor the advance
+        # writes the rhs buffer past the last interior node (2 positions
+        # in 2-d, 12 here in 3-d), nor a temporary past the longest
+        # chunk's run; an advance that scaled them would overflow a tail
         grid = GridSpec(n=n, h=(0.1,) * len(n), origin=(-0.3,) * len(n))
-        work = operators.StencilWork(grid)
+        held = np.flatnonzero(grid.boundary_mask())
+        work = operators.StencilWork(grid, held)
         run = (np.ravel_multi_index(tuple(k - 2 for k in n), n)
                - np.ravel_multi_index((1,) * len(n), n) + 1)
-        bufs = work.flat_grad + [work.flat_num, work.flat_g2, work.flat_lap,
-                                 work.flat_tmp, work.flat_rhs]
-        assert all(b.size > run for b in bufs)
-        for b in bufs:
-            b[run:] = 1e300
-        work.flat_mask[run:] = True
+        chunk, = work.slabs[0].chunks
+        assert chunk.c0.stop - chunk.c0.start == run
+        tails = [b[run:] for b in [work.flat_rhs] + work.temps]
+        assert all(t.size > 0 for t in tails)
+        for t in tails:
+            t[...] = 1e300
+        work.mask[run:] = True
         bd = BoundaryData.from_functions(
             u0=lambda X: 0.5 + np.sum(X * X, axis=1),
             g=lambda X, t: 0.5 + np.sum(X * X, axis=1), time_dependent=False)
@@ -123,29 +137,29 @@ class TestEulerStep:
             rhs = operators.rhs_core(vals, grid, PARAMS, work)[0]
             want = vals.copy()
             want[grid.interior()] += rhs * dt
-            held = np.flatnonzero(grid.boundary_mask())
-            g = bd.lateral(grid.points()[held], dt)
-            extrema = work.run(solver._advance, vals, dt, g,
-                               solver._holds(work, held))
+            work.lateral[:] = bd.lateral(grid.points()[held], dt)
+            extrema = work.run(solver._advance, vals, dt)
         assert np.array_equal(vals, want)
         assert extrema == [(vals.max(), vals.min())]
-        assert all(np.all(b[run:] == 1e300) for b in bufs)
-        assert np.all(work.flat_mask[run:])
+        assert all(np.all(t == 1e300) for t in tails)
+        assert np.all(work.mask[run:])
 
 
 class TestSolveDirichlet:
 
-    def test_split_kernel_threads_end_with_the_stage(self, monkeypatch):
-        # a grid above the split threshold: the stencil workspace's helper
-        # thread is joined when each stage ends
+    def test_split_stage_workers_end_with_the_stage(self, monkeypatch,
+                                                    workers):
+        # a grid above the split threshold and a two-stage schedule: each
+        # stage forks one slab worker and waits for it when it ends
         monkeypatch.setattr(operators, "_cores", lambda: 2)
         grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (233, 233))
         assert (grid.n[0] - 2) ** 2 >= operators.SPLIT_NODES
         bd = bump_boundary(base=0.05)
-        before = threading.active_count()
+        schedule = RegularizationSchedule(eps_list=(2e-2, 1e-2),
+                                          delta_list=(1e-2,))
         rep = solve_dirichlet(DirichletProblem(
-            grid, PARAMS, bd, t_end=2e-4, snapshot_times=(1e-4,)))
-        assert threading.active_count() == before
+            grid, PARAMS, bd, t_end=2e-4, snapshot_times=(1e-4,)), schedule)
+        assert len(workers) == 2 and workers.reaped()
         assert rep.n_steps >= 2
 
     def test_constant_data_preserved_exactly(self):
@@ -335,20 +349,20 @@ class TestCauchyInitial:
 
 class TestSolveCauchy:
 
-    def test_truncation_mid_stage_leaves_no_thread(self, monkeypatch):
+    def test_truncation_mid_stage_leaves_no_worker(self, monkeypatch,
+                                                   workers):
         # a two-slab stage whose monitor raises at its first snapshot,
         # before t_end: every node is wet, so the bump reaches 1.5 r at
-        # once; the slab helper must end with the stage
+        # once; the slab worker must end with the stage
         monkeypatch.setattr(operators, "_cores", lambda: 2)
         prob = CauchyProblem(
             grid=SPLIT_GRID, params=PARAMS, M=1.0, r=0.5, t_end=2e-4,
             u0=lambda X: (np.sum(X * X, axis=1) <= 0.25).astype(float),
             snapshot_times=(1e-4,))
         assert len(operators.StencilWork(SPLIT_GRID).slabs) == 2
-        before = threading.active_count()
         with pytest.raises(TruncationError, match="t=0.0001;"):
             solve_cauchy(prob, n_list=(1,))
-        assert threading.active_count() == before
+        assert len(workers) == 1 and workers.reaped()
 
     def test_crowded_truncation_trips_the_monitor(self):
         # moat foot and bump front merge quickly when the dead band is
@@ -629,34 +643,32 @@ class TestStageMatchesReference:
             messages.append(str(info.value))
         assert messages == [message, message]
 
-    def test_split_stage_under_frequent_thread_switches(self, monkeypatch):
-        # both slab threads write the one field, each only inside its
-        # cover; with the interpreter switching threads every microsecond
-        # a write that strayed into the other cover would change bits
+    def test_split_stage_repeats_bit_for_bit(self, monkeypatch, workers):
+        # both slab processes write the one shared field, each only
+        # inside its cover; for a second, repeated stages must match the
+        # reference bit for bit, and each must end its worker
         monkeypatch.setattr(operators, "_cores", lambda: 2)
         case = stage_case("split-time-dependent")
         want = reference_run_stage(*case)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runs = 0
-            deadline = time.monotonic() + 1.0
-            while runs < 2 or time.monotonic() < deadline:
-                got = solver._run_stage(*case)
-                assert same_bits(got.final.values, want.final.values)
-                assert same_bits(got.dt_history, want.dt_history)
-                runs += 1
-        finally:
-            sys.setswitchinterval(old)
+        runs = 0
+        deadline = time.monotonic() + 1.0
+        while runs < 2 or time.monotonic() < deadline:
+            got = solver._run_stage(*case)
+            assert same_bits(got.final.values, want.final.values)
+            assert same_bits(got.dt_history, want.dt_history)
+            runs += 1
+        assert len(workers) == runs + 1 and workers.reaped()
 
     @pytest.mark.parametrize("bad,message", [
         (np.nan, "non-finite values during time stepping"),
         (-0.1, "negative value -0.1 beyond tolerance during stepping")])
-    def test_bad_values_in_the_helper_cover_raise_alike(self, bad, message,
-                                                        monkeypatch):
+    def test_bad_values_in_the_worker_cover_raise_alike(self, bad, message,
+                                                        monkeypatch,
+                                                        workers):
         # the bad lateral values sit only in the second slab's cover, which
-        # the helper thread stamps and reduces; the error, and its text,
-        # are those of one slab, and the helper ends with the stage
+        # the worker stamps and reduces; the error, raised by the police
+        # in this process, and its text are those of one slab, and the
+        # worker ends with the stage
         monkeypatch.setattr(operators, "_cores", lambda: 2)
         bd = BoundaryData.from_functions(
             u0=bump_boundary(base=0.05).initial,
@@ -671,9 +683,65 @@ class TestStageMatchesReference:
         messages = []
         for split_nodes in (operators.SPLIT_NODES, 10**9):
             monkeypatch.setattr(operators, "SPLIT_NODES", split_nodes)
-            before = threading.active_count()
             with pytest.raises(InstabilityError) as info:
                 solver._run_stage(*args)
-            assert threading.active_count() == before
             messages.append(str(info.value))
         assert messages == [message, message]
+        assert len(workers) == 1 and workers.reaped()
+
+
+class TestSlabWorker:
+    """The worker process of a two-slab stage ends with it, however the
+    stage ends."""
+
+    def test_worker_death_mid_stage_raises(self, monkeypatch, workers):
+        # the monitor kills the slab worker at the first snapshot; the
+        # next step's hand-off must raise, not wait for ever
+        monkeypatch.setattr(operators, "_cores", lambda: 2)
+        grid, params, bd, _, _, mask = stage_case("split")
+
+        def kill(u):
+            os.kill(workers[-1], signal.SIGKILL)
+            time.sleep(0.05)
+
+        with pytest.raises(ChildProcessError,
+                           match="stencil worker .* ended during a step"):
+            solver._run_stage(grid, params, bd, 2e-4, (1e-4,), mask, kill)
+        assert len(workers) == 1 and workers.reaped()
+
+    def test_killed_parent_leaves_no_worker(self):
+        # a parent killed mid-stage: its worker reads the end of the
+        # command pipe and exits within a second
+        script = textwrap.dedent("""\
+            import sys
+            from ipme import operators, solver
+            from ipme.core import BoundaryData, GridSpec, Params
+            operators._cores = lambda: 2
+            enter = operators.StencilWork.__enter__
+            def report(self):
+                out = enter(self)
+                print(self._worker[0], flush=True)
+                return out
+            operators.StencilWork.__enter__ = report
+            grid = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (203, 203))
+            bd = BoundaryData.from_functions(
+                u0=lambda X: 0.05 + 0.0 * X[:, 0],
+                g=lambda X, t: 0.05 + 0.0 * X[:, 0], time_dependent=False)
+            solver._run_stage(grid, Params(m=2.0, eps=1e-2, delta=1e-2),
+                              bd, 1e3, (), None)
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        try:
+            pid = int(proc.stdout.readline())
+            time.sleep(0.3)  # well into the stage
+            assert _alive(pid)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+        deadline = time.monotonic() + 1.0
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(pid)
