@@ -13,20 +13,43 @@ All of them run one kernel, `_terms`, over a `_Run`: a contiguous run of
 whole rows of axis 0 with the slices of every stencil neighbour and the
 buffers it writes (the d gradient components, num, g2, lap, one
 temporary and a boolean mask, and its part of rhs).  It evaluates one
-fixed expression tree (the centered differences of `stencil_eval`,
-summed axis by axis) with `out=` ufuncs and in-place operators, so a
+fixed expression tree (the centered differences of `stencil_eval`
+without their divisors, summed axis by axis and scaled once, as below)
+with `out=` ufuncs and in-place operators, so a
 time step allocates no field-sized array.  The steppers' buffers live in
 a `StencilWork`, built once per grid; one-off calls build a fresh one,
 so what they return is never overwritten by a later call.
 
-The constant divisors of the stencil, 2 h_i, h_i^2 and 4 h_i h_j, are
-applied as a multiply by 1/c wherever c is an exact power of two with a
-finite reciprocal (h = 1/32 and 1/64 on [-1, 1] at 65 and 129 nodes),
-and as a division otherwise (h = 1/48, 0.07, ...).  1/c is then exact,
-and x * (1/c) and x / c are both the correctly rounded value of the same
-real number, so the bits, including -0.0, subnormals, inf and NaN, and
-the floating-point warnings are those of the division, which at 129^2
-costs about three times the multiply.
+The kernel sums unscaled centred differences and applies the
+constants of the stencil once.  Per axis i, with the weight w_i =
+h_0/h_i, which is not multiplied where it is 1.0 (so a uniform grid pays
+nothing for it), D_i = w_i (up - dn) is 2 h_0 du/dx_i, H_ii = w_i^2
+((up - 2 c0) + dn) is h_0^2 d2u/dx_i^2 and X_ij = 1/2 sgn w_i w_j
+(((pp - pm) - mp) + mm) is 2 h_0^2 d2u/dx_i dx_j.  From Lambda = sum H_ii,
+N = sum H_ii D_i^2 + sum X_ij D_i D_j and G = sum D_i^2,
+
+    rhs = ((eps Lambda + k beta_c(u) N / (G + 4 h_0^2 delta^2)) + G/4)
+          / h_0^2,
+
+and the largest |Du|^2 is max G / (4 h_0^2), since a division by a
+positive constant keeps the largest value the largest.  The division by
+h_0^2, one pass over each chunk, is a multiply by 1/h_0^2 where h_0^2 is
+an exact power of two with a finite reciprocal (`_scaling`): 1/c is then
+exact, and x * (1/c) and x / c are both the correctly rounded value of
+the same real number, with the same bits and floating-point warnings.
+`quad_form_field` divides N, G and Lambda by 4 h_0^4, 4 h_0^2 and h_0^2
+the same way.  Where bits can move: on a uniform grid whose h is a power
+of two (h = 1/32 and 1/64 on [-1, 1] at 65 and 129 nodes) every factor
+the kernel drops is an exact power of two, so each value rounds as the
+earlier kernel's, which divided every term by its own 2 h_i, h_i^2 or
+4 h_i h_j, barring overflow and subnormals.  On other spacings (h = 1/48
+on the [-4, 4] Cauchy reference at 385^2, 0.07, ...) values move from
+those by rounding only: on that 385^2 grid by at most 3.4e-16 of the
+largest |rhs| for the Cauchy bump, 5.1e-16 for random data.  The expression stays homogeneous under
+power-of-two rescalings of u, x, eps, delta and c, so rescaled reruns
+reproduce a run bit for bit on any spacing.  At 385^2 and h = 1/48 the
+unsplit kernel took 1.95-2.07 ms a call, against 2.72-2.91 ms when it
+divided each term (medians of 200 calls, 2-core Xeon, numpy 2.4).
 
 Every operand is a contiguous 1-d run of the flattened field: the run
 of the rows' nodes from (1+r0, 1, ..., 1) on, and the same run shifted
@@ -71,7 +94,7 @@ buffers 16 to 48 bytes off a line (and the second 385^2 run a further
 against 1.13 ms at 385^2 (medians of calls alternated between the two
 versions, 2-core Xeon, numpy 2.4, threads then).
 
-On grids with at least SPLIT_NODES = 20,000 interior nodes, with two or
+On grids with at least SPLIT_NODES = 25,000 interior nodes, with two or
 more usable cores and `os.fork`, the workspace cuts the run into two
 slabs of whole rows of axis 0 (each reads one ghost row of the other).
 It then keeps the field, the rhs buffer and the lateral values in one
@@ -91,7 +114,7 @@ never wait for each other's interpreter lock, which a thread takes
 again after every ufunc, four times as often once a 385^2 slab runs in
 chunks: in a 385^2 Cauchy solve each slab's kernel took 1.12 ms with
 both running, half of the 2.34 ms of one process for the whole
-interior (below).  Every operation is elementwise, so split and
+interior (both with the earlier kernel, which divided each term).  Every operation is elementwise, so split and
 unsplit results are identical.  The threshold and the chunk length are
 the measured optima of whole 2-d stages from `tools/slab_crossover.py`
 on a 2-core Xeon (KVM guest, 2 MB L2 a core; Python 3.11, numpy 2.4).
@@ -100,37 +123,42 @@ kernel, the CFL bound, `_advance` and `_police`, two hand-offs) and per
 stage (the workspace, the fork and the wait); stages alternate between
 the configurations, and the tables give the median ms per step on a
 paraboloid front spreading into zeros ("dry") or over a floor of 1/512
-("floored"):
+("floored").  The tool's grids span [-1, 1]^2, so h = 2/(n - 1) is a
+power of two only at 129^2 and 257^2; the kernel divided each term at
+every other size before it scaled once, and that cost had put the
+crossover between 129^2 and 145^2.  With the deferred scale:
 
     one slab against two, ms per step, CHUNK = 24000
                  dry                      floored
         nodes    one     two    two/one   one     two    two/one
-         97^2   0.209   0.239    1.14   0.181   0.200    1.11
-        113^2   0.263   0.281    1.07   0.215   0.276    1.28
-        129^2   0.349   0.347    1.00   0.293   0.299    1.02
-        145^2   0.537   0.433    0.81   0.324   0.343    1.06
-        161^2   0.710   0.493    0.69   0.591   0.434    0.73
-        193^2   0.823   0.583    0.71   0.603   0.528    0.87
-        257^2   1.508   1.040    0.69   1.100   0.739    0.67
-        385^2   3.806   2.362    0.62   2.824   1.904    0.67
+         97^2   0.157   0.220    1.40   0.131   0.173    1.33
+        113^2   0.232   0.251    1.08   0.195   0.268    1.38
+        129^2   0.291   0.345    1.19   0.212   0.312    1.47
+        145^2   0.377   0.425    1.13   0.287   0.371    1.29
+        161^2   0.518   0.469    0.91   0.351   0.351    1.00
+        193^2   0.676   0.482    0.71   0.485   0.401    0.83
+        257^2   1.207   0.802    0.66   0.855   0.587    0.69
+        385^2   2.768   1.758    0.64   2.090   1.330    0.64
 
     chunk length at 385^2, two slabs, ms per step
                   dry   floored
-           6000   3.186   2.497
-          12000   2.699   2.053
-          24000   2.679   1.933
-          48000   3.144   2.683
-          96000   3.060   2.712
-          whole   3.087   2.641
+           6000   2.075   1.569
+          12000   1.608   1.281
+          24000   1.533   1.278
+          48000   1.677   1.449
+          96000   1.901   1.591
+          whole   1.902   1.654
 
-So two slabs pay from between 129^2 and 161^2 on, and SPLIT_NODES puts
-129^2 (16,129 interior nodes) on one slab and 145^2 (20,449) on two.
-Below, the two hand-offs of a step, about 15 us each, and the workspace,
-fork and wait of a stage, about 9 ms at 385^2, eat the gain.  Timed as
-single steps of a fixed field instead, without the fork, two slabs
-already paid at 113^2.
-On one slab, `rhs_core` alone took 2.34 ms at 385^2 in chunks against
-3.87 ms as one run.
+A second run of the tool read two/one 1.05 and 1.11 at 145^2 and 0.81
+and 0.97 at 161^2; the per-term kernel, timed by the same tool on the
+same host between the two runs, read 0.74 and 0.86 at 145^2.  So two slabs now pay from
+between 145^2 and 161^2 on, and SPLIT_NODES puts 145^2 (20,449 interior
+nodes) on one slab and 161^2 (25,281) on two.  Below, the two hand-offs
+of a step, about 15 us each, and the workspace, fork and wait of a
+stage, about 9 ms at 385^2, eat the gain.  CHUNK = 24,000 stays the
+fastest chunk length.
+On one slab, `rhs_core` alone took 1.95-2.43 ms at 385^2 (h = 1/48) in
+chunks against 3.46-4.14 ms as one run.
 """
 
 from __future__ import annotations
@@ -301,7 +329,7 @@ def rhs_full(u: ScalarField, node, params: Params) -> float:
 
 # interior nodes from which a workspace splits the kernel over two row
 # slabs, the second in a worker process (see the module docstring)
-SPLIT_NODES = 20_000
+SPLIT_NODES = 25_000
 # run positions per chunk: a slab evaluates its run in chunks of whole
 # rows of axis 0, about this long, whose temporaries stay in L2
 CHUNK = 24_000
@@ -379,9 +407,14 @@ class _Run:
     flattened field, from node (1+r0, 1, ..., 1) to the node before row
     r1's first (for the last rows: to the last interior node): slices of
     the flat field for the centre and every stencil neighbour (the run
-    shifted by a sum of +-strides), the scalings by the constant divisors
-    2 h_i, h_i^2 and 4 h_i h_j, and the kernel's buffers for the run.
+    shifted by a sum of +-strides), the constants of the unscaled
+    differences (see `_terms`) and of the final scale, and the kernel's
+    buffers for the run.
 
+    `w` holds, per axis i, the weights w_i = h_0/h_i and w_i^2 of its
+    first and second differences, or None where w_i == 1.0; each cross
+    term carries its factor 1/2 w_i w_j; `hh` is h_0^2, `four_hh` 4 h_0^2
+    and `scale` the (ufunc, operand) that divides by h_0^2 (`_scaling`).
     The temporaries (the d gradient components, num, g2, lap, tmp and the
     bool mask) hold the run from their position 0; `rhs` is the run's
     view of a flat buffer whose position q holds flat field index
@@ -405,12 +438,15 @@ class _Run:
         self.c0 = at(0)
         self.up = [at(st) for st in strides]
         self.dn = [at(-st) for st in strides]
-        self.by_2h = [_scaling(2.0 * hi) for hi in h]
-        self.by_hh = [_scaling(hi * hi) for hi in h]
+        w = [h[0] / hi for hi in h]
+        self.w = [(None, None) if wi == 1.0 else (wi, wi * wi) for wi in w]
         self.cross = [(i, j, at(si + sj), at(si - sj), at(sj - si),
-                       at(-si - sj), _scaling(4.0 * h[i] * h[j]))
+                       at(-si - sj), 0.5 * w[i] * w[j])
                       for i, si in enumerate(strides)
                       for j, sj in enumerate(strides) if j > i]
+        self.hh = h[0] * h[0]
+        self.four_hh = 4.0 * self.hh
+        self.scale = _scaling(self.hh)
         size = last + 1 - first
         *self.grad, self.num, self.g2, self.lap, self.tmp = (
             t[:size] for t in temps)
@@ -684,32 +720,34 @@ def _serve(work: StencilWork, link: _Link) -> None:
 
 
 def _terms(vals: np.ndarray, s: _Run) -> None:
-    """Fill the run's grad, num = <D^2u Du, Du>, g2 = |Du|^2 and
-    lap = trace D^2u in place, from the flattened field `vals`.
+    """Fill the run's unscaled terms in place, from the flattened field
+    `vals`: grad with D_i = 2 h_0 du/dx_i, num with N = 4 h_0^4
+    <D^2u Du, Du>, g2 with G = 4 h_0^2 |Du|^2 and lap with
+    Lambda = h_0^2 trace D^2u (see `_Run` for the constants).
 
     The operation order is fixed, so every value is reproducible bit for
-    bit: gi = (up - dn)/(2h), hii = ((up - 2 c0) + dn)/h^2,
-    hij = sgn ((pp - pm) - mp + mm)/(4 hi hj), where each division by a
-    power of two is a multiply by its exact reciprocal (see `_scaling`),
-    and the sums lap = h00 + h11 + ..., num = (h00 g0) g0 + ((h11 g1) g1)
-    + ... then + ((2 hij) gi) gj, g2 = g0 g0 + g1 g1 + ....  The first
-    term of lap and of num is written, not added to zero, so a -0.0
-    there stays -0.0; in `rhs_core` the sign cannot show, because a zero
-    reaches rhs only through (eps lap + b) + g2 with g2 >= +0.0.  The rhs
-    buffer holds 2 c0 meanwhile.
+    bit: D_i = w_i (up - dn), H_ii = w_i^2 ((up - 2 c0) + dn),
+    X_ij = (1/2 sgn w_i w_j) (((pp - pm) - mp) + mm), where a weight
+    w_i == 1.0 is not multiplied, and the sums Lambda = H_00 + H_11 + ...,
+    N = (H_00 D_0) D_0 + ((H_11 D_1) D_1) + ... then + (X_ij D_i) D_j,
+    G = D_0 D_0 + D_1 D_1 + ....  The first term of lap and of num is
+    written, not added to zero, so a -0.0 there stays -0.0; in
+    `rhs_core` the sign cannot show, because a zero reaches rhs only
+    through (eps Lambda + b) + G/4 with G >= +0.0.  The rhs buffer holds
+    2 c0 meanwhile.
     """
     tmp, two_c0 = s.tmp, s.rhs
     np.multiply(vals[s.c0], 2.0, out=two_c0)
-    for i, gi in enumerate(s.grad):
+    for i, (gi, (w, ww)) in enumerate(zip(s.grad, s.w)):
         up, dn = vals[s.up[i]], vals[s.dn[i]]
         np.subtract(up, dn, out=gi)
-        scale, c = s.by_2h[i]
-        scale(gi, c, out=gi)
+        if w is not None:
+            gi *= w
         hii = s.lap if i == 0 else tmp
         np.subtract(up, two_c0, out=hii)
         hii += dn
-        scale, c = s.by_hh[i]
-        scale(hii, c, out=hii)
+        if ww is not None:
+            hii *= ww
         if i == 0:
             np.multiply(hii, gi, out=s.num)
             s.num *= gi
@@ -722,55 +760,59 @@ def _terms(vals: np.ndarray, s: _Run) -> None:
             np.multiply(gi, gi, out=tmp)
             s.g2 += tmp
     sgn = _cross_sign()
-    for i, j, pp, pm, mp, mm, (scale, c) in s.cross:
+    for i, j, pp, pm, mp, mm, half in s.cross:
         np.subtract(vals[pp], vals[pm], out=tmp)
         tmp -= vals[mp]
         tmp += vals[mm]
-        if sgn != 1.0:
-            tmp *= sgn
-        scale(tmp, c, out=tmp)
-        tmp *= 2.0
+        tmp *= sgn * half
         tmp *= s.grad[i]
         tmp *= s.grad[j]
         s.num += tmp
 
 
 def _quotient(num: np.ndarray, g2: np.ndarray, g2_in: np.ndarray,
-              delta: float, out: np.ndarray) -> np.ndarray:
-    """num / (g2 + delta^2) into `out`; delta == 0 needs g2 nowhere 0 on
-    the interior view `g2_in` (ignored run positions may divide by 0)."""
+              delta: float, four_hh: float, out: np.ndarray) -> np.ndarray:
+    """N / (G + 4 h_0^2 delta^2) into `out`, which is num / (g2 +
+    delta^2) of the scaled terms times h_0^2; delta == 0 needs G nowhere
+    0 on the interior view `g2_in` (ignored run positions may divide by
+    0)."""
     if delta == 0.0:
         if not g2_in.all():
             raise SingularPointError(
                 "delta == 0 with vanishing interior gradient")
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.divide(num, g2, out=out)
-    np.add(g2, delta * delta, out=out)
+    np.add(g2, four_hh * (delta * delta), out=out)
     return np.divide(num, out, out=out)
 
 
 def _rhs_run(vals: np.ndarray, s: _Run, params: Params) -> tuple:
-    """rhs = (eps lap + (k beta_c(u)) ratio) + g2 on one run, into its
-    rhs view; returns the maxima of beta_c(u) and g2 over the run's
-    interior nodes, which are those over the run once +0.0 is written
-    into its box-boundary positions of b and g2 (every interior b and
-    g2 is at least +0.0 or NaN).  k == 1 skips its multiply, which would
-    leave every value as it is."""
+    """rhs = ((eps Lambda + (k beta_c(u)) ratio) + G/4) / h_0^2 on one
+    run, into its rhs view, with ratio = N / (G + 4 h_0^2 delta^2) (see
+    `_terms`); returns the maxima of beta_c(u) and of g2 = G / (4 h_0^2)
+    over the run's interior nodes.  Those are the maxima over the run
+    once +0.0 is written into its box-boundary positions of b and G
+    (every interior b and G is at least +0.0 or NaN), and a division by
+    a positive constant keeps the largest G the largest.  k == 1 skips
+    its multiply, which would leave every value as it is."""
     _terms(vals, s)
     ratio = s.lap if _FAULT_MODE == "plain-laplacian" else \
-        _quotient(s.num, s.g2, s.g2_in, params.delta, out=s.tmp)
+        _quotient(s.num, s.g2, s.g2_in, params.delta, s.four_hh, out=s.tmp)
     b = s.grad[0]
     _beta_into(vals[s.c0], params.c, b, s.rhs, s.mask)
     for edge in s.edges:
         edge.fill(0.0)
-    maxima = float(b.max()), float(s.g2.max())
+    maxima = float(b.max()), float(s.g2.max()) / s.four_hh
     if params.k != 1.0:
         b *= params.k
     b *= ratio
     np.multiply(s.lap, params.eps, out=s.rhs)
     s.rhs += b
     if _FAULT_MODE != "drop-transport":
+        s.g2 *= 0.25
         s.rhs += s.g2
+    scale, c = s.scale
+    scale(s.rhs, c, out=s.rhs)
     return maxima
 
 
@@ -792,7 +834,9 @@ def quad_form_field(vals: np.ndarray, grid: GridSpec) -> tuple:
 
     num = <D^2 u Du, Du>, g2 = |Du|^2, lap = trace D^2 u, all with the
     centered differences used pointwise by stencil_eval.  The run is the
-    whole interior, on temporaries of its own, which are returned.
+    whole interior, on temporaries of its own, which are returned: the
+    unscaled N, G and Lambda of `_terms`, divided at the end by 4 h_0^4,
+    4 h_0^2 and h_0^2.
     """
     if vals.shape != grid.shape:
         raise DomainError(f"field of shape {vals.shape} does not match "
@@ -803,6 +847,10 @@ def quad_form_field(vals: np.ndarray, grid: GridSpec) -> tuple:
     mask, = _aligned((size,), bool)
     run = _Run(grid, 0, rows, temps[:-1], mask, temps[-1])
     _terms(vals.reshape(-1), run)
+    for t, c in ((run.num, run.four_hh * run.hh), (run.g2, run.four_hh),
+                 (run.lap, run.hh)):
+        scale, operand = _scaling(c)
+        scale(t, operand, out=t)
     return tuple(_interior(t, run.shape) for t in temps[grid.dim:grid.dim + 3])
 
 

@@ -147,7 +147,7 @@ def test_residual_reproduces_pinned_c01_values():
         (exact.spec("separable-ball", 3.0, a=1.0), (-0.5, -0.5), (0.5, 0.5),
          33, (0.0001258811270130611, 960)),
         (exact.spec("separable-annulus", 2.0, a=1.0, R1=0.5), (0.62, -0.15),
-         (0.92, 0.15), 65, (0.0009647019143770308, 3969)),
+         (0.92, 0.15), 65, (0.0009647019143761426, 3969)),
     )
     for spec, lo, hi, n, want in cases:
         assert exact.pde_residual(spec, GridSpec.box(lo, hi, (n, n)),

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ipme.core import (GridSpec, Params, ScalarField, DomainError, RangeError,
-                       SingularPointError)
+from ipme.core import (BoundaryData, GridSpec, Params, ScalarField,
+                       DomainError, RangeError, SingularPointError)
 from ipme import operators as ops
+from ipme.solver import _run_stage
 
 
 def quadratic_field(grid, A, b, c0):
@@ -216,10 +217,14 @@ class TestFaultInjection:
             ops.set_fault_injection("bit-rot")
 
 
-# ── Reference kernel ─────────────────────────────────────────────────────
-# The allocating whole-field kernel as it was written before the
-# workspace, kept verbatim: the workspace kernel must equal it bit for
-# bit, not merely to rounding.
+# ── Reference kernels ────────────────────────────────────────────────────
+# The workspace kernel must equal `_ref_rhs_core` bit for bit, not merely
+# to rounding: the same expression in plain whole-array numpy, on unscaled
+# centred differences with the constants applied once, by true divisions.
+# `_per_term_rhs_core` is the allocating kernel as it was written before
+# the workspace, which divides every term by its own constant; where h is
+# one power of two on every axis, each dropped factor is exact, so the two
+# agree bit for bit there too.
 
 def _ref_shift(vals, axis, off):
     d = vals.ndim
@@ -232,7 +237,75 @@ def _ref_shift(vals, axis, off):
     return vals[tuple(idx)]
 
 
+def _ref_cross(vals, i, j):
+    """(pp, pm, mp, mm): the four corner neighbours of axes i < j."""
+    d = vals.ndim
+    out = []
+    for si, sj in ((2, 2), (2, 0), (0, 2), (0, 0)):
+        idx = [slice(1, -1)] * d
+        idx[i] = slice(si, vals.shape[i] - 2 + si)
+        idx[j] = slice(sj, vals.shape[j] - 2 + sj)
+        out.append(vals[tuple(idx)])
+    return out
+
+
+def _ref_terms(vals, grid):
+    """The unscaled N, G and Lambda: 4 h_0^4 <D^2u Du, Du>, 4 h_0^2
+    |Du|^2 and h_0^2 trace D^2u."""
+    d = grid.dim
+    h = grid.h
+    w = [h[0] / hi for hi in h]
+    c0 = vals[grid.interior()]
+    D = []
+    lap = np.zeros_like(c0)
+    num = np.zeros_like(c0)
+    g2 = np.zeros_like(c0)
+    for i in range(d):
+        up, dn = _ref_shift(vals, i, +1), _ref_shift(vals, i, -1)
+        Di = w[i] * (up - dn)
+        Hii = (w[i] * w[i]) * (up - 2.0 * c0 + dn)
+        D.append(Di)
+        lap += Hii
+        num += Hii * Di * Di
+        g2 += Di * Di
+    sgn = ops._cross_sign()
+    for i in range(d):
+        for j in range(i + 1, d):
+            pp, pm, mp, mm = _ref_cross(vals, i, j)
+            Xij = 0.5 * w[i] * w[j] * sgn * (pp - pm - mp + mm)
+            num += Xij * D[i] * D[j]
+    return num, g2, lap
+
+
 def _ref_quad_form_field(vals, grid):
+    num, g2, lap = _ref_terms(vals, grid)
+    hh = grid.h[0] * grid.h[0]
+    return num / (4.0 * hh * hh), g2 / (4.0 * hh), lap / hh
+
+
+def _ref_beta_or_abs(z, c):
+    if c > 0.0:
+        return np.where(np.abs(z) >= c, np.abs(z), 0.5 * c + z * z / (2.0 * c))
+    return np.abs(z)
+
+
+def _ref_rhs_core(vals, grid, params):
+    num, g2, lap = _ref_terms(vals, grid)
+    h0, delta = grid.h[0], params.delta
+    if delta == 0.0:
+        if np.any(g2 == 0.0):
+            raise SingularPointError(
+                "delta == 0 with vanishing interior gradient")
+        ratio = num / g2
+    else:
+        ratio = num / (g2 + 4.0 * h0 * h0 * (delta * delta))
+    b = _ref_beta_or_abs(vals[grid.interior()], params.c)
+    rhs = (params.eps * lap + params.k * b * ratio + g2 / 4.0) / (h0 * h0)
+    return rhs, float(np.max(b)) if b.size else 0.0, \
+        float(np.max(g2)) / (4.0 * h0 * h0) if g2.size else 0.0
+
+
+def _per_term_quad_form_field(vals, grid):
     d = grid.dim
     h = grid.h
     c0 = vals[grid.interior()]
@@ -251,33 +324,14 @@ def _ref_quad_form_field(vals, grid):
     sgn = ops._cross_sign()
     for i in range(d):
         for j in range(i + 1, d):
-            idx_pp = [slice(1, -1)] * d
-            idx_pp[i] = slice(2, None)
-            idx_pp[j] = slice(2, None)
-            idx_pm = [slice(1, -1)] * d
-            idx_pm[i] = slice(2, None)
-            idx_pm[j] = slice(0, -2)
-            idx_mp = [slice(1, -1)] * d
-            idx_mp[i] = slice(0, -2)
-            idx_mp[j] = slice(2, None)
-            idx_mm = [slice(1, -1)] * d
-            idx_mm[i] = slice(0, -2)
-            idx_mm[j] = slice(0, -2)
-            hij = sgn * (vals[tuple(idx_pp)] - vals[tuple(idx_pm)]
-                         - vals[tuple(idx_mp)] + vals[tuple(idx_mm)]) \
-                / (4.0 * h[i] * h[j])
+            pp, pm, mp, mm = _ref_cross(vals, i, j)
+            hij = sgn * (pp - pm - mp + mm) / (4.0 * h[i] * h[j])
             num += 2.0 * hij * grad[i] * grad[j]
     return num, g2, lap
 
 
-def _ref_beta_or_abs(z, c):
-    if c > 0.0:
-        return np.where(np.abs(z) >= c, np.abs(z), 0.5 * c + z * z / (2.0 * c))
-    return np.abs(z)
-
-
-def _ref_rhs_core(vals, grid, params):
-    num, g2, lap = _ref_quad_form_field(vals, grid)
+def _per_term_rhs_core(vals, grid, params):
+    num, g2, lap = _per_term_quad_form_field(vals, grid)
     delta = params.delta
     if delta == 0.0:
         if np.any(g2 == 0.0):
@@ -649,10 +703,11 @@ class TestRowSlabs:
         assert calls >= 2
 
 
-# ── Reciprocal scaling ───────────────────────────────────────────────────
-# The workspace kernel multiplies by 1/c where a constant divisor c is a
-# power of two; the reference kernel above divides everywhere, so the two
-# must still agree bit for bit.
+# ── Deferred scaling ─────────────────────────────────────────────────────
+# The workspace kernel scales each run once, by 1/h_0^2, with a multiply
+# where h_0^2 is a power of two (`_scaling`) and a division otherwise.  It
+# must equal the reference kernel above bit for bit on every grid, and the
+# per-term kernel on grids whose spacings are one power of two.
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
@@ -670,6 +725,18 @@ PIN_GRIDS = {
     "65x49": GridSpec.box((-1.0, -1.0), (1.0, 1.0), (65, 49)),
     "1d": GridSpec.box((-1.0,), (1.0,), (33,)),
     "3d": GridSpec.box((-1.0,) * 3, (1.0,) * 3, (17, 17, 17)),
+}
+
+# grids whose spacing is one power of two: the per-term kernel's values
+POWER_OF_TWO_GRIDS = ["65sq", "129sq", "1d", "3d", "c07-h1/32", "c07-h1/16"]
+C07_GRIDS = {
+    "c07-h1/32": GridSpec.box((0.0, 0.0), (1.0, 1.0), (33, 33)),
+    "c07-h1/16": GridSpec.box((0.0, 0.0), (2.0, 2.0), (33, 33)),
+}
+# grids on which the final scale divides
+SCALE_GRIDS = {
+    "97sq-h1/12": PIN_GRIDS["97sq-h1/12"],
+    "97sq-h1/48": GridSpec.box((-1.0, -1.0), (1.0, 1.0), (97, 97)),
 }
 
 
@@ -696,8 +763,9 @@ def _pinned(vals, grid, params, fault=None):
 
 
 class TestReciprocalScaling:
-    """The kernel with multiplies by exact reciprocals against the
-    reference kernel, which divides, bit for bit."""
+    """The kernel, which scales once with a multiply by an exact
+    reciprocal where it can, against the reference kernels, which divide,
+    bit for bit."""
 
     @pytest.mark.parametrize("fault", [None, "stencil-sign-flip"])
     @pytest.mark.parametrize("kind,delta,c", [
@@ -714,6 +782,50 @@ class TestReciprocalScaling:
         _assert_same_bits(got, want)
         if c > 0.0:  # the blend is active on part of the field
             assert np.min(np.abs(vals)) < c <= np.max(vals)
+
+    @pytest.mark.parametrize("fault", [None, "stencil-sign-flip"])
+    @pytest.mark.parametrize("kind,delta,c", [
+        ("random", 1e-3, 0.0), ("random", 0.0, 0.0), ("random", 1e-3, 0.3),
+        ("zero-plateaus", 1e-3, 0.0), ("zero-plateaus", 1e-3, 0.3)],
+        ids=["delta", "no-delta", "blend", "plateaus", "plateaus-blend"])
+    @pytest.mark.parametrize("name", POWER_OF_TWO_GRIDS)
+    def test_power_of_two_grids_equal_the_per_term_kernel(
+            self, name, kind, delta, c, fault):
+        # h = 1/32, 1/64, 1/16 and C07's 1/32 and 1/16: every constant
+        # the kernel drops is a power of two, so the values round as the
+        # per-term divisions did
+        grid = PIN_GRIDS.get(name) or C07_GRIDS[name]
+        assert all(math.frexp(hi)[0] == 0.5 for hi in grid.h)
+        assert len(set(grid.h)) == 1
+        vals = _pin_data(grid, kind)
+        params = Params(m=2.5, eps=1e-2, delta=delta, c=c)
+        try:
+            ops.set_fault_injection(fault)
+            want = _per_term_rhs_core(vals, grid, params)
+            got = ops.rhs_core(vals, grid, params, ops.StencilWork(grid))
+            terms = ops.quad_form_field(vals, grid)
+            per_term = _per_term_quad_form_field(vals, grid)
+        finally:
+            ops.set_fault_injection(None)
+        _assert_same_bits(got, want)
+        # the per-term sums start from +0.0 and the kernel's from their
+        # first term, so only the terms' zeros may differ in sign
+        for a, b in zip(terms, per_term):
+            assert np.array_equal(a, b)
+            if kind == "random":
+                assert np.array_equal(_bits(a), _bits(b))
+
+    def test_other_grids_move_by_rounding_only(self):
+        # h = 1/12 and 1/48: the deferred scale rounds differently from
+        # the per-term divisions, but only in the last bits
+        for grid in SCALE_GRIDS.values():
+            vals = _pin_data(grid, "random")
+            params = Params(m=2.5, eps=1e-2, delta=1e-3, c=0.3)
+            got = ops.rhs_core(vals, grid, params)
+            want = _per_term_rhs_core(vals, grid, params)
+            assert not np.array_equal(got[0], want[0])
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-13,
+                                       atol=1e-13 * np.max(np.abs(want[0])))
 
     @pytest.mark.parametrize("name", list(PIN_GRIDS))
     def test_vanishing_gradient_without_delta_raises_alike(self, name):
@@ -764,12 +876,87 @@ class TestReciprocalScaling:
     def test_other_divisors_divide(self, c):
         assert ops._scaling(c) == (np.divide, c)
 
-    def test_grids_pick_per_divisor(self):
-        # h = (1/32, 1/24): 2h_0, h_0^2 are powers of two, the others not
+    def test_one_final_scale_per_grid(self):
+        # the weights w_i = h_0/h_i (None where 1.0) and the factor
+        # 1/2 w_i w_j of the cross term; then one scale by 1/h_0^2, a
+        # multiply where h_0^2 is a power of two and a division otherwise
         s = ops.StencilWork(PIN_GRIDS["65x49"]).slabs[0].chunks[0]
-        assert [f for f, _ in s.by_2h] == [np.multiply, np.divide]
-        assert [f for f, _ in s.by_hh] == [np.multiply, np.divide]
-        assert s.cross[0][-1] == (np.divide, 4.0 * (1 / 32) * (1 / 24))
+        # h = (1/32, 1/24)
+        assert s.w == [(None, None), (0.75, 0.5625)]
+        assert s.cross[0][-1] == 0.375
+        assert s.scale == (np.multiply, 1024.0)
+        assert s.four_hh == 1.0 / 256.0
+        for grid in SCALE_GRIDS.values():
+            s = ops.StencilWork(grid).slabs[0].chunks[0]
+            h = grid.h[0]
+            assert h in (8.0 / 96.0, 2.0 / 96.0)
+            assert s.w == [(None, None)] * 2
+            assert s.cross[0][-1] == 0.5
+            assert s.scale == (np.divide, h * h)
+            assert s.four_hh == 4.0 * h * h
+
+
+# ── Scaling equivariance where the kernel divides ────────────────────────
+# C07 reruns a scaled problem on grids where the kernel only multiplies
+# (h = 1/32 and 1/16).  Here the spacings are 1/12 and 1/48, where the
+# final scale divides: v = A u(x/L, A t/L^2) with A = 8, L = 2 must still
+# reproduce the kernel's values and a short stage bit for bit.
+
+A_SCALE, L_SCALE = 8.0, 2.0
+
+
+def _scaled_grid(grid):
+    return GridSpec(n=grid.n, h=tuple(L_SCALE * hi for hi in grid.h),
+                    origin=tuple(L_SCALE * o for o in grid.origin))
+
+
+def _scaled_params(params):
+    return params.with_(eps=A_SCALE * params.eps,
+                        delta=(A_SCALE / L_SCALE) * params.delta,
+                        c=A_SCALE * params.c)
+
+
+class TestDividingScaleEquivariance:
+    @pytest.mark.parametrize("kind,delta,c", [
+        ("random", 1e-3, 0.0), ("random", 1e-3, 0.3), ("random", 0.0, 0.0),
+        ("zero-plateaus", 1e-3, 0.3)],
+        ids=["delta", "blend", "no-delta", "plateaus-blend"])
+    @pytest.mark.parametrize("name", list(SCALE_GRIDS))
+    def test_rhs_core_scales_bit_for_bit(self, name, kind, delta, c):
+        grid = SCALE_GRIDS[name]
+        assert ops.StencilWork(grid).slabs[0].chunks[0].scale[0] is np.divide
+        vals = _pin_data(grid, kind)
+        params = Params(m=2.5, eps=1e-2, delta=delta, c=c)
+        rhs, bmax, g2max = ops.rhs_core(vals, grid, params)
+        rhs_s, bmax_s, g2max_s = ops.rhs_core(
+            A_SCALE * vals, _scaled_grid(grid), _scaled_params(params))
+        factor = A_SCALE ** 2 / L_SCALE ** 2
+        assert np.array_equal(_bits(rhs_s), _bits(factor * rhs))
+        assert bmax_s == A_SCALE * bmax
+        assert g2max_s == factor * g2max
+
+    @pytest.mark.parametrize("name", list(SCALE_GRIDS))
+    def test_rescaled_stage_is_bit_identical(self, name):
+        grid = SCALE_GRIDS[name]
+        half = grid.h[0] * (grid.n[0] - 1) / 2.0  # the box is [-half, half]^2
+
+        def u0(X):
+            return 0.5 + 0.25 * np.sin(2.0 * X[:, 0] / half) \
+                * np.cos(X[:, 1] / half)
+
+        def held(fn):
+            return BoundaryData.from_functions(
+                u0=fn, g=lambda X, t: fn(X), time_dependent=False)
+
+        params = Params(m=2.0, eps=1e-2, delta=1e-2, c=1e-2)
+        t_end = 40.0 * grid.h[0] ** 2
+        base = _run_stage(grid, params, held(u0), t_end, (), None)
+        rep = _run_stage(_scaled_grid(grid), _scaled_params(params),
+                         held(lambda X: A_SCALE * u0(X / L_SCALE)),
+                         t_end * L_SCALE ** 2 / A_SCALE, (), None)
+        assert base.n_steps == rep.n_steps >= 10
+        assert np.array_equal(_bits(rep.final.values),
+                              _bits(A_SCALE * base.final.values))
 
 
 # ── Maxima over the run ──────────────────────────────────────────────────
@@ -804,7 +991,7 @@ def _run_g2(vals, grid):
     run = ops._Run(grid, 0, rows, temps[:-1], np.empty(size, bool),
                    temps[-1])
     ops._terms(vals.reshape(-1), run)
-    return run.g2
+    return run.g2 / run.four_hh
 
 
 class TestRunMaxima:

@@ -20,7 +20,7 @@ from ipme.solver import (CauchyProblem, DirichletProblem, ball_mask,
                          solve_dirichlet, solve_maximal)
 
 GRID = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (17, 17))
-# 201^2 interior nodes: just above SPLIT_NODES, so two slabs
+# 201^2 interior nodes: above SPLIT_NODES, so two slabs
 SPLIT_GRID = GridSpec.box((-1.0, -1.0), (1.0, 1.0), (203, 203))
 PARAMS = Params(m=2.0, eps=1e-2, delta=1e-2)
 
