@@ -84,7 +84,7 @@ class FitError(IpmeError, ValueError):
 
 
 class SnapshotFormatError(IpmeError, ValueError):
-    """Malformed snapshot or manifest text."""
+    """Malformed snapshot file or manifest text."""
     code = 40
 
 

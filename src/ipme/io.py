@@ -1,22 +1,21 @@
 """Snapshot, manifest and trace serialization.
 
-Snapshot grammar (text, one file per field):
+Snapshot format `ipme v2` (one file per field): a one-line text header
 
-    # ipme v1 d=<d> n=<n1,..> h=<h1,..> origin=<o1,..> t=<t> quantity=<q>
-    <value>
-    ...
+    # ipme v2 d=<d> n=<n1,..> h=<h1,..> origin=<o1,..> t=<t> quantity=<q>
 
-One decimal value per line, row-major node order, written with Python's
-shortest round-trip float repr so that read(write(field)) reproduces every
-value bit for bit.  quantity is one of u, rho, v, G.
+then exactly prod(n) little-endian IEEE-754 binary64 values in row-major
+node order, with nothing after them.  Header floats are Python's shortest
+round-trip repr; quantity is one of u, rho, v, G.  The body is the
+array's own bytes, so read(write(field)) reproduces every value bit for
+bit, -0.0 and subnormals included, and a file whose body is not exactly
+8 * prod(n) bytes is an error.  `np.fromfile(path, "<f8",
+offset=len(header_line))` reads the body.
 
-The writer formats each distinct value once: solutions are mostly
-plateaus (the floor outside the support, the lateral value beyond the
-truncation ramp) and mirror images, so few of their values differ.
-Values are told apart by their bit patterns, so -0.0 and 0.0 keep their
-own text, and every line is the repr of its own value: the bytes are
-those of formatting value by value.  `write_snapshot` streams the rows
-that `snapshot_text` joins.
+`read_snapshot` and `parse_snapshot` also read the legacy text format
+`ipme v1`: the same header with magic `ipme v1`, then one repr value per
+line, each ending in a newline.  A v1 file reads to the values it holds
+and is written back as v2.
 
 Manifests are YAML written by PyYAML's safe dumper: block mappings in
 insertion order, lists as flow sequences.  They read back value for value
@@ -37,12 +36,14 @@ from .core import (DomainError, GridSpec, ScalarField, SnapshotFormatError,
                    QUANTITIES)
 
 __all__ = [
-    "write_snapshot", "read_snapshot", "snapshot_text", "parse_snapshot_text",
+    "write_snapshot", "read_snapshot", "snapshot_bytes", "parse_snapshot",
     "write_manifest", "read_manifest", "manifest_text", "load_yaml",
     "write_trace_csv", "read_trace_csv",
 ]
 
-_MAGIC = "ipme v1"
+_MAGIC = "ipme v2"
+_LEGACY_MAGIC = "ipme v1"
+_HEADER_KEYS = ["d", "n", "h", "origin", "t", "quantity"]
 
 
 def _fmt(x: float) -> str:
@@ -50,42 +51,69 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _snapshot_chunks(field: ScalarField):
-    """The snapshot text in pieces: the header line, then each row of the
-    last axis.  A table holds the text of each distinct bit pattern, and
-    the rows are put together from it."""
+def _snapshot_parts(field: ScalarField) -> tuple:
+    """The header line as bytes and the values as a C-ordered `<f8`
+    array, a view of the field's own buffer when it already is one."""
     g = field.grid
-    yield ("# {magic} d={d} n={n} h={h} origin={o} t={t} quantity={q}\n"
-           .format(magic=_MAGIC, d=g.dim,
-                   n=",".join(str(v) for v in g.n),
-                   h=",".join(_fmt(v) for v in g.h),
-                   o=",".join(_fmt(v) for v in g.origin),
-                   t=_fmt(field.t), q=field.quantity))
-    bits, where = np.unique(field.values.reshape(-1).view(np.int64),
-                            return_inverse=True)
-    text = np.array([repr(v) + "\n" for v in bits.view(float).tolist()],
-                    dtype=object)
-    for row in where.reshape(-1, g.n[-1]):
-        yield "".join(text[row])
+    head = ("# {magic} d={d} n={n} h={h} origin={o} t={t} quantity={q}\n"
+            .format(magic=_MAGIC, d=g.dim,
+                    n=",".join(str(v) for v in g.n),
+                    h=",".join(_fmt(v) for v in g.h),
+                    o=",".join(_fmt(v) for v in g.origin),
+                    t=_fmt(field.t), q=field.quantity))
+    return head.encode("ascii"), np.ascontiguousarray(field.values,
+                                                      dtype="<f8")
 
 
-def snapshot_text(field: ScalarField) -> str:
-    return "".join(_snapshot_chunks(field))
+def snapshot_bytes(field: ScalarField) -> bytes:
+    head, body = _snapshot_parts(field)
+    return head + body.tobytes()
 
 
 def write_snapshot(path: str, field: ScalarField) -> None:
-    with open(path, "w", newline="\n") as f:
-        f.writelines(_snapshot_chunks(field))
+    head, body = _snapshot_parts(field)
+    with open(path, "wb") as f:
+        f.write(head)
+        f.write(body.data)
 
 
-def parse_snapshot_text(text: str, name: str = "<snapshot>") -> ScalarField:
-    lines = text.splitlines()
-    if not lines:
-        raise SnapshotFormatError(f"{name}:1: empty snapshot")
-    head = lines[0]
-    prefix = f"# {_MAGIC} "
+def read_snapshot(path: str) -> ScalarField:
+    with open(path, "rb") as f:
+        return parse_snapshot(f.read(), name=os.path.basename(path))
+
+
+def parse_snapshot(data: bytes, name: str = "<snapshot>") -> ScalarField:
+    """A v2 snapshot, or a legacy v1 text one, from the file's bytes."""
+    if not data.startswith(f"# {_MAGIC} ".encode("ascii")):
+        return _parse_legacy_text(data.decode("utf-8", "replace"), name)
+    head, newline, body = data.partition(b"\n")
+    grid, t, quantity = _parse_header(head.decode("ascii", "replace"),
+                                      _MAGIC, name)
+    want = 8 * grid.size
+    if not newline or len(body) != want:
+        cut = "" if newline else "header has no newline; "
+        raise SnapshotFormatError(
+            f"{name}: {cut}body is {len(body)} bytes, expected {want} "
+            f"({grid.size} float64 values)")
+    # a writable copy: frombuffer of bytes is read-only
+    return _field(grid, np.frombuffer(body, dtype="<f8").copy(), t,
+                  quantity, name)
+
+
+def _field(grid, vals, t, quantity, name) -> ScalarField:
+    try:
+        return ScalarField(grid=grid, values=vals, t=t, quantity=quantity)
+    except DomainError as exc:
+        raise SnapshotFormatError(f"{name}: {exc}") from exc
+
+
+def _parse_header(head: str, magic: str, name: str) -> tuple:
+    """(grid, t, quantity) from the header line, magic included."""
+    prefix = f"# {magic} "
     if not head.startswith(prefix):
-        raise SnapshotFormatError(f"{name}:1: missing '# {_MAGIC}' header")
+        raise SnapshotFormatError(
+            f"{name}:1: missing '# {_MAGIC}' (or legacy '# {_LEGACY_MAGIC}')"
+            f" header")
     fields = {}
     order = []
     for tok in head[len(prefix):].split():
@@ -94,10 +122,9 @@ def parse_snapshot_text(text: str, name: str = "<snapshot>") -> ScalarField:
         key, val = tok.split("=", 1)
         fields[key] = val
         order.append(key)
-    expected = ["d", "n", "h", "origin", "t", "quantity"]
-    if order != expected:
+    if order != _HEADER_KEYS:
         raise SnapshotFormatError(
-            f"{name}:1: header keys {order} != {expected}")
+            f"{name}:1: header keys {order} != {_HEADER_KEYS}")
     try:
         d = int(fields["d"])
         n = tuple(int(v) for v in fields["n"].split(","))
@@ -118,6 +145,21 @@ def parse_snapshot_text(text: str, name: str = "<snapshot>") -> ScalarField:
         grid = GridSpec(n=n, h=h, origin=origin)
     except DomainError as exc:
         raise SnapshotFormatError(f"{name}:1: {exc}") from exc
+    return grid, t, quantity
+
+
+def _parse_legacy_text(text: str, name: str) -> ScalarField:
+    """A v1 text snapshot; errors name the offending line."""
+    lines = text.splitlines()
+    if not lines:
+        raise SnapshotFormatError(f"{name}:1: empty snapshot")
+    grid, t, quantity = _parse_header(lines[0], _LEGACY_MAGIC, name)
+    # the v1 writer ended every value with a newline: without one the
+    # file was cut, maybe inside its last value
+    if not text.endswith("\n"):
+        raise SnapshotFormatError(
+            f"{name}:{len(lines)}: no newline after the last line; the "
+            f"file is cut")
 
     # fast path for a well-formed body: one value on every line
     try:
@@ -127,10 +169,7 @@ def parse_snapshot_text(text: str, name: str = "<snapshot>") -> ScalarField:
         vals = None
     if vals is None or vals.size != grid.size:
         vals = _parse_values(lines, grid.size, name)
-    try:
-        return ScalarField(grid=grid, values=vals, t=t, quantity=quantity)
-    except DomainError as exc:
-        raise SnapshotFormatError(f"{name}: {exc}") from exc
+    return _field(grid, vals, t, quantity, name)
 
 
 def _parse_values(lines: list, want: int, name: str) -> np.ndarray:
@@ -157,11 +196,6 @@ def _parse_values(lines: list, want: int, name: str) -> np.ndarray:
     return vals
 
 
-def read_snapshot(path: str) -> ScalarField:
-    with open(path, "r") as f:
-        return parse_snapshot_text(f.read(), name=os.path.basename(path))
-
-
 # ── Manifests ────────────────────────────────────────────────────────────
 
 # YAML 1.2 floats with no dot (1e-3, 1E+5), which YAML 1.1 reads as strings
@@ -169,7 +203,7 @@ _FLOAT_12 = re.compile(
     r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """Safe loader that also reads YAML 1.2 floats like 1e-3 or 1.0e3."""
 
 

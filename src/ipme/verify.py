@@ -299,19 +299,35 @@ def _case_snapshot_roundtrip():
     rng = np.random.default_rng(4242)
     grid = GridSpec(n=(7, 5, 3), h=(0.1, 0.2, 1.0 / 3.0),
                     origin=(-0.3, 0.0, 1.0))
-    # repeated values, both zeros among them: the writer formats each
-    # distinct bit pattern once, and -0.0 == 0.0 would hide a merge
+    # both zeros among repeated values: -0.0 == 0.0 would hide a writer
+    # that drops the sign
     pool = np.concatenate(([0.0, -0.0], rng.random(6) * 1e3))
     vals = pool[rng.integers(0, pool.size, grid.shape)]
     f = ScalarField(grid, vals, t=0.125, quantity="rho")
-    back = io.parse_snapshot_text(io.snapshot_text(f))
+    data = io.snapshot_bytes(f)
+    back = io.parse_snapshot(data)
     if not np.array_equal(back.values.view(np.int64), f.values.view(np.int64)):
         return False, "values not bit-identical"
     if back.grid != grid or back.t != f.t or back.quantity != f.quantity:
         return False, "header fields drifted"
-    if io.snapshot_text(back) != io.snapshot_text(f):
+    if io.snapshot_bytes(back) != data:
         return False, "re-serialization differs"
     return True, "bit-identical snapshot roundtrip"
+
+
+def _case_legacy_text_snapshot():
+    # a v1 text file, as written before the binary body: one repr per line
+    grid = GridSpec.box((-1.0,), (1.0,), (6,))
+    vals = np.array([0.0, -0.0, 0.1, 1.0 / 3.0, 5e-324,
+                     1.7976931348623157e308])
+    text = ("# ipme v1 d=1 n=6 h=0.4 origin=-1.0 t=0.25 quantity=v\n"
+            + "".join(repr(float(v)) + "\n" for v in vals))
+    back = io.parse_snapshot(text.encode())
+    if not np.array_equal(back.values.view(np.int64), vals.view(np.int64)):
+        return False, "legacy values not bit-identical"
+    if back.grid != grid or back.t != 0.25 or back.quantity != "v":
+        return False, "legacy header fields drifted"
+    return True, "legacy text snapshot reads bit-exact"
 
 
 def _case_manifest_roundtrip():
@@ -350,9 +366,9 @@ def _case_trace_roundtrip():
 def _case_reject_bad_quantity():
     grid = GridSpec.box((0.0,), (1.0,), (5,))
     f = ScalarField(grid, np.zeros(5), 0.0)
-    text = io.snapshot_text(f).replace("quantity=u", "quantity=w")
+    data = io.snapshot_bytes(f).replace(b"quantity=u", b"quantity=w", 1)
     try:
-        io.parse_snapshot_text(text)
+        io.parse_snapshot(data)
     except SnapshotFormatError:
         return True, "unknown quantity rejected"
     return False, "unknown quantity accepted"
@@ -388,6 +404,7 @@ SUITES = {
         ("manifest-roundtrip", _case_manifest_roundtrip),
         ("trace-roundtrip", _case_trace_roundtrip),
         ("reject-bad-quantity", _case_reject_bad_quantity),
+        ("legacy-text-snapshot", _case_legacy_text_snapshot),
     ],
 }
 

@@ -405,7 +405,7 @@ output: %s
     # parse -> serialize is the identity on bytes for every artifact kind
     snap_path = out / "u_0001.snap"
     field = io.read_snapshot(snap_path)
-    assert io.snapshot_text(field).encode() == snap_path.read_bytes()
+    assert io.snapshot_bytes(field) == snap_path.read_bytes()
     man = io.read_manifest(out / "manifest.yaml")
     round2 = tmp_path / "man2.yaml"
     io.write_manifest(str(round2), man)

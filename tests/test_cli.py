@@ -1340,7 +1340,7 @@ class TestVerifyCommand:
     def test_full_battery_passes(self, capsys):
         assert cli.main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.strip().endswith("20/20 cases passed")
+        assert out.strip().endswith("21/21 cases passed")
         assert all(line.startswith("PASS") for line in
                    out.strip().splitlines()[:-1])
         assert "PASS  operators/field-quadratic" in out
@@ -1348,14 +1348,14 @@ class TestVerifyCommand:
     def test_single_suite_selection(self, capsys):
         assert cli.main(["verify", "--suite", "io"]) == 0
         out = capsys.readouterr().out
-        assert out.strip().endswith("4/4 cases passed")
+        assert out.strip().endswith("5/5 cases passed")
         assert "io/snapshot-roundtrip" in out
 
     def test_writer_merging_signed_zeros_is_caught(self, capsys,
                                                    monkeypatch):
         # a writer that formats -0.0 as 0.0 reads back equal under ==
-        real = io.snapshot_text
-        monkeypatch.setattr(io, "snapshot_text", lambda f: real(ScalarField(
+        real = io.snapshot_bytes
+        monkeypatch.setattr(io, "snapshot_bytes", lambda f: real(ScalarField(
             f.grid, f.values + 0.0, t=f.t, quantity=f.quantity)))
         assert cli.main(["verify", "--suite", "io"]) == 1
         assert "FAIL  io/snapshot-roundtrip" in capsys.readouterr().out
@@ -1422,6 +1422,14 @@ class TestVerifyCommand:
 
 # ---------------------------------------------------------------------------
 # asym subcommand
+
+
+def _legacy_text(field):
+    """`field` in the v1 text format: the v2 header under the v1 magic,
+    then one repr value per line."""
+    head = io.snapshot_bytes(field).partition(b"\n")[0].decode()
+    return (head.replace("# ipme v2 ", "# ipme v1 ", 1) + "\n" + "".join(
+        repr(v) + "\n" for v in field.values.ravel().tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -1563,8 +1571,8 @@ asym: {snapshots: %s, tasks: [support]}
         field = ScalarField(GridSpec.box((0.0,), (1.0,), (5,)), np.zeros(5),
                             t=1.0, quantity="u")
         io.write_snapshot(str(snaps / "u_0000.snap"), field)
-        text = io.snapshot_text(field).replace("t=1.0", "t=nan", 1)
-        (snaps / "u_0001.snap").write_text(text)
+        raw = io.snapshot_bytes(field).replace(b"t=1.0", b"t=nan", 1)
+        (snaps / "u_0001.snap").write_bytes(raw)
         cfg = write_cfg(tmp_path / "a.yaml", """\
 output: %s
 asym: {snapshots: %s, tasks: [support]}
@@ -1656,6 +1664,28 @@ asym: {snapshots: %s, tasks: [support, rate, barenblatt, benilan], m: 2.0}
                                                   abs=1e-12)
         assert got["benilan"]["worst"] == pytest.approx(
             want["benilan"]["worst"], abs=1e-12)
+
+    def test_legacy_text_run_gives_the_same_outputs(self, bb_snapshot_dir,
+                                                     tmp_path):
+        # a run directory written in the v1 text format still feeds asym,
+        # to the same bytes
+        legacy = tmp_path / "v1"
+        legacy.mkdir()
+        for path in bb_snapshot_dir.iterdir():
+            if path.suffix == ".snap":
+                (legacy / path.name).write_text(
+                    _legacy_text(io.read_snapshot(path)))
+            else:
+                (legacy / path.name).write_bytes(path.read_bytes())
+        outs = {}
+        for name, snaps in (("v2", bb_snapshot_dir), ("v1", legacy)):
+            out = tmp_path / f"out_{name}"
+            assert cli.main(["asym", write_cfg(tmp_path / f"{name}.yaml", """\
+output: %s
+asym: {snapshots: %s, tasks: [support, rate]}
+""" % (out, snaps))]) == 0
+            outs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert outs["v1"] == outs["v2"]
 
     def test_maximal_run_needs_no_floor_leaf(self, tmp_path):
         # the ladder's floor 1/8 once read as support on the whole box,

@@ -2,11 +2,12 @@
 survives a write/read cycle bit for bit."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipme.core import (GridSpec, Params, ScalarField, SnapshotFormatError,
@@ -16,6 +17,11 @@ from ipme import io
 GRID3 = GridSpec.box((0.0, 0.0), (1.0, 1.0), (3, 3))
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+# 1-d, 2-d and 3-d grids at h = 1/48 and h = 0.07
+GRIDS = [GridSpec(n=n, h=(h,) * len(n), origin=(-0.5,) * len(n))
+         for h in (1.0 / 48.0, 0.07) for n in ((13,), (4, 5), (3, 4, 5))]
 
 
 def field_of(values, quantity="v", t=0.5, grid=GRID3):
@@ -25,25 +31,33 @@ def field_of(values, quantity="v", t=0.5, grid=GRID3):
 
 class TestSnapshotRoundtrip:
 
-    @settings(max_examples=60, deadline=None)
-    @given(vals=st.lists(finite, min_size=9, max_size=9),
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), grid=st.sampled_from(GRIDS),
            t=st.floats(0.0, 1e9))
-    def test_text_roundtrip_is_exact(self, vals, t):
-        field = field_of(vals, t=t)
-        text = io.snapshot_text(field)
-        back = io.parse_snapshot_text(text)
+    @example(data=None, grid=GRIDS[1], t=0.5)
+    def test_bytes_roundtrip_is_exact(self, data, grid, t):
+        if data is None:
+            # every special value, cycled over a 2-d grid
+            vals = np.resize(SPECIALS, grid.size)
+        else:
+            vals = np.array(data.draw(st.lists(
+                finite | st.sampled_from(SPECIALS), min_size=grid.size,
+                max_size=grid.size)), dtype=float)
+        field = field_of(vals, t=t, grid=grid)
+        raw = io.snapshot_bytes(field)
+        back = io.parse_snapshot(raw)
         assert back.grid == field.grid
         assert back.t == field.t
         assert back.quantity == "v"
-        assert np.array_equal(back.values, field.values.reshape(3, 3))
-        # shortest-repr floats make the writer idempotent
-        assert io.snapshot_text(back) == text
+        assert np.array_equal(back.values.view(np.int64),
+                              field.values.view(np.int64))
+        assert io.snapshot_bytes(back) == raw
 
     @settings(max_examples=30, deadline=None)
     @given(vals=st.lists(finite.map(abs), min_size=9, max_size=9))
     def test_pressure_fields_roundtrip(self, vals):
         field = field_of(vals, quantity="u")
-        back = io.parse_snapshot_text(io.snapshot_text(field))
+        back = io.parse_snapshot(io.snapshot_bytes(field))
         assert back.quantity == "u"
         assert np.array_equal(back.values, field.values.reshape(3, 3))
 
@@ -53,116 +67,190 @@ class TestSnapshotRoundtrip:
         io.write_snapshot(str(a), field)
         io.write_snapshot(str(b), io.read_snapshot(str(a)))
         assert a.read_bytes() == b.read_bytes()
-        assert a.read_text() == io.snapshot_text(field)
+        assert a.read_bytes() == io.snapshot_bytes(field)
 
-    def test_values_stored_row_major(self):
+    def test_layout_is_header_then_row_major_f8(self, tmp_path):
         vals = np.arange(9.0).reshape(3, 3)
-        lines = io.snapshot_text(field_of(vals)).splitlines()
-        assert lines[1:] == [repr(float(v)) for v in range(9)]
+        raw = io.snapshot_bytes(field_of(vals))
+        head, _, body = raw.partition(b"\n")
+        assert head == (b"# ipme v2 d=2 n=3,3 h=0.5,0.5 origin=0.0,0.0 "
+                        b"t=0.5 quantity=v")
+        assert body == struct.pack("<9d", *range(9))
+        path = tmp_path / "s.snap"
+        path.write_bytes(raw)
+        assert np.array_equal(np.fromfile(path, "<f8", offset=len(head) + 1),
+                              np.arange(9.0))
 
-
-    def test_body_bytes_match_per_value_repr(self, tmp_path):
-        # the body is one shortest round-trip repr per value, the same
-        # bytes as formatting each value on its own, although the writer
-        # formats each distinct bit pattern once; the file holds the same
+    def test_body_is_the_c_ordered_little_endian_values(self, tmp_path):
         rng = np.random.default_rng(3)
-        specials = [-0.0, 5e-324, 1e16, 1e-5, 0.1, 0.0, -1.5e300, 2.0 ** 53]
-        zeros = np.array([0.0, -0.0, 0.0, -0.0, 0.25, -0.0, 0.0, 0.25, -0.0])
-        x = np.linspace(-1.0, 1.0, 9)
-        # floor plateau, a ramp, a ceiling plateau: symmetric in x and y
-        plateau = np.clip(2.0 - 3.0 * np.hypot(*np.meshgrid(x, x)), 0.1, 1.0)
-        assert np.array_equal(plateau, plateau[::-1]) and \
-            np.array_equal(plateau, plateau.T)
-        line = GridSpec.box((0.0,), (1.0,), (13,))
         cube = GridSpec.box((0.0,) * 3, (1.0,) * 3, (3, 4, 5))
-        for vals, grid in (
-                (rng.standard_normal(9) * 10.0 ** rng.integers(-30, 30, 9),
-                 GRID3),
-                (rng.uniform(-1.0, 1.0, 9), GRID3),
-                (specials[:9] + [1.0], GRID3),
-                (zeros, GRID3),
-                (plateau, GridSpec.box((-1.0, -1.0), (1.0, 1.0), (9, 9))),
-                (np.arange(81.0) / 7.0, GridSpec.box((0.0, 0.0), (1.0, 1.0),
-                                                     (9, 9))),
-                (np.tile([0.5, -0.0, 0.0, 1.0 / 3.0], 4)[:13], line),
-                (np.where(rng.random(60) < 0.5, rng.random(60), -0.0), cube)):
-            vals = np.asarray(vals, dtype=float)[:grid.size]
-            field = field_of(vals, grid=grid)
-            text = io.snapshot_text(field)
-            body = text.splitlines()[1:]
-            assert body == [repr(float(v)) for v in field.values.ravel()]
-            path = tmp_path / "s.snap"
-            io.write_snapshot(str(path), field)
-            assert path.read_bytes() == text.encode()
+        square = GridSpec.box((0.0, 0.0), (1.0, 1.0), (6, 6))
+        a = rng.standard_normal((6, 6)) * 10.0 ** rng.integers(-30, 30, (6, 6))
+        a[0, :3] = [-0.0, 5e-324, -1.7976931348623157e308]
+        b = np.where(rng.random((3, 4, 5)) < 0.5, rng.random((3, 4, 5)), -0.0)
+        for vals in (a, a.T, np.asfortranarray(a), a[::-1],
+                     b, np.asfortranarray(b), b[:, ::-1]):
+            for layout in (vals, vals.astype(">f8")):
+                grid = square if layout.ndim == 2 else cube
+                field = field_of(np.zeros(grid.size), grid=grid)
+                # the writer takes the values in whatever layout it finds
+                field.values = layout
+                raw = io.snapshot_bytes(field)
+                body = raw.partition(b"\n")[2]
+                assert body == layout.astype("<f8").tobytes()
+                path = tmp_path / "s.snap"
+                io.write_snapshot(str(path), field)
+                assert path.read_bytes() == raw
+
+    def test_read_values_are_writable(self, tmp_path):
+        path = tmp_path / "s.snap"
+        io.write_snapshot(str(path), field_of(np.arange(9.0)))
+        for back in (io.read_snapshot(str(path)),
+                     io.parse_snapshot(path.read_bytes())):
+            assert back.values.flags.writeable and back.values.flags.aligned
+            back.values[1, 1] = -2.0
+
+    def test_legacy_text_reads_to_the_same_bits(self, tmp_path):
+        vals = np.array(SPECIALS + [1.0 / 3.0, 2.0 ** 53, 0.1, 1e16])[:9]
+        field = field_of(vals, t=0.125)
+        text = ("# ipme v1 d=2 n=3,3 h=0.5,0.5 origin=0.0,0.0 t=0.125 "
+                "quantity=v\n" + "".join(repr(float(v)) + "\n" for v in vals))
+        path = tmp_path / "old.snap"
+        path.write_text(text)
+        back = io.read_snapshot(str(path))
+        assert back.grid == field.grid and back.t == 0.125
+        assert np.array_equal(back.values.view(np.int64),
+                              field.values.view(np.int64))
+        # and is written back as v2
+        assert io.snapshot_bytes(back) == io.snapshot_bytes(field)
+
+
+class TestSnapshotLength:
+    """A v2 body is exactly 8 bytes per node: a cut or padded file is an
+    error, not a different field."""
+
+    def raw(self):
+        return io.snapshot_bytes(field_of(np.arange(9.0)))
+
+    @pytest.mark.parametrize("cut,got", [(-1, 71), (-8, 64), (-72, 0),
+                                         (1, 73), (8, 80)])
+    def test_wrong_body_length_rejected(self, cut, got):
+        raw = self.raw()
+        data = raw[:cut] if cut < 0 else raw + b"\0" * cut
+        with pytest.raises(SnapshotFormatError) as info:
+            io.parse_snapshot(data, name="s.snap")
+        assert str(info.value) == (
+            f"s.snap: body is {got} bytes, expected 72 (9 float64 values)")
+
+    def test_header_without_newline_rejected(self):
+        head = self.raw().partition(b"\n")[0]
+        with pytest.raises(SnapshotFormatError) as info:
+            io.parse_snapshot(head, name="s.snap")
+        assert str(info.value) == (
+            "s.snap: header has no newline; body is 0 bytes, expected 72 "
+            "(9 float64 values)")
+
+    def test_cut_file_rejected_on_read(self, tmp_path):
+        path = tmp_path / "cut.snap"
+        path.write_bytes(self.raw()[:-3])
+        with pytest.raises(SnapshotFormatError, match="cut.snap: body is 69"):
+            io.read_snapshot(str(path))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_body_rejected(self, bad):
+        raw = bytearray(self.raw())
+        raw[-16:-8] = struct.pack("<d", bad)
+        with pytest.raises(SnapshotFormatError,
+                           match="s.snap: field values must be finite"):
+            io.parse_snapshot(bytes(raw), name="s.snap")
+
+    def test_negative_pressure_body_rejected(self):
+        raw = bytearray(io.snapshot_bytes(field_of(np.zeros(9),
+                                                   quantity="u")))
+        raw[-8:] = struct.pack("<d", -1.0)
+        with pytest.raises(SnapshotFormatError,
+                           match="s.snap: u field must be nonnegative"):
+            io.parse_snapshot(bytes(raw), name="s.snap")
 
 
 class TestSnapshotParsing:
+    """Header checks for both formats, and the legacy v1 text reader."""
 
     def header(self):
-        return io.snapshot_text(field_of(np.zeros(9))).splitlines()[0]
+        return ("# ipme v1 d=2 n=3,3 h=0.5,0.5 origin=0.0,0.0 t=0.5 "
+                "quantity=v")
+
+    def parse(self, text, name="<snapshot>"):
+        return io.parse_snapshot(text.encode(), name=name)
 
     def test_empty_text_rejected(self):
         with pytest.raises(SnapshotFormatError, match="empty"):
-            io.parse_snapshot_text("")
+            self.parse("")
 
     def test_missing_magic_rejected(self):
         with pytest.raises(SnapshotFormatError, match="header"):
-            io.parse_snapshot_text("values\n0.0\n")
+            self.parse("values\n0.0\n")
 
     def test_bad_header_token_rejected(self):
         text = "# ipme v1 d=2 nonsense\n" + "0.0\n" * 9
         with pytest.raises(SnapshotFormatError, match="bad header token"):
-            io.parse_snapshot_text(text)
+            self.parse(text)
 
     def test_header_key_order_enforced(self):
         head = ("# ipme v1 n=3,3 d=2 h=0.5,0.5 origin=0.0,0.0 t=0.5 "
                 "quantity=v")
         with pytest.raises(SnapshotFormatError, match="header keys"):
-            io.parse_snapshot_text(head + "\n" + "0.0\n" * 9)
+            self.parse(head + "\n" + "0.0\n" * 9)
 
     def test_dimension_mismatch_rejected(self):
         head = "# ipme v1 d=3 n=3,3 h=0.5,0.5 origin=0.0,0.0 t=0.5 quantity=v"
         with pytest.raises(SnapshotFormatError, match="lengths"):
-            io.parse_snapshot_text(head + "\n" + "0.0\n" * 9)
+            self.parse(head + "\n" + "0.0\n" * 9)
 
     def test_unknown_quantity_rejected(self):
         text = self.header().replace("quantity=v", "quantity=w")
         with pytest.raises(SnapshotFormatError, match="quantity tag"):
-            io.parse_snapshot_text(text + "\n" + "0.0\n" * 9)
+            self.parse(text + "\n" + "0.0\n" * 9)
 
     def test_value_count_enforced(self):
         with pytest.raises(SnapshotFormatError, match="expected 9"):
-            io.parse_snapshot_text(self.header() + "\n" + "0.0\n" * 8)
+            self.parse(self.header() + "\n" + "0.0\n" * 8)
         with pytest.raises(SnapshotFormatError, match="more than 9"):
-            io.parse_snapshot_text(self.header() + "\n" + "0.0\n" * 10)
+            self.parse(self.header() + "\n" + "0.0\n" * 10)
 
     def test_unparsable_value_rejected(self):
         body = "0.0\n" * 4 + "zero\n" + "0.0\n" * 4
         with pytest.raises(SnapshotFormatError, match="bad value"):
-            io.parse_snapshot_text(self.header() + "\n" + body)
+            self.parse(self.header() + "\n" + body)
 
+    @pytest.mark.parametrize("magic", ["v1", "v2"])
     @pytest.mark.parametrize("h,origin", [("nan,0.5", "0.0,0.0"),
                                           ("0.5,0.5", "inf,0.0")])
-    def test_non_finite_grid_rejected(self, h, origin):
-        head = (f"# ipme v1 d=2 n=3,3 h={h} origin={origin} t=0.5 "
+    def test_non_finite_grid_rejected(self, h, origin, magic):
+        head = (f"# ipme {magic} d=2 n=3,3 h={h} origin={origin} t=0.5 "
                 f"quantity=v")
+        body = "0.0\n" * 9 if magic == "v1" else "\0" * 72
         with pytest.raises(SnapshotFormatError, match="finite"):
-            io.parse_snapshot_text(head + "\n" + "0.0\n" * 9)
+            self.parse(head + "\n" + body)
 
     @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
     def test_non_finite_time_rejected(self, t):
         # `ipme asym` would otherwise sort and fit on such a time
         text = self.header().replace("t=0.5", f"t={t}")
         with pytest.raises(SnapshotFormatError, match="time must be finite"):
-            io.parse_snapshot_text(text + "\n" + "0.0\n" * 9)
+            self.parse(text + "\n" + "0.0\n" * 9)
+        raw = io.snapshot_bytes(field_of(np.zeros(9))).replace(
+            b"t=0.5", f"t={t}".encode(), 1)
+        with pytest.raises(SnapshotFormatError, match="time must be finite"):
+            io.parse_snapshot(raw)
 
     def test_field_constraints_still_apply(self):
         # a parsed pressure field goes through the same nonnegativity
         # police as a constructed one
-        text = io.snapshot_text(field_of(np.zeros(9), quantity="u"))
-        bad = text.replace("\n0.0", "\n-1.0", 1)
+        text = self.header().replace("quantity=v", "quantity=u") + "\n" + \
+            "0.0\n-1.0\n" + "0.0\n" * 7
         with pytest.raises(SnapshotFormatError, match="negative"):
-            io.parse_snapshot_text(bad)
+            self.parse(text)
 
     @pytest.mark.parametrize("body,message", [
         ("0.0\n" * 8, "s.snap:9: got 8 values, expected 9"),
@@ -177,13 +265,23 @@ class TestSnapshotParsing:
     ])
     def test_body_errors_name_the_offending_line(self, body, message):
         with pytest.raises(SnapshotFormatError) as info:
-            io.parse_snapshot_text(self.header() + "\n" + body, name="s.snap")
+            self.parse(self.header() + "\n" + body, name="s.snap")
         assert str(info.value) == message
 
     def test_blank_lines_ignored(self):
         text = self.header() + "\n\n" + "0.0\n" * 4 + "\n" + "0.0\n" * 5
-        back = io.parse_snapshot_text(text)
+        back = self.parse(text)
         assert np.array_equal(back.values, np.zeros((3, 3)))
+
+    def test_legacy_file_cut_inside_its_last_value_rejected(self):
+        # cut to ...0.1234, the last line would read as another number
+        text = ("# ipme v1 d=1 n=5 h=0.25 origin=0.0 t=0.0 quantity=u\n"
+                "0.0\n0.1\n0.2\n0.3\n0.123456789\n")
+        assert self.parse(text).values[-1] == 0.123456789
+        with pytest.raises(SnapshotFormatError) as info:
+            self.parse(text[:-6], name="s.snap")
+        assert str(info.value) == (
+            "s.snap:6: no newline after the last line; the file is cut")
 
 
 class TestManifest:
