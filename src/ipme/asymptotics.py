@@ -185,7 +185,6 @@ class FriendlyGiantResult:
     errors: Optional[np.ndarray]
     stabilization_diffs: np.ndarray
     is_ball: bool
-    profile_max: float = 0.0
 
 
 def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
@@ -219,8 +218,7 @@ def friendly_giant(snapshots: Sequence[ScalarField], params: Params,
     U = exact.evaluate_u(spec, X, 1.0).reshape(grid.shape)
     errors = np.array([float(np.max(np.abs(s - U))) for s in scaled])
     return FriendlyGiantResult(times=times, errors=errors,
-                               stabilization_diffs=diffs, is_ball=True,
-                               profile_max=float(np.max(U)))
+                               stabilization_diffs=diffs, is_ball=True)
 
 
 def barenblatt_convergence(snapshots: Sequence[ScalarField], R_estimate: float,

@@ -246,10 +246,10 @@ def _build_grid(cfg: dict) -> GridSpec:
 
 
 def _build_params(cfg: dict, problem_kind: str) -> tuple:
-    """(Params of the last stage, schedule or None).  A top-level eps or
-    delta is read only where the schedule lists none, `c` only on a
-    dirichlet run (the ladders set c = 1/(2n) on each rung), and
-    `schedule.n_list` only on the ladders."""
+    """(Params of the last stage, schedule or None, rung list or None).  A
+    top-level eps or delta is read only where the schedule lists none, `c`
+    only on a dirichlet run (the ladders set c = 1/(2n) on each rung), and
+    `schedule.n_list` only on the ladders, which check it."""
     s = cfg.get("schedule") or {}
     eps = tuple(float(v) for v in s.get("eps_list", ())) or (
         float(cfg.get("eps", 1e-3)),)
@@ -258,10 +258,9 @@ def _build_params(cfg: dict, problem_kind: str) -> tuple:
     ladder = problem_kind != "dirichlet"
     params = Params(m=float(_require(cfg, "m")), eps=eps[-1], delta=delta[-1],
                     c=0.0 if ladder else float(cfg.get("c", 0.0)))
-    if not s:
-        return params, None
-    return params, RegularizationSchedule(
-        eps, delta, s.get("n_list", ()) if ladder else ())
+    schedule = RegularizationSchedule(eps, delta) if (
+        "eps_list" in s or "delta_list" in s) else None
+    return params, schedule, s.get("n_list") if ladder else None
 
 
 def _exact_companion(data: dict, m: float) -> tuple:
@@ -365,7 +364,7 @@ def cmd_solve(plain: dict) -> int:
     cfg = _Reads(plain, set())
     problem_kind = cfg.get("problem", "dirichlet")
     grid = _build_grid(cfg)
-    params, schedule = _build_params(cfg, problem_kind)
+    params, schedule, n_list = _build_params(cfg, problem_kind)
     t_end = float(_require(cfg, "t_end"))
     snaps = tuple(float(t) for t in cfg.get("snapshot_times", (t_end,)))
     cc = cfg.get("cauchy") or {}
@@ -387,13 +386,15 @@ def cmd_solve(plain: dict) -> int:
     # only these runs record an error statistic, which a threshold gates
     stat = problem_kind != "cauchy" and spec is not None
     thr = cfg.get("regression_threshold") if stat else None
-    seed = cfg.get("seed")
+    # the seed only labels the run: taking it here passes the unread-leaf
+    # check, and the manifest records it in the embedded config
+    cfg.get("seed")
     cfg.check(f"a {problem_kind} run")
 
     if problem_kind == "cauchy":
-        report = solve_cauchy(prob, schedule)
+        report = solve_cauchy(prob, schedule, n_list)
     elif problem_kind == "maximal":
-        report = solve_maximal(prob, schedule=schedule)
+        report = solve_maximal(prob, schedule, n_list)
     else:
         report = solve_dirichlet(prob, schedule)
     if stat:
@@ -409,8 +410,6 @@ def cmd_solve(plain: dict) -> int:
                 failure = (f"regression error statistic {rel:.6f} "
                            f"exceeds threshold {thr}")
 
-    if seed is not None:
-        report.manifest["seed"] = int(seed)
     # a failing run is written in full too, then reported
     _write_run(outdir, report.snapshots, report.manifest, plain)
     if failure is not None:

@@ -290,16 +290,14 @@ class BoundaryData:
 
 @dataclass(frozen=True)
 class RegularizationSchedule:
-    """Continuation lists: eps and delta strictly decreasing, n increasing."""
+    """Continuation lists: eps and delta strictly decreasing."""
 
     eps_list: tuple
     delta_list: tuple
-    n_list: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "eps_list", tuple(float(v) for v in self.eps_list))
         object.__setattr__(self, "delta_list", tuple(float(v) for v in self.delta_list))
-        object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
         if not self.eps_list or not self.delta_list:
             raise DomainError("schedule needs at least one eps and one delta")
         if any(v <= 0 for v in self.eps_list + self.delta_list):
@@ -308,10 +306,6 @@ class RegularizationSchedule:
             raise DomainError("eps_list must decrease strictly")
         if any(b >= a for a, b in zip(self.delta_list, self.delta_list[1:])):
             raise DomainError("delta_list must decrease strictly")
-        if any(v < 1 for v in self.n_list):
-            raise DomainError("n_list entries must be >= 1")
-        if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise DomainError("n_list must increase strictly")
 
     def pairs(self) -> list:
         """Continuation order: eps descending at the largest delta, then
@@ -324,7 +318,6 @@ class RegularizationSchedule:
 # ── Run manifest ─────────────────────────────────────────────────────────
 
 def run_manifest(params: Params, grid: GridSpec, problem_kind: str,
-                 schedule: RegularizationSchedule | None = None,
                  **extra) -> dict:
     """Everything needed to reproduce a run, as a nested plain dict."""
     d = {
@@ -335,10 +328,6 @@ def run_manifest(params: Params, grid: GridSpec, problem_kind: str,
         "grid": {"dim": grid.dim, "n": list(grid.n), "h": list(grid.h),
                  "origin": list(grid.origin)},
     }
-    if schedule is not None:
-        d["schedule"] = {"eps_list": list(schedule.eps_list),
-                         "delta_list": list(schedule.delta_list),
-                         "n_list": list(schedule.n_list)}
     d.update(extra)
     return d
 

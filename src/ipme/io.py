@@ -160,16 +160,8 @@ def _parse_legacy_text(text: str, name: str) -> ScalarField:
         raise SnapshotFormatError(
             f"{name}:{len(lines)}: no newline after the last line; the "
             f"file is cut")
-
-    # fast path for a well-formed body: one value on every line
-    try:
-        vals = np.fromiter(map(float, lines[1:]), dtype=float,
-                           count=len(lines) - 1)
-    except ValueError:
-        vals = None
-    if vals is None or vals.size != grid.size:
-        vals = _parse_values(lines, grid.size, name)
-    return _field(grid, vals, t, quantity, name)
+    return _field(grid, _parse_values(lines, grid.size, name), t, quantity,
+                  name)
 
 
 def _parse_values(lines: list, want: int, name: str) -> np.ndarray:

@@ -38,18 +38,19 @@ an exact power of two with a finite reciprocal (`_scaling`): 1/c is then
 exact, and x * (1/c) and x / c are both the correctly rounded value of
 the same real number, with the same bits and floating-point warnings.
 `quad_form_field` divides N, G and Lambda by 4 h_0^4, 4 h_0^2 and h_0^2
-the same way.  Where bits can move: on a uniform grid whose h is a power
-of two (h = 1/32 and 1/64 on [-1, 1] at 65 and 129 nodes) every factor
-the kernel drops is an exact power of two, so each value rounds as the
-earlier kernel's, which divided every term by its own 2 h_i, h_i^2 or
-4 h_i h_j, barring overflow and subnormals.  On other spacings (h = 1/48
-on the [-4, 4] Cauchy reference at 385^2, 0.07, ...) values move from
-those by rounding only: on that 385^2 grid by at most 3.4e-16 of the
-largest |rhs| for the Cauchy bump, 5.1e-16 for random data.  The expression stays homogeneous under
-power-of-two rescalings of u, x, eps, delta and c, so rescaled reruns
-reproduce a run bit for bit on any spacing.  At 385^2 and h = 1/48 the
-unsplit kernel took 1.95-2.07 ms a call, against 2.72-2.91 ms when it
-divided each term (medians of 200 calls, 2-core Xeon, numpy 2.4).
+the same way.  On a uniform grid whose h is a power of two (h = 1/32
+and 1/64 on [-1, 1] at 65 and 129 nodes) every factor the kernel drops
+is an exact power of two, so each value rounds as it would with every
+term divided by its own 2 h_i, h_i^2 or 4 h_i h_j, barring overflow and
+subnormals.  On other spacings (h = 1/48 on the [-4, 4] Cauchy
+reference at 385^2, 0.07, ...) values differ from those by rounding
+only: on that 385^2 grid by at most 3.4e-16 of the largest |rhs| for
+the Cauchy bump, 5.1e-16 for random data.  The expression stays
+homogeneous under power-of-two rescalings of u, x, eps, delta and c, so
+rescaled reruns reproduce a run bit for bit on any spacing.  At 385^2
+and h = 1/48 the unsplit kernel takes 1.95-2.07 ms a call, against
+2.72-2.91 ms with each term divided by its own constant (medians of 200
+calls, 2-core Xeon, numpy 2.4).
 
 Every operand is a contiguous 1-d run of the flattened field: the run
 of the rows' nodes from (1+r0, 1, ..., 1) on, and the same run shifted
@@ -88,11 +89,12 @@ over-allocated block), and a second slab starts at the row nearest the
 middle whose run start, row * n1 * ... * n_{d-1} positions into each
 buffer, is a multiple of 8 doubles (`_cut`: row 192 of 383 at 385^2,
 128 of 255 at 257^2), so the rhs and field writes of the two slab
-processes never share a line at the cut.  Before, malloc put the
-buffers 16 to 48 bytes off a line (and the second 385^2 run a further
-56): one slab took 0.122 against 0.147 ms at 129^2, and two slabs 1.03
-against 1.13 ms at 385^2 (medians of calls alternated between the two
-versions, 2-core Xeon, numpy 2.4, threads then).
+processes never share a line at the cut.  With every buffer 16 bytes
+off a line instead, an `rhs_core` call took 0.227 and 0.336 ms against
+0.174 and 0.209 ms on one 129^2 slab, and 1.40 and 1.20 ms against 1.11
+and 1.00 ms on two 385^2 slabs (two runs, each the median of ten blocks
+of 200 calls alternated between the two layouts, 2-core Xeon, numpy
+2.4).
 
 On grids with at least SPLIT_NODES = 25,000 interior nodes, with two or
 more usable cores and `os.fork`, the workspace cuts the run into two
@@ -112,21 +114,18 @@ parent closes its pipe and waits for it), or when the parent dies,
 because the pipe then ends too.  Two processes, unlike two threads,
 never wait for each other's interpreter lock, which a thread takes
 again after every ufunc, four times as often once a 385^2 slab runs in
-chunks: in a 385^2 Cauchy solve each slab's kernel took 1.12 ms with
-both running, half of the 2.34 ms of one process for the whole
-interior (both with the earlier kernel, which divided each term).  Every operation is elementwise, so split and
-unsplit results are identical.  The threshold and the chunk length are
-the measured optima of whole 2-d stages from `tools/slab_crossover.py`
-on a 2-core Xeon (KVM guest, 2 MB L2 a core; Python 3.11, numpy 2.4).
+chunks.  Every operation is elementwise, so split and unsplit results
+are identical.  The threshold and the chunk length are the measured
+optima of whole 2-d stages from `tools/slab_crossover.py` on a 2-core
+Xeon (KVM guest, 2 MB L2 a core; Python 3.11, numpy 2.4).
 Each stage of about 300 steps counts what a solve pays per step (the
 kernel, the CFL bound, `_advance` and `_police`, two hand-offs) and per
 stage (the workspace, the fork and the wait); stages alternate between
 the configurations, and the tables give the median ms per step on a
 paraboloid front spreading into zeros ("dry") or over a floor of 1/512
 ("floored").  The tool's grids span [-1, 1]^2, so h = 2/(n - 1) is a
-power of two only at 129^2 and 257^2; the kernel divided each term at
-every other size before it scaled once, and that cost had put the
-crossover between 129^2 and 145^2.  With the deferred scale:
+power of two, and the kernel's one scaling pass a multiply, only at
+129^2 and 257^2; at the other sizes that pass divides:
 
     one slab against two, ms per step, CHUNK = 24000
                  dry                      floored
@@ -150,12 +149,11 @@ crossover between 129^2 and 145^2.  With the deferred scale:
           whole   1.902   1.654
 
 A second run of the tool read two/one 1.05 and 1.11 at 145^2 and 0.81
-and 0.97 at 161^2; the per-term kernel, timed by the same tool on the
-same host between the two runs, read 0.74 and 0.86 at 145^2.  So two slabs now pay from
-between 145^2 and 161^2 on, and SPLIT_NODES puts 145^2 (20,449 interior
-nodes) on one slab and 161^2 (25,281) on two.  Below, the two hand-offs
-of a step, about 15 us each, and the workspace, fork and wait of a
-stage, about 9 ms at 385^2, eat the gain.  CHUNK = 24,000 stays the
+and 0.97 at 161^2.  So two slabs pay from between 145^2 and 161^2 on,
+and SPLIT_NODES puts 145^2 (20,449 interior nodes) on one slab and
+161^2 (25,281) on two.  Below, the two hand-offs of a step, about 15
+us each, and the workspace, fork and wait of a stage, about 9 ms at
+385^2, eat the gain.  CHUNK = 24,000 stays the
 fastest chunk length.
 On one slab, `rhs_core` alone took 1.95-2.43 ms at 385^2 (h = 1/48) in
 chunks against 3.46-4.14 ms as one run.
@@ -334,7 +332,9 @@ SPLIT_NODES = 25_000
 # rows of axis 0, about this long, whose temporaries stay in L2
 CHUNK = 24_000
 # seconds a side that waits for the other polls the shared command word
-# before it blocks on the pipe
+# before it blocks on the pipe.  Six alternated 8 s `cauchy-385` runs a
+# side at seed 0 (2-core Xeon, numpy 2.4) read wall_s median 0.485 s and
+# 1.08e8 node steps/s with it, 0.536 s and 0.98e8 with SPIN_S = 0.
 SPIN_S = 1e-3
 
 

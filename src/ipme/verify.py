@@ -32,8 +32,7 @@ import yaml
 
 from . import exact, io
 from .core import (BoundaryData, ConfigError, GridSpec, Params,
-                   RegularizationSchedule, ScalarField, SnapshotFormatError,
-                   run_manifest)
+                   ScalarField, SnapshotFormatError, run_manifest)
 from .operators import (beta_c, rhs_core, rhs_full, set_fault_injection,
                         stencil_eval)
 from .solver import DirichletProblem, solve_dirichlet, solve_maximal
@@ -335,7 +334,6 @@ def _case_manifest_roundtrip():
     # as strings, and inf as a YAML string
     man = run_manifest(Params(m=3.0, eps=1e-5), GridSpec.box(
         (0.0,), (1.0,), (9,)), "dirichlet",
-        RegularizationSchedule((1e-2, 1e-3), (1e-2,), (1, 2)),
         note="verify", values=[1, 2.5, "x", "1e5"],
         stage_diffs=[3e-06, 1e+20, float("inf"), float("-inf")],
         stage_pairs=[[1e-2, 1e-2], [1e-3, 3e-06]])

@@ -132,8 +132,6 @@ class TestFriendlyGiant:
         assert res.is_ball
         assert np.all(res.errors <= 1e-12)
         assert np.all(res.stabilization_diffs <= 1e-12)
-        assert res.profile_max == pytest.approx(
-            float(np.max(snaps[0].values)), rel=1e-12)
 
     def test_without_radius_only_stabilization(self):
         snaps = [snapshot(BALL, GRID, t) for t in (1.0, 2.0, 4.0)]

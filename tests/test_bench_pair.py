@@ -46,6 +46,14 @@ class TestVerdict:
         # a side that wins every pair resolves it
         assert verdict([p + 0.01 for p in wide], parent=wide) == "level"
 
+    def test_wide_parent_spread_is_unresolved_before_worse(self):
+        # cli-suite setup_s of BENCH_30.json: the parent's IQR (0.061) is
+        # wider than the bound (0.25 x 0.159 = 0.040), and the parent won
+        # two pairs of three, so a median 46% higher is noise, not worse
+        parent = [0.15412, 0.15929, 0.27587]
+        change = [0.23244, 0.26726, 0.16408]
+        assert verdict(change, parent=parent) == "unresolved"
+
     def test_zero_bound_makes_any_rise_worse(self):
         # fail_frac: no failures at the parent, one failed run here
         assert verdict([0.0] * 9 + [0.1], parent=[0.0] * 10,

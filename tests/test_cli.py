@@ -400,6 +400,8 @@ output: %s
         man = yaml.safe_load((out / "manifest.yaml").read_text())
         assert man["problem"] == "maximal"
         assert man["n_list"] == [4, 8]
+        assert man["config"]["schedule"] == {"n_list": [4, 8]}
+        assert "schedule" not in man
         assert man["ladder_floor"] == 0.125
 
     def test_params_record_the_last_stage(self, tmp_path):
@@ -410,6 +412,8 @@ output: %s
                          "--set", f"output={out}"]) == 0
         man = io.read_manifest(out / "manifest.yaml")
         assert man["stage_pairs"] == [[1.0e-2, 1.0e-3], [3.0e-3, 1.0e-3]]
+        # the stages are recorded as pairs and in the config, not again
+        assert "schedule" not in man
         assert man["params"]["eps"] == man["stage_pairs"][-1][0]
         assert man["params"]["delta"] == man["stage_pairs"][-1][1]
 
@@ -509,7 +513,7 @@ output: %s
         err = capsys.readouterr().err
         assert err.startswith("IPME-E13:") and err.count("IPME-E") == 1
         man = io.read_manifest(str(out / "manifest.yaml"))
-        assert man["seed"] == 3
+        assert man["config"]["seed"] == 3 and "seed" not in man
         assert man["regression_threshold"] == 1e-6
 
     def test_breaching_and_passing_manifests_hold_the_same_keys(self,
@@ -529,7 +533,7 @@ output: %s
         assert [k for k in passing if passing[k] != failing[k]] == [
             "regression_threshold", "config"]
         assert failing["error_stat"] == passing["error_stat"]
-        assert failing["seed"] == passing["seed"] == 3
+        assert failing["config"]["seed"] == passing["config"]["seed"] == 3
 
     @pytest.mark.parametrize("body", [
         """\
@@ -1173,6 +1177,20 @@ data: {kind: bump, height: 0.05, radius: 0.1}
 cauchy: {M: 0.05, r: 0.3}
 t_end: 0.01
 """
+
+
+@pytest.mark.parametrize("config", [
+    FUZZ_YAML.replace("dirichlet", "maximal"), CAUCHY_FUZZ_YAML],
+    ids=["maximal", "cauchy"])
+def test_decreasing_n_list_writes_nothing(tmp_path, capsys, config):
+    # the ladder checks its rung list before it solves the first rung
+    argv = ["solve", write_cfg(tmp_path / "c.yaml",
+                               config + "schedule: {n_list: [4, 2]}\n"),
+            "--set", f"output={tmp_path / 'out'}"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("IPME-E10: n_list ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("config,overrides,kind,path", [

@@ -160,7 +160,6 @@ class TestRegularizationSchedule:
         {"eps_list": (), "delta_list": (1e-3,)},
         {"eps_list": (1e-2, 1e-2), "delta_list": (1e-3,)},
         {"eps_list": (1e-2,), "delta_list": (1e-3, 1e-2)},
-        {"eps_list": (1e-2,), "delta_list": (1e-3,), "n_list": (4, 2)},
         {"eps_list": (0.0,), "delta_list": (1e-3,)},
     ])
     def test_rejects_malformed_lists(self, bad):
@@ -195,13 +194,9 @@ class TestPressureDensityMaps:
 class TestRunManifest:
     def test_build_is_plain_data(self):
         d = run_manifest(Params(m=2.0, eps=1e-3), GridSpec.box((0.0,), (1.0,), (5,)),
-                         "dirichlet",
-                         schedule=RegularizationSchedule(
-                             (1e-1, 1e-2), (1e-3,), (1, 2, 4, 8, 16)),
-                         t_end=1.0)
+                         "dirichlet", t_end=1.0)
         assert d["format"] == "ipme-manifest v1"
         assert d["problem"] == "dirichlet"
         assert d["params"]["k"] == 1.0
         assert d["grid"]["n"] == [5]
-        assert d["schedule"]["n_list"] == [1, 2, 4, 8, 16]
         assert d["t_end"] == 1.0

@@ -19,10 +19,10 @@ Each metric gets a verdict, the first that holds of:
 
     gain        the change won at least 9/10 of the pairs, and its median
                 is better than the parent's by more than the parent's IQR
+    unresolved  the parent's IQR is more than the bound and neither side
+                won every pair, so the runs spread too widely to tell
     worse       the change's median is worse than the parent's by more
                 than the bound (a share of the parent's median)
-    unresolved  the parent's IQR is more than the bound and neither side
-                won every pair
     level       otherwise
 """
 
@@ -84,7 +84,7 @@ def _quartiles(values: list) -> tuple:
 
 
 def _verdict(out: dict, bound: float) -> str:
-    """gain, worse, unresolved or level: see the module docstring."""
+    """gain, unresolved, worse or level: see the module docstring."""
     sign = 1.0 if out["better"] == "higher" else -1.0
     parent, change = out["parent"], out["change"]
     iqr = parent["q3"] - parent["q1"]
@@ -92,11 +92,11 @@ def _verdict(out: dict, bound: float) -> str:
     scale = abs(parent["median"])
     if 10 * out["change_wins"] >= 9 * out["pairs"] and gain > iqr:
         return "gain"
-    if -gain > bound * scale:
-        return "worse"
     if iqr > bound * scale and out["pairs"] not in (out["change_wins"],
                                                     out["parent_wins"]):
         return "unresolved"
+    if -gain > bound * scale:
+        return "worse"
     return "level"
 
 
